@@ -14,12 +14,11 @@ std::atomic<std::uint64_t> g_exited[kAllocPhases];
 
 struct ThreadCounts {
   std::uint64_t n[kAllocPhases];
-  int pinned_phase;  // -1 follows g_phase
   bool registered;
 };
 // Trivially destructible and zero-initialised, so touching it from
 // operator new never allocates or recurses.
-thread_local ThreadCounts t_counts{{}, -1, false};
+thread_local ThreadCounts t_counts{{}, false};
 
 void fold_into_total(void* counts) {
   const auto* c = static_cast<const ThreadCounts*>(counts);
@@ -40,10 +39,7 @@ const bool g_key_created = [] {
 
 inline void count_allocation() {
   ThreadCounts& c = t_counts;
-  const int phase = c.pinned_phase >= 0
-                        ? c.pinned_phase
-                        : g_phase.load(std::memory_order_relaxed);
-  ++c.n[phase];
+  ++c.n[g_phase.load(std::memory_order_relaxed)];
   if (!c.registered && g_key_ready.load(std::memory_order_acquire)) {
     c.registered = true;
     pthread_setspecific(g_exit_key, &c);
@@ -85,12 +81,6 @@ std::uint64_t allocs_in(AllocPhase phase) {
   const int i = static_cast<int>(phase);
   return g_exited[i].load(std::memory_order_relaxed) + t_counts.n[i];
 }
-
-ThreadAllocPhase::ThreadAllocPhase(AllocPhase phase) : previous_(t_counts.pinned_phase) {
-  t_counts.pinned_phase = static_cast<int>(phase);
-}
-
-ThreadAllocPhase::~ThreadAllocPhase() { t_counts.pinned_phase = previous_; }
 
 }  // namespace perfbench
 

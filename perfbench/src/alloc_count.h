@@ -2,11 +2,9 @@
 //
 // alloc_count.cc replaces the global operator new/delete family of this
 // executable only (the library layers are untouched). Every allocation is
-// charged to the phase that is current on the allocating thread: the
-// process-wide phase set with set_alloc_phase(), unless the thread has
-// pinned its own with ThreadAllocPhase. Counting is a plain per-thread
-// increment (no atomic read-modify-write on the hot path); a thread's
-// counts join the process total when the thread exits.
+// charged to the process-wide phase set with set_alloc_phase(). Counting
+// is a plain per-thread increment (no atomic read-modify-write on the hot
+// path); a thread's counts join the process total when the thread exits.
 #pragma once
 
 #include <cstdint>
@@ -17,10 +15,9 @@ enum class AllocPhase : int {
   kSetup = 0,  // workload generation, cluster assembly
   kSubmit,     // request ingestion (arrival scheduling, engine submit)
   kComplete,   // every other event of a replay
-  kServe,      // the measured window of the live workload, all threads
   kOther,      // harness bookkeeping, checks, teardown
 };
-inline constexpr int kAllocPhases = 5;
+inline constexpr int kAllocPhases = 4;
 
 void set_alloc_phase(AllocPhase phase);
 
@@ -28,18 +25,5 @@ void set_alloc_phase(AllocPhase phase);
 // calling thread. A thread that is still running contributes only once
 // it exits, so read after joining the threads of interest.
 std::uint64_t allocs_in(AllocPhase phase);
-
-// Pins the calling thread's phase for the object's lifetime (a client
-// thread whose allocations must not count as the system's).
-class ThreadAllocPhase {
- public:
-  explicit ThreadAllocPhase(AllocPhase phase);
-  ~ThreadAllocPhase();
-  ThreadAllocPhase(const ThreadAllocPhase&) = delete;
-  ThreadAllocPhase& operator=(const ThreadAllocPhase&) = delete;
-
- private:
-  int previous_;
-};
 
 }  // namespace perfbench

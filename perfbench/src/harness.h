@@ -50,14 +50,6 @@ struct RunResult {
 };
 
 RunResult run_sim_workload(const RunOptions& options);
-RunResult run_serve_live(const RunOptions& options);
-
-// Sets sim_latency_p50_s, sim_latency_p99_s and (when asked) capacity_rpm
-// from the library runner on the paper-testbed fleet and input for
-// `seed` — what serve-live's fleet and input yield in simulation.
-void record_testbed_sim_outcomes(std::uint64_t seed, bool with_capacity, RunResult& out);
-// The paper-testbed input's length, shared by serve-live.
-inline constexpr std::int64_t kTestbedWindowMinutes = 30;
 
 // --- shared input and fleet definitions ---
 
@@ -77,16 +69,26 @@ inline constexpr std::uint64_t kTraceSeed = 42;
 gfaas::trace::Workload build_input(std::uint64_t seed, std::int64_t rpm,
                                    std::int64_t window_minutes);
 gfaas::cluster::ClusterConfig fleet(int nodes, int gpus_per_node);
-// The gateway of serve-live and gateway-replay: admission window 256 (the
+// The gateway of gateway-replay: admission window 256 (the
 // library default) and no deadlines, so nothing sheds or expires by design.
 gfaas::gateway::GatewayConfig serving_gateway_config();
 
 // --- clocks ---
 double wall_s();          // steady clock
 double process_cpu_s();   // all threads of the process
-double thread_cpu_s();    // calling thread only
 double peak_rss_mb();     // high-water resident set of the process
 int host_cpus();
+
+// Host speed. A shared host also slows down as a whole, by 10-25% for
+// minutes at a stretch (neighbours on the same cores and caches), which no
+// choice of passes inside one run can avoid. probe_clock_hz() times a fixed
+// chain of dependent integer operations (benchmark code, no library call)
+// and returns the clock it ran at, counting one cycle per operation. The
+// benchmark keeps the fastest probe of a run and reports the wall and CPU
+// times it takes itself at kReferenceClockHz: measured seconds x probe
+// clock / reference.
+inline constexpr double kReferenceClockHz = 3.0e9;
+double probe_clock_hz();
 
 // CPU placement. A shared host slows one vCPU at a time (a busy
 // neighbour on its sibling thread), so passes rotate over the CPUs this
@@ -95,8 +97,7 @@ int host_cpus();
 // afterwards; an empty list restores the process's starting set.
 std::vector<int> usable_cpus();
 void pin_to(const std::vector<int>& cpus);
-// The CPU set for pass `k` of a workload running `threads` busy threads:
-// one CPU in turn, or all but one in turn.
-std::vector<int> rotation(std::size_t k, int threads);
+// The CPU for pass `k`: each usable CPU in turn.
+std::vector<int> rotation(std::size_t k);
 
 }  // namespace perfbench

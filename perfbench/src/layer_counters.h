@@ -1,28 +1,23 @@
 // Per-layer counters read from a fleet's public accessors after a run:
-// core (policy cost, queue waits), cache, gpu and datastore. Works on any
-// cell type with engine(), gpu(i), gpu_count() and datastore() — the
-// simulated SimCluster and the wall-clock RealTimeCluster alike. For a
-// RealTimeCluster call it on the executor's worker thread and pass the
-// executor's now() as `horizon` (time-weighted meters may have moved past
-// the last completion); simulated fleets pass 0 for the makespan.
+// core (policy cost, queue waits), cache, gpu and datastore, summed over
+// the cells of one fleet (one SimCluster, or every shard's).
 #pragma once
 
 #include <algorithm>
 #include <vector>
 
 #include "cluster/engine.h"
+#include "cluster/experiment.h"
 #include "core/request.h"
 #include "harness.h"
 #include "stats.h"
 
 namespace perfbench {
 
-template <class Cell>
-void record_layer_counters(const std::vector<Cell*>& cells,
-                           const std::vector<gfaas::core::CompletionRecord>& records,
-                           const gfaas::cluster::SchedulerEngine& top_engine,
-                           double revisions_before, gfaas::SimTime horizon,
-                           RunResult& out) {
+inline void record_layer_counters(const std::vector<gfaas::cluster::SimCluster*>& cells,
+                                  const std::vector<gfaas::core::CompletionRecord>& records,
+                                  const gfaas::cluster::SchedulerEngine& top_engine,
+                                  double revisions_before, RunResult& out) {
   const double n = static_cast<double>(records.size());
   gfaas::SimTime makespan = 0;
   std::vector<double> waits;
@@ -35,7 +30,6 @@ void record_layer_counters(const std::vector<Cell*>& cells,
     if (r.via_local_queue) via_local += 1;
     exec_s += gfaas::sim_to_seconds(r.completed - r.dispatched);
   }
-  if (horizon > makespan) makespan = horizon;
   const TailSummary wait = summarize(std::move(waits));
   out.set("core.wait_p50_s", wait.p50);
   out.set("core.wait_p99_s", wait.tail);
@@ -45,7 +39,7 @@ void record_layer_counters(const std::vector<Cell*>& cells,
 
   double policy_calls = 0, policy_ns = 0, queue_len = 0, false_misses = 0, evictions = 0,
          loads = 0, util = 0, gpus = 0, revisions = -revisions_before, keys = 0;
-  for (Cell* cell : cells) {
+  for (gfaas::cluster::SimCluster* cell : cells) {
     const gfaas::cluster::SchedulerEngine& engine = cell->engine();
     policy_calls += static_cast<double>(engine.policy_invocations());
     policy_ns += static_cast<double>(engine.policy_wall_ns());

@@ -3,17 +3,18 @@
 //   perfbench --workload <name> --seed <n> --seconds <s> --trace <0|1>
 //   perfbench --self-test
 //
-// Workloads: paper-testbed, fleet-256, fleet-sharded, gateway-replay
-// (simulated-fleet replays) and serve-live (wall-clock gateway + ingress +
-// realtime executor). The last line of standard output is one JSON object with
-// the keys correct, attempted, failed and metrics; --trace 0 reports the
-// end-to-end metrics, --trace 1 the per-layer ones. A failed output check
-// prints the result with "correct": false and exits 1.
+// Workloads: paper-testbed, fleet-256, fleet-sharded and gateway-replay,
+// all simulated-fleet replays. The last line of standard output is one
+// JSON object with the keys correct, attempted, failed and metrics;
+// --trace 0 reports the end-to-end metrics, --trace 1 the per-layer ones.
+// A failed output check prints the result with "correct": false and
+// exits 1.
 #include <sched.h>
 #include <sys/resource.h>
 #include <time.h>
 #include <unistd.h>
 
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -37,8 +38,6 @@ const std::vector<MetricSpec> kEndToEndMetrics = {
     {"sim_latency_p99_s", "sim_s"},
     {"slo_attainment", "ratio"},
     {"capacity_rpm", "req/min"},
-    {"serve_latency_p50_us", "us"},
-    {"serve_latency_p90_us", "us"},
 };
 
 const std::vector<MetricSpec> kPerLayerMetrics = {
@@ -111,16 +110,30 @@ double wall_s() {
   return static_cast<double>(ts.tv_sec) + static_cast<double>(ts.tv_nsec) * 1e-9;
 }
 
-namespace {
-double cpu_clock_s(clockid_t clock) {
+double process_cpu_s() {
   timespec ts{};
-  clock_gettime(clock, &ts);
+  clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &ts);
   return static_cast<double>(ts.tv_sec) + static_cast<double>(ts.tv_nsec) * 1e-9;
 }
+
+namespace {
+volatile std::uint64_t g_probe_sink;
 }  // namespace
 
-double process_cpu_s() { return cpu_clock_s(CLOCK_PROCESS_CPUTIME_ID); }
-double thread_cpu_s() { return cpu_clock_s(CLOCK_THREAD_CPUTIME_ID); }
+double probe_clock_hz() {
+  constexpr int kIterations = 1 << 20;
+  constexpr double kOpsPerIteration = 6;  // three shift-xor pairs, each serial
+  std::uint64_t x = 88172645463325252ull;
+  const double t0 = wall_s();
+  for (int i = 0; i < kIterations; ++i) {
+    x ^= x << 13;
+    x ^= x >> 7;
+    x ^= x << 17;
+  }
+  const double t = wall_s() - t0;
+  g_probe_sink = x;
+  return kOpsPerIteration * kIterations / t;
+}
 
 double peak_rss_mb() {
   rusage usage{};
@@ -157,16 +170,10 @@ void pin_to(const std::vector<int>& cpus) {
   sched_setaffinity(0, sizeof set, &set);
 }
 
-std::vector<int> rotation(std::size_t k, int threads) {
+std::vector<int> rotation(std::size_t k) {
   const std::vector<int> cpus = usable_cpus();
   if (cpus.size() < 2) return cpus;
-  const std::size_t skip = k % cpus.size();
-  if (threads <= 1) return {cpus[skip]};
-  std::vector<int> out;
-  for (std::size_t i = 0; i < cpus.size(); ++i) {
-    if (i != skip) out.push_back(cpus[i]);
-  }
-  return out;
+  return {cpus[k % cpus.size()]};
 }
 
 namespace {
@@ -174,7 +181,7 @@ namespace {
 int usage(const char* why) {
   std::fprintf(stderr,
                "perfbench: %s\nusage: perfbench --workload <paper-testbed|fleet-256|"
-               "fleet-sharded|gateway-replay|serve-live> --seed <n> --seconds <s> "
+               "fleet-sharded|gateway-replay> --seed <n> --seconds <s> "
                "--trace <0|1>\n"
                "       perfbench --self-test\n",
                why);
@@ -246,8 +253,7 @@ int main(int argc, char** argv) {
   if (!have_workload || !have_seed || !have_seconds || !have_trace) {
     return usage("--workload, --seed, --seconds and --trace are required");
   }
-  const bool live = options.workload == "serve-live";
-  if (!live && options.workload != "paper-testbed" && options.workload != "fleet-256" &&
+  if (options.workload != "paper-testbed" && options.workload != "fleet-256" &&
       options.workload != "fleet-sharded" && options.workload != "gateway-replay") {
     return usage(("unknown workload " + options.workload).c_str());
   }
@@ -259,7 +265,7 @@ int main(int argc, char** argv) {
               options.seconds, options.trace ? 1 : 0);
   std::fflush(stdout);
 
-  const RunResult result = live ? run_serve_live(options) : run_sim_workload(options);
+  const RunResult result = run_sim_workload(options);
   for (const std::string& note : result.notes) std::printf("# %s\n", note.c_str());
   for (const std::string& error : result.errors) {
     std::printf("# CHECK FAILED: %s\n", error.c_str());

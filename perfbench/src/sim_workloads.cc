@@ -1,14 +1,17 @@
 // Simulated-fleet workloads: paper-testbed, fleet-256, fleet-sharded and
 // gateway-replay.
 //
-// One input is generated from the seed and replayed many times, each pass
-// on a freshly assembled fleet; only the replay is timed. Because the
-// replay is deterministic and single-threaded (the sharded tier runs its
-// shards inline), the host is the only thing that can make a pass slower,
-// so wall-clock metrics aggregate passes by the fastest one; passes rotate
-// over the CPUs so that one is the least disturbed. Simulated outcomes come
-// from the passes too and must be identical on every pass and equal to
-// the library runner's on the same input.
+// One input is replayed many times, each pass on a freshly generated input
+// and a freshly assembled fleet; set-up and replay are timed apart.
+// Because the replay is deterministic and single-threaded (the sharded
+// tier runs its shards inline; gateway-replay's callback thread shares the
+// pass's CPU), the host is the only thing that can make a pass slower, so
+// wall-clock metrics take the fastest set-up and the fastest time of each
+// slice of the pass over all passes; passes rotate over the CPUs so that
+// some are on the least disturbed one. A clock probe before every pass
+// converts the times to the reference clock (harness.h). Simulated
+// outcomes come from the passes too and must be identical on every pass
+// and equal to the library runner's on the same input.
 #include <algorithm>
 #include <cmath>
 #include <memory>
@@ -45,7 +48,9 @@ struct SimSpec {
   bool via_gateway;
 };
 
-// fleet-256 carries the testbed's per-GPU load on 256 GPUs.
+// The paper testbed's input spans 30 minutes; fleet-256 carries the
+// testbed's per-GPU load on 256 GPUs.
+constexpr std::int64_t kTestbedWindowMinutes = 30;
 constexpr std::int64_t kFleetRpm = kTestbedRpm * 256 / kTestbedGpus;
 
 const SimSpec kSpecs[] = {
@@ -61,12 +66,23 @@ const double kCapacityLadder[] = {1.0,  1.05, 1.1,  1.15, 1.2,  1.25, 1.3,  1.35
                                   1.8,  1.85, 1.9,  1.95, 2.0,  2.1,  2.2,  2.3,
                                   2.4,  2.5,  2.6,  2.8,  3.0,  3.5,  4.0};
 
-constexpr int kSetupReps = 9;
 constexpr std::size_t kMinPasses = 3;
-// serve_latency_* on replays: wall cost per request over windows of this
-// many consecutive completions; each quantile is taken per pass and the
-// lowest over passes is reported, like the fastest pass.
-constexpr std::size_t kStampEvery = 8;
+// Clock probes before each pass, on the pass's CPU.
+constexpr int kProbesPerPass = 3;
+// An untraced single-threaded single-engine pass is timed in this many
+// slices of its arrival span (see Fleet::replay and the composite pass).
+constexpr std::size_t kSlices = 128;
+// A traced pass must spend at least this share of its wall time inside
+// the timed calls, or its per-layer split does not describe the pass.
+constexpr double kMinTraceCoverage = 0.9;
+
+// Wall and process CPU seconds, read together.
+struct Cost {
+  double wall = 0;
+  double cpu = 0;
+  static Cost now() { return {wall_s(), process_cpu_s()}; }
+  Cost operator-(const Cost& o) const { return {wall - o.wall, cpu - o.cpu}; }
+};
 
 // Wall-clock split of a traced single-engine pass.
 struct TraceTimes {
@@ -110,23 +126,9 @@ class Fleet {
           sharded_options());
       prepare_sharded();
     }
-    stamps_.reserve(workload.requests.size() / kStampEvery + 2);
     for (gfaas::cluster::SimCluster* cell : cells()) {
       revisions_before_ += cell->datastore().revision();
-      cell->engine().set_completion_hook([this](const CompletionRecord&) {
-        if (++completions_ % kStampEvery == 0) stamps_.push_back(wall_s());
-      });
     }
-  }
-
-  // Wall microseconds per request over each window of kStampEvery
-  // consecutive completions (fleet-wide; every engine runs on this thread).
-  std::vector<double> window_costs_us() const {
-    std::vector<double> out;
-    for (std::size_t k = 1; k < stamps_.size(); ++k) {
-      out.push_back((stamps_[k] - stamps_[k - 1]) / kStampEvery * 1e6);
-    }
-    return out;
   }
 
   // The benchmark's entry point for one request: the engine, or the
@@ -173,73 +175,89 @@ class Fleet {
   // runs. Inline replays are bit-identical to pooled ones.
   static gfaas::shard::ShardedOptions sharded_options() { return {}; }
 
-  // Returns the replay's wall seconds.
-  double replay(TraceTimes* trace) {
+  // Replays the input once and returns the costs of its slices, in order;
+  // the pass costs their sum. The single-engine replay follows the event
+  // order of SimCluster::replay (every arrival scheduled upfront, then the
+  // simulator runs to the end). Untraced, it runs in kSlices stretches of
+  // the arrival span, each timed; traced, it steps one event at a time
+  // under the clock and returns one slice. The sharded replay is one
+  // library call and one slice.
+  std::vector<Cost> replay(TraceTimes* trace) {
     if (sharded_) {
       set_alloc_phase(AllocPhase::kComplete);
-      const double t0 = wall_s();
+      const Cost start = Cost::now();
       stats_ = sharded_->replay(workload_.requests);
-      const double wall = wall_s() - t0;
+      const Cost end = Cost::now();
       set_alloc_phase(AllocPhase::kOther);
-      return wall;
+      return {end - start};
     }
-    gfaas::cluster::SchedulerEngine& engine = single_->engine();
-    if (trace == nullptr) {
-      set_alloc_phase(AllocPhase::kSubmit);
-      const double t0 = wall_s();
-      single_->replay(workload_.requests, [this](Request request) {
-        set_alloc_phase(AllocPhase::kSubmit);
-        submit(std::move(request));
-        set_alloc_phase(AllocPhase::kComplete);
-      });
-      if (front_) front_->callbacks.drain();
-      const double wall = wall_s() - t0;
-      set_alloc_phase(AllocPhase::kOther);
-      return wall;
-    }
-    // Traced: the same event order as SimCluster::replay (every arrival
-    // scheduled upfront), stepped one event at a time under the clock.
     gfaas::sim::Simulator& sim = single_->simulator();
     bool arrival = false;
     const std::function<void(Request)> arrive = [&](Request request) {
       arrival = true;
       set_alloc_phase(AllocPhase::kSubmit);
-      const double t0 = wall_s();
-      this->submit(std::move(request));
-      const double ns = (wall_s() - t0) * 1e9;
-      trace->submit_ns += ns;
-      trace->submit_samples_ns.push_back(ns);
-      ++trace->submits;
+      if (trace == nullptr) {
+        this->submit(std::move(request));
+      } else {
+        const double t0 = wall_s();
+        this->submit(std::move(request));
+        const double ns = (wall_s() - t0) * 1e9;
+        trace->submit_ns += ns;
+        trace->submit_samples_ns.push_back(ns);
+        ++trace->submits;
+      }
       set_alloc_phase(AllocPhase::kComplete);
     };
     set_alloc_phase(AllocPhase::kSubmit);
-    const double start = wall_s();
+    const Cost start = Cost::now();
     for (const Request& request : workload_.requests) {
       sim.schedule_at(request.arrival, [&arrive, request]() { arrive(request); });
     }
-    double t0 = wall_s();
-    trace->schedule_ns += (t0 - start) * 1e9;
     set_alloc_phase(AllocPhase::kComplete);
-    for (;;) {
-      arrival = false;
-      if (!sim.step()) break;
-      const double t1 = wall_s();
-      if (arrival) {
-        trace->arrival_step_ns += (t1 - t0) * 1e9;
-      } else {
-        trace->complete_ns += (t1 - t0) * 1e9;
-        ++trace->completes;
+    std::vector<Cost> slices;
+    if (trace == nullptr) {
+      // The callback thread of gateway-replay runs whenever the scheduler
+      // lets it, so a slice boundary would split its work differently in
+      // every pass: that replay is timed whole.
+      const auto count = static_cast<gfaas::SimTime>(front_ ? 1 : kSlices);
+      const gfaas::SimTime last_arrival = workload_.requests.back().arrival;
+      Cost mark = start;
+      for (gfaas::SimTime k = 1; k <= count; ++k) {
+        if (k < count) {
+          sim.run_until(last_arrival / count * k);
+        } else {
+          sim.run();
+          if (front_) front_->callbacks.drain();
+        }
+        const Cost now = Cost::now();
+        slices.push_back(now - mark);
+        mark = now;
       }
-      t0 = t1;
+    } else {
+      double t0 = wall_s();
+      trace->schedule_ns += (t0 - start.wall) * 1e9;
+      for (;;) {
+        arrival = false;
+        if (!sim.step()) break;
+        const double t1 = wall_s();
+        if (arrival) {
+          trace->arrival_step_ns += (t1 - t0) * 1e9;
+        } else {
+          trace->complete_ns += (t1 - t0) * 1e9;
+          ++trace->completes;
+        }
+        t0 = t1;
+      }
+      if (front_) {
+        front_->callbacks.drain();
+        trace->complete_ns += (wall_s() - t0) * 1e9;
+      }
+      slices.push_back(Cost::now() - start);
     }
-    if (front_) {
-      front_->callbacks.drain();
-      trace->complete_ns += (wall_s() - t0) * 1e9;
-    }
-    const double wall = wall_s() - start;
     set_alloc_phase(AllocPhase::kOther);
-    GFAAS_CHECK(engine.pending() == 0) << engine.pending() << " requests stranded";
-    return wall;
+    GFAAS_CHECK(single_->engine().pending() == 0)
+        << single_->engine().pending() << " requests stranded";
+    return slices;
   }
 
   std::vector<gfaas::cluster::SimCluster*> cells() {
@@ -268,7 +286,9 @@ class Fleet {
  private:
   // The routing set-up shard::run_sharded_experiment applies before its
   // replay (hot-model replication, then ring-weight calibration), so the
-  // benchmark's own replay matches the library runner's digest.
+  // benchmark's own replay matches the library runner's digest. A copy of
+  // src/shard/experiment.cc lines 53-98, which the library does not expose
+  // as a function of its own; the library-digest check catches drift.
   void prepare_sharded() {
     const std::size_t shards = spec_.shards;
     const gfaas::shard::ShardedOptions options = sharded_options();
@@ -318,8 +338,6 @@ class Fleet {
   std::unique_ptr<gfaas::shard::ShardedCluster> sharded_;
   gfaas::shard::ShardedReplayStats stats_;
   std::int64_t revisions_before_ = 0;
-  std::size_t completions_ = 0;
-  std::vector<double> stamps_;  // see window_costs_us
   std::vector<std::uint8_t> fired_;  // per request id, written by the callback thread
   std::unique_ptr<FrontEnd> front_;
 };
@@ -355,7 +373,7 @@ void record_sim_outcomes(Fleet& fleet, const std::vector<CompletionRecord>& reco
   }
   out.set("sim.events_per_req", events / static_cast<double>(records.size()));
   record_layer_counters(fleet.cells(), records, fleet.top_engine(),
-                        static_cast<double>(fleet.revisions_before()), 0, out);
+                        static_cast<double>(fleet.revisions_before()), out);
 }
 
 // The library runner's completion stream on the same input.
@@ -412,6 +430,11 @@ double capacity_rpm(const SimSpec& spec, std::uint64_t seed, RunResult& out) {
   return best >= 0 ? static_cast<double>(rate(static_cast<std::size_t>(best))) : 0.0;
 }
 
+// The sharded replay is one library call, so the benchmark cannot time
+// its pieces: the shard layer's split comes from the library's own
+// ShardedReplayStats. Shards run inline, so a pass is their summed work
+// plus the orchestrator's serial sections, which bench.trace_coverage
+// compares against the measured wall time. No span is added to the pass.
 void record_shard_stats(const gfaas::shard::ShardedReplayStats& st, double wall,
                         std::size_t n, RunResult& out) {
   double max_work = 0, sum_work = 0;
@@ -429,19 +452,14 @@ void record_shard_stats(const gfaas::shard::ShardedReplayStats& st, double wall,
           static_cast<double>(st.steals) * 1000 / static_cast<double>(n));
   out.set("shard.epochs", static_cast<double>(st.epochs));
   out.set("shard.wall_over_model", wall / model_s);
+  out.set("bench.trace_overhead", 0);
+  out.set("bench.trace_coverage",
+          static_cast<double>(st.total_work_ns + st.serial_ns) * 1e-9 / wall);
+  out.set("cluster.submit_ns", 0);
+  out.set("cluster.complete_ns", 0);
 }
 
 }  // namespace
-
-void record_testbed_sim_outcomes(std::uint64_t seed, bool with_capacity, RunResult& out) {
-  const SimSpec& spec = kSpecs[0];
-  const gfaas::trace::Workload workload = build_input(seed, spec.rpm, spec.window_minutes);
-  const TailSummary latency = summarize(latencies_s(library_records(spec, workload)));
-  out.set("sim_latency_p50_s", latency.p50);
-  out.set("sim_latency_p99_s", latency.tail);
-  out.check(latency.tail_q == 0.99, "too few completions for a sim p99");
-  out.set("capacity_rpm", with_capacity ? capacity_rpm(spec, seed, out) : 0.0);
-}
 
 RunResult run_sim_workload(const RunOptions& options) {
   const SimSpec* spec = nullptr;
@@ -451,48 +469,50 @@ RunResult run_sim_workload(const RunOptions& options) {
   GFAAS_CHECK(spec != nullptr);
   RunResult out;
 
-  // --- set-up: input generation plus fleet assembly, several times ---
-  std::vector<double> setup, build, assembly;
-  std::unique_ptr<gfaas::trace::Workload> workload;
-  for (int rep = 0; rep < kSetupReps; ++rep) {
-    pin_to(rotation(rep, 1));
+  // --- measured passes (traced runs alternate untraced and traced) ---
+  // Every pass sets up afresh (input generation plus fleet assembly) and
+  // times that too: one set-up takes tens of milliseconds and single ones
+  // spread by up to 2x on a shared host, so setup_s is the fastest of the
+  // run's set-ups, like the replay. The sharded replay cannot be traced
+  // from outside (record_shard_stats), so its traced runs time untraced
+  // passes only.
+  const bool alternate = options.trace && spec->shards == 0;
+  std::vector<double> setup, build, assembly, walls, traced_walls;
+  std::vector<Cost> best;  // per slice: the lowest over untraced passes
+  std::unique_ptr<gfaas::trace::Workload> workload;  // the last pass's input
+  std::size_t n = 0;
+  TraceTimes traced_sum;
+  std::uint64_t digest = 0, allocs_submit = 0, allocs_complete = 0;
+  double rss_mb = 0;  // one pass: later passes only reuse the heap
+  double clock_hz = 0;  // the fastest clock probe of the run
+  const double deadline = wall_s() + options.seconds;
+  for (int pass = 0; walls.size() < kMinPasses || wall_s() < deadline; ++pass) {
+    const bool traced = alternate && pass % 2 == 1;
+    pin_to(rotation(alternate ? pass / 2 : pass));
+    for (int probe = 0; probe < kProbesPerPass; ++probe) {
+      clock_hz = std::max(clock_hz, probe_clock_hz());
+    }
+    const std::uint64_t submit0 = allocs_in(AllocPhase::kSubmit);
+    const std::uint64_t complete0 = allocs_in(AllocPhase::kComplete);
+    double wall = 0;
+    std::vector<Cost> slices;
+    std::uint64_t pass_digest = 0;
     set_alloc_phase(AllocPhase::kSetup);
     const double t0 = wall_s();
     auto input = std::make_unique<gfaas::trace::Workload>(
         build_input(options.seed, spec->rpm, spec->window_minutes));
     const double t1 = wall_s();
-    { Fleet probe(*spec, *input); }
-    const double t2 = wall_s();
-    set_alloc_phase(AllocPhase::kOther);
-    setup.push_back(t2 - t0);
-    build.push_back(t1 - t0);
-    assembly.push_back(t2 - t1);
-    workload = std::move(input);
-  }
-  const std::size_t n = workload->requests.size();
-  const double requests = static_cast<double>(n);
-
-  // --- measured passes (traced runs alternate untraced and traced) ---
-  std::vector<double> walls, cpus, traced_walls;
-  TailSummary window_cost;  // each quantile: its lowest over untraced passes
-  TraceTimes traced_sum;
-  double shard_covered_s = 0;
-  std::uint64_t digest = 0, allocs_submit = 0, allocs_complete = 0;
-  double rss_mb = 0;  // set-up plus one pass: later passes only reuse the heap
-  const double deadline = wall_s() + options.seconds;
-  for (int pass = 0; walls.size() < kMinPasses || wall_s() < deadline; ++pass) {
-    const bool traced = options.trace && pass % 2 == 1;
-    pin_to(rotation(options.trace ? pass / 2 : pass, 1));
-    const std::uint64_t submit0 = allocs_in(AllocPhase::kSubmit);
-    const std::uint64_t complete0 = allocs_in(AllocPhase::kComplete);
-    double wall = 0, cpu = 0;
-    std::uint64_t pass_digest = 0;
+    n = input->requests.size();
     {
-      Fleet fleet(*spec, *workload);
+      Fleet fleet(*spec, *input);
+      const double t2 = wall_s();
+      set_alloc_phase(AllocPhase::kOther);
+      setup.push_back(t2 - t0);
+      build.push_back(t1 - t0);
+      assembly.push_back(t2 - t1);
       TraceTimes times;
-      const double cpu0 = process_cpu_s();
-      wall = fleet.replay(traced && !fleet.sharded() ? &times : nullptr);
-      cpu = process_cpu_s() - cpu0;
+      slices = fleet.replay(traced ? &times : nullptr);
+      for (const Cost& slice : slices) wall += slice.wall;
       const std::vector<CompletionRecord> records = fleet.records();
       pass_digest = completion_digest(records);
       out.attempted += static_cast<std::int64_t>(n);
@@ -511,22 +531,17 @@ RunResult run_sim_workload(const RunOptions& options) {
       if (traced) {
         traced_walls.push_back(wall);
         traced_sum.add(times);
-        if (fleet.sharded()) {
-          // Shards run inline, so the pass is their summed work plus the
-          // orchestrator's serial sections.
-          const auto& st = fleet.shard_stats();
-          shard_covered_s += static_cast<double>(st.total_work_ns + st.serial_ns) * 1e-9;
-        }
       } else {
-        const TailSummary windows = summarize(fleet.window_costs_us());
-        if (walls.empty()) window_cost = windows;
-        window_cost.p50 = std::min(window_cost.p50, windows.p50);
-        window_cost.p90 = std::min(window_cost.p90, windows.p90);
-        window_cost.tail = std::min(window_cost.tail, windows.tail);
         walls.push_back(wall);
-        cpus.push_back(cpu);
+        if (best.empty()) best = slices;
+        GFAAS_CHECK(best.size() == slices.size());
+        for (std::size_t k = 0; k < slices.size(); ++k) {
+          best[k].wall = std::min(best[k].wall, slices[k].wall);
+          best[k].cpu = std::min(best[k].cpu, slices[k].cpu);
+        }
       }
     }
+    workload = std::move(input);
     const std::uint64_t pass_submit = allocs_in(AllocPhase::kSubmit) - submit0;
     const std::uint64_t pass_complete = allocs_in(AllocPhase::kComplete) - complete0;
     if (pass == 0) {
@@ -549,34 +564,51 @@ RunResult run_sim_workload(const RunOptions& options) {
     }
   }
   pin_to({});
+  const double requests = static_cast<double>(n);
 
   // --- output check against the library runner ---
   out.check(completion_digest(library_records(*spec, *workload)) == digest,
             "completion digest differs from the library runner's");
 
+  // The composite pass: every slice at its fastest. The replay is
+  // deterministic, so each slice does the same work in every pass, and a
+  // slice of a few milliseconds more often escapes a disturbance of the
+  // host than a whole pass does.
   const double fastest = *std::min_element(walls.begin(), walls.end());
+  Cost composite;
+  for (const Cost& slice : best) {
+    composite.wall += slice.wall;
+    composite.cpu += slice.cpu;
+  }
+  // Every wall and CPU time below is at the reference clock.
+  out.check(clock_hz > 0.2e9 && clock_hz < 20e9,
+            "clock probe read " + std::to_string(clock_hz * 1e-9) + " GHz");
+  const double scale = clock_hz / kReferenceClockHz;
+  const double fastest_setup = *std::min_element(setup.begin(), setup.end());
+  out.notes.push_back("clock probe: fastest " + std::to_string(clock_hz * 1e-9) +
+                      " GHz, times below as measured");
+  out.notes.push_back("set-up: fastest of " + std::to_string(setup.size()) + " set-ups " +
+                      std::to_string(fastest_setup) + " s, median " +
+                      std::to_string(median(setup)) + " s");
   out.notes.push_back(std::to_string(n) + " requests per pass, " +
                       std::to_string(walls.size()) + " untraced and " +
                       std::to_string(traced_walls.size()) + " traced passes, digest " +
-                      std::to_string(digest));
-  out.set("setup_s", median(setup));
-  out.set("throughput_rps", requests / fastest);
-  out.set("cpu_us_per_req", *std::min_element(cpus.begin(), cpus.end()) / requests * 1e6);
+                      std::to_string(digest) + "; fastest pass " +
+                      std::to_string(fastest) + " s, composite of " +
+                      std::to_string(best.size()) + " fastest slices " +
+                      std::to_string(composite.wall) + " s wall, " +
+                      std::to_string(composite.cpu) + " s CPU");
+  out.set("setup_s", fastest_setup * scale);
+
+  out.set("throughput_rps", requests / (composite.wall * scale));
+  out.set("cpu_us_per_req", composite.cpu * scale / requests * 1e6);
   out.set("allocs_per_req", static_cast<double>(allocs_submit + allocs_complete) / requests);
   out.set("peak_rss_mb", rss_mb);
-  out.set("serve_latency_p50_us", window_cost.p50);
-  out.set("serve_latency_p90_us", window_cost.p90);
-  out.check(window_cost.p90 > 0, "too few completion windows for a p90");
-  out.notes.push_back("per-request cost over " + std::to_string(window_cost.samples) +
-                      " windows of " + std::to_string(kStampEvery) +
-                      " completions, lowest over passes (p" +
-                      std::to_string(static_cast<int>(window_cost.tail_q * 100)) + " " +
-                      std::to_string(window_cost.tail) + " us)");
   out.set("capacity_rpm", options.trace ? 0.0 : capacity_rpm(*spec, options.seed, out));
 
   // --- per-layer ---
-  out.set("trace.build_s", median(build));
-  out.set("cluster.assembly_s", median(assembly));
+  out.set("trace.build_s", *std::min_element(build.begin(), build.end()) * scale);
+  out.set("cluster.assembly_s", *std::min_element(assembly.begin(), assembly.end()) * scale);
   out.set("cluster.allocs_submit_per_req", static_cast<double>(allocs_submit) / requests);
   out.set("cluster.allocs_complete_per_req",
           static_cast<double>(allocs_complete) / requests);
@@ -593,30 +625,28 @@ RunResult run_sim_workload(const RunOptions& options) {
     }
   }
   out.set("concurrent.enqueue_ns_p50",
-          spec->via_gateway ? summarize(traced_sum.submit_samples_ns).p50 : 0.0);
-  if (options.trace) {
+          spec->via_gateway ? summarize(traced_sum.submit_samples_ns).p50 * scale : 0.0);
+  if (alternate) {
     const double traced_wall = std::accumulate(traced_walls.begin(), traced_walls.end(), 0.0);
     const double fastest_traced = *std::min_element(traced_walls.begin(), traced_walls.end());
+    const double coverage =
+        (traced_sum.schedule_ns + traced_sum.submit_ns + traced_sum.complete_ns) * 1e-9 /
+        traced_wall;
     out.set("bench.trace_overhead", fastest_traced / fastest - 1.0);
-    if (spec->shards) {
-      out.set("cluster.submit_ns", 0);
-      out.set("cluster.complete_ns", 0);
-      out.set("bench.trace_coverage", shard_covered_s / traced_wall);
-    } else {
-      out.set("cluster.submit_ns",
-              traced_sum.submit_ns / static_cast<double>(traced_sum.submits));
-      out.set("cluster.complete_ns",
-              traced_sum.complete_ns / static_cast<double>(traced_sum.completes));
-      out.set("bench.trace_coverage",
-              (traced_sum.schedule_ns + traced_sum.submit_ns + traced_sum.complete_ns) *
-                  1e-9 / traced_wall);
-      out.notes.push_back(
-          "traced pass split: schedule " + std::to_string(traced_sum.schedule_ns * 1e-9) +
-          " s, submit " + std::to_string(traced_sum.submit_ns * 1e-9) +
-          " s, arrival steps " + std::to_string(traced_sum.arrival_step_ns * 1e-9) +
-          " s, completion steps " + std::to_string(traced_sum.complete_ns * 1e-9) +
-          " s, of " + std::to_string(traced_wall) + " s");
-    }
+    out.set("bench.trace_coverage", coverage);
+    out.check(coverage >= kMinTraceCoverage,
+              "traced passes spent only " + std::to_string(coverage) +
+                  " of their wall time inside the timed calls");
+    out.set("cluster.submit_ns",
+            traced_sum.submit_ns * scale / static_cast<double>(traced_sum.submits));
+    out.set("cluster.complete_ns",
+            traced_sum.complete_ns * scale / static_cast<double>(traced_sum.completes));
+    out.notes.push_back(
+        "traced pass split: schedule " + std::to_string(traced_sum.schedule_ns * 1e-9) +
+        " s, submit " + std::to_string(traced_sum.submit_ns * 1e-9) +
+        " s, arrival steps " + std::to_string(traced_sum.arrival_step_ns * 1e-9) +
+        " s, completion steps " + std::to_string(traced_sum.complete_ns * 1e-9) +
+        " s, of " + std::to_string(traced_wall) + " s");
   }
   return out;
 }

@@ -34,7 +34,6 @@ TailSummary summarize(std::vector<double> samples) {
   TailSummary out;
   out.samples = samples.size();
   out.p50 = quantile(samples, 0.5);
-  if (supported_tail(samples.size()) >= 0.9) out.p90 = quantile(samples, 0.9);
   out.tail_q = supported_tail(samples.size());
   out.tail = quantile(samples, out.tail_q);
   return out;
@@ -100,11 +99,10 @@ std::vector<std::string> self_test() {
   for (int i = 1; i <= 1000; ++i) ramp.push_back(i);
   std::reverse(ramp.begin(), ramp.end());
   const TailSummary s = summarize(ramp);
-  expect(s.samples == 1000 && s.p50 == 500 && s.p90 == 900 && s.tail_q == 0.99 &&
-             s.tail == 990,
-         "summarize(1..1000) gives p50 500, p90 900, p99 990 over 1000 samples");
+  expect(s.samples == 1000 && s.p50 == 500 && s.tail_q == 0.99 && s.tail == 990,
+         "summarize(1..1000) gives p50 500, p99 990 over 1000 samples");
   const TailSummary small = summarize({3, 1, 2});
-  expect(small.samples == 3 && small.p50 == 2 && small.p90 == 0 && small.tail_q == 0.0,
+  expect(small.samples == 3 && small.p50 == 2 && small.tail_q == 0.0,
          "three samples report a median and no tail");
   expect(median({4, 1, 3, 2}) == 2.5 && median({5}) == 5 && median({}) == 0,
          "median of even, single and empty samples");

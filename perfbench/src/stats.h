@@ -24,13 +24,11 @@ double median(std::vector<double> values);
 // does (n < 20).
 double supported_tail(std::size_t n);
 
-// Quantiles a latency metric reports: the median, p90, and the highest
+// Quantiles a latency metric reports: the median and the highest
 // percentile the sample supports (capped at 0.99), with the sample count.
-// p90 is 0 unless at least ten samples lie beyond it.
 struct TailSummary {
   std::size_t samples = 0;
   double p50 = 0;
-  double p90 = 0;
   double tail_q = 0;  // the percentile actually reported as the tail
   double tail = 0;
 };
