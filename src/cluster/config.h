@@ -30,10 +30,6 @@ struct ClusterConfig {
   // Base-cost fraction of the batch-latency model (models::BatchLatencyModel).
   double latency_alpha = 0.6;
 
-  // When true, every inference really executes the scaled-down CPU model
-  // (result ignored for timing; simulated time still follows profiles).
-  bool execute_real_inference = false;
-
   int total_gpus() const { return nodes * gpus_per_node; }
   const gpu::GpuSpec& spec_for_node(int node) const {
     return node_specs.size() == 1 ? node_specs[0]

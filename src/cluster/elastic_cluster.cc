@@ -1,19 +1,22 @@
-#include "cluster/assembly.h"
+#include "cluster/elastic_cluster.h"
+
+#include <utility>
 
 #include "common/log.h"
 
 namespace gfaas::cluster {
 
-ClusterAssembly::ClusterAssembly(sim::Executor* executor, const ClusterConfig& config,
-                                 const models::ModelRegistry& registry)
-    : config_(config), executor_(executor) {
+ElasticCluster::ElasticCluster(std::unique_ptr<sim::Executor> executor,
+                               const ClusterConfig& config,
+                               const models::ModelRegistry& registry)
+    : config_(config), executor_(std::move(executor)) {
   GFAAS_CHECK(executor_ != nullptr);
   GFAAS_CHECK(config.nodes >= 1 && config.gpus_per_node >= 1);
   GFAAS_CHECK(config.node_specs.size() == 1 ||
               config.node_specs.size() == static_cast<std::size_t>(config.nodes))
       << "node_specs must have 1 entry or one per node";
 
-  store_ = std::make_unique<datastore::KvStore>(executor_);
+  store_ = std::make_unique<datastore::KvStore>(executor_.get());
   cache_ = std::make_unique<cache::CacheManager>(config.cache_policy, store_.get());
   registry_ = std::make_unique<models::ModelRegistry>(registry);
   oracle_ = std::make_unique<models::LatencyOracle>(*registry_, config.latency_alpha);
@@ -47,45 +50,49 @@ ClusterAssembly::ClusterAssembly(sim::Executor* executor, const ClusterConfig& c
     }
     domain_gpus_.push_back(std::move(domain_members));
     managers_.push_back(std::make_unique<GpuManager>(
-        NodeId(node), executor_, store_.get(), cache_.get(), registry_.get(),
-        oracle_.get(), node_gpus, config.execute_real_inference));
+        NodeId(node), executor_.get(), store_.get(), cache_.get(), registry_.get(),
+        oracle_.get(), node_gpus));
     manager_ptrs.push_back(managers_.back().get());
   }
 
   engine_ = std::make_unique<SchedulerEngine>(
-      executor_, cache_.get(), oracle_.get(), gpu_ptrs, manager_ptrs,
+      executor_.get(), cache_.get(), oracle_.get(), gpu_ptrs, manager_ptrs,
       core::make_scheduler(config.policy, config.o3_limit));
 }
 
-ClusterAssembly::~ClusterAssembly() = default;
+ElasticCluster::~ElasticCluster() {
+  // Stop the executor first: a wall-clock worker thread is joined and
+  // every still-pending event is dropped before the components those
+  // callbacks point into are destroyed.
+  executor_.reset();
+}
 
-GpuId ClusterAssembly::add_gpu(const gpu::GpuSpec& spec) {
+GpuId ElasticCluster::add_gpu(const gpu::GpuSpec& spec) {
   const GpuId id(static_cast<std::int64_t>(gpus_.size()));
   links_.push_back(std::make_unique<gpu::PcieLink>(spec.pcie_gbps, spec.pcie_latency));
   gpus_.push_back(std::make_unique<gpu::VirtualGpu>(id, spec, links_.back().get()));
   cache_->add_gpu(id, gpus_.back()->memory_capacity());
   managers_.push_back(std::make_unique<GpuManager>(
-      NodeId(static_cast<std::int64_t>(managers_.size())), executor_, store_.get(),
+      NodeId(static_cast<std::int64_t>(managers_.size())), executor_.get(), store_.get(),
       cache_.get(), registry_.get(), oracle_.get(),
-      std::vector<gpu::VirtualGpu*>{gpus_.back().get()},
-      config_.execute_real_inference));
+      std::vector<gpu::VirtualGpu*>{gpus_.back().get()}));
   engine_->add_gpu(gpus_.back().get(), managers_.back().get());
   domain_gpus_.push_back({id});
   return id;
 }
 
-const std::vector<GpuId>& ClusterAssembly::domain_gpus(std::size_t domain) const {
+const std::vector<GpuId>& ElasticCluster::domain_gpus(std::size_t domain) const {
   GFAAS_CHECK(domain < domain_gpus_.size()) << "unknown domain " << domain;
   return domain_gpus_[domain];
 }
 
-void ClusterAssembly::kill_domain(std::size_t domain) {
+void ElasticCluster::kill_domain(std::size_t domain) {
   for (const GpuId gpu : domain_gpus(domain)) {
     if (engine_->is_registered(gpu)) engine_->kill_gpu(gpu);
   }
 }
 
-void ClusterAssembly::degrade_domain(std::size_t domain, double factor) {
+void ElasticCluster::degrade_domain(std::size_t domain, double factor) {
   for (const GpuId gpu : domain_gpus(domain)) {
     if (engine_->is_registered(gpu)) engine_->degrade_gpu(gpu, factor);
   }

@@ -1,6 +1,7 @@
 #include "cluster/experiment.h"
 
 #include <algorithm>
+#include <memory>
 #include <utility>
 
 #include "common/log.h"
@@ -61,10 +62,18 @@ ExperimentResult aggregate_result(
 
 SimCluster::SimCluster(const ClusterConfig& config,
                        const models::ModelRegistry& registry)
-    : simulator_(std::make_unique<sim::Simulator>()),
-      assembly_(std::make_unique<ClusterAssembly>(simulator_.get(), config, registry)) {}
+    : ElasticCluster(std::make_unique<sim::Simulator>(), config, registry) {}
 
-SimCluster::~SimCluster() = default;
+SimTime SimCluster::finish_replay() {
+  simulator().run();
+  GFAAS_CHECK(engine().pending() == 0)
+      << engine().pending() << " requests stranded after replay";
+  SimTime makespan = 0;
+  for (const auto& record : engine().completions()) {
+    makespan = std::max(makespan, record.completed);
+  }
+  return makespan;
+}
 
 SimTime SimCluster::replay(const std::vector<core::Request>& requests) {
   return replay(requests,
@@ -74,16 +83,9 @@ SimTime SimCluster::replay(const std::vector<core::Request>& requests) {
 SimTime SimCluster::replay(const std::vector<core::Request>& requests,
                            const std::function<void(core::Request)>& submit) {
   for (const core::Request& req : requests) {
-    simulator_->schedule_at(req.arrival, [&submit, req]() { submit(req); });
+    simulator().schedule_at(req.arrival, [&submit, req]() { submit(req); });
   }
-  simulator_->run();
-  GFAAS_CHECK(engine().pending() == 0)
-      << engine().pending() << " requests stranded after replay";
-  SimTime makespan = 0;
-  for (const auto& record : engine().completions()) {
-    makespan = std::max(makespan, record.completed);
-  }
-  return makespan;
+  return finish_replay();
 }
 
 SimTime SimCluster::replay_batched(
@@ -96,19 +98,12 @@ SimTime SimCluster::replay_batched(
       ++j;
     }
     std::vector<core::Request> burst(requests.begin() + i, requests.begin() + j);
-    simulator_->schedule_at(
+    simulator().schedule_at(
         requests[i].arrival,
         [&submit, burst = std::move(burst)]() mutable { submit(std::move(burst)); });
     i = j;
   }
-  simulator_->run();
-  GFAAS_CHECK(engine().pending() == 0)
-      << engine().pending() << " requests stranded after replay";
-  SimTime makespan = 0;
-  for (const auto& record : engine().completions()) {
-    makespan = std::max(makespan, record.completed);
-  }
-  return makespan;
+  return finish_replay();
 }
 
 ExperimentResult run_experiment(const ClusterConfig& config,

@@ -6,11 +6,9 @@
 #pragma once
 
 #include <functional>
-#include <memory>
 #include <string>
 #include <vector>
 
-#include "cluster/assembly.h"
 #include "cluster/config.h"
 #include "cluster/elastic_cluster.h"
 #include "cluster/engine.h"
@@ -73,22 +71,15 @@ ExperimentResult run_experiment_batched(
     std::vector<core::CompletionRecord>* completions,
     const BatchIngestFactory& ingest);
 
-// A fully-assembled simulated cluster, for callers that need to drive the
-// simulation themselves (examples, integration tests, the Gateway
-// backend). Owns every component. This is the evaluation-mode
-// ElasticCluster; cluster::RealTimeCluster is the deployment-mode twin.
+// The evaluation-mode ElasticCluster: the full stack on the discrete-event
+// simulator, for callers that drive the simulation themselves (examples,
+// integration tests, the Gateway backend). cluster::RealTimeCluster is the
+// deployment-mode twin.
 class SimCluster final : public ElasticCluster {
  public:
   SimCluster(const ClusterConfig& config, const models::ModelRegistry& registry);
-  ~SimCluster() override;
 
-  sim::Simulator& simulator() { return *simulator_; }
-  datastore::KvStore& datastore() { return assembly_->datastore(); }
-  cache::CacheManager& cache() { return assembly_->cache(); }
-  const models::LatencyOracle& oracle() const { return assembly_->oracle(); }
-  gpu::VirtualGpu& gpu(std::size_t index) { return assembly_->gpu(index); }
-  std::size_t gpu_count() const { return assembly_->gpu_count(); }
-  const ClusterConfig& config() const { return assembly_->config(); }
+  sim::Simulator& simulator() { return static_cast<sim::Simulator&>(executor()); }
 
   // Schedules all requests at their arrival times and runs to completion.
   // Returns the makespan (time of last completion). `submit`, when given,
@@ -107,30 +98,11 @@ class SimCluster final : public ElasticCluster {
       const std::vector<core::Request>& requests,
       const std::function<void(std::vector<core::Request>)>& submit);
 
-  // --- ElasticCluster (elastic membership driven by autoscale::Autoscaler) ---
-  sim::Executor& executor() override { return *simulator_; }
-  SchedulerEngine& engine() override { return assembly_->engine(); }
-  const SchedulerEngine& engine() const override { return assembly_->engine(); }
-  const cache::CacheManager& cache() const override { return assembly_->cache(); }
-  GpuId add_gpu(const gpu::GpuSpec& spec) override { return assembly_->add_gpu(spec); }
-  void fence_gpu(GpuId gpu) override { assembly_->engine().fence_gpu(gpu); }
-  void unfence_gpu(GpuId gpu) override { assembly_->engine().unfence_gpu(gpu); }
-  void remove_gpu(GpuId gpu) override { assembly_->engine().remove_gpu(gpu); }
-  bool gpu_drained(GpuId gpu) const override { return assembly_->engine().drained(gpu); }
-  void kill_gpu(GpuId gpu) override { assembly_->engine().kill_gpu(gpu); }
-  std::size_t domain_count() const override { return assembly_->domain_count(); }
-  const std::vector<GpuId>& domain_gpus(std::size_t domain) const override {
-    return assembly_->domain_gpus(domain);
-  }
-  void kill_domain(std::size_t domain) override { assembly_->kill_domain(domain); }
-  void degrade_domain(std::size_t domain, double factor) override {
-    assembly_->degrade_domain(domain, factor);
-  }
-  void run_to_completion() override { simulator_->run(); }
+  void run_to_completion() override { simulator().run(); }
 
  private:
-  std::unique_ptr<sim::Simulator> simulator_;
-  std::unique_ptr<ClusterAssembly> assembly_;
+  // Runs the scheduled replay to the end and returns its makespan.
+  SimTime finish_replay();
 };
 
 }  // namespace gfaas::cluster

@@ -5,22 +5,20 @@
 
 #include "common/log.h"
 #include "datastore/keys.h"
-#include "tensor/dataset.h"
 
 namespace gfaas::cluster {
 
 GpuManager::GpuManager(NodeId node, sim::Executor* executor, datastore::KvStore* store,
                        cache::CacheManager* cache, const models::ModelRegistry* registry,
                        const models::LatencyOracle* oracle,
-                       std::vector<gpu::VirtualGpu*> gpus, bool execute_real_inference)
+                       std::vector<gpu::VirtualGpu*> gpus)
     : node_(node),
       executor_(executor),
       store_(store),
       cache_(cache),
       registry_(registry),
       oracle_(oracle),
-      gpus_(std::move(gpus)),
-      execute_real_(execute_real_inference) {
+      gpus_(std::move(gpus)) {
   GFAAS_CHECK(executor_ && cache_ && registry_ && oracle_);
   GFAAS_CHECK(!gpus_.empty());
 }
@@ -82,27 +80,6 @@ void GpuManager::report_latency(const core::Request& request, SimTime latency) {
               std::to_string(latency));
 }
 
-void GpuManager::maybe_execute_real(const core::Request& request) {
-  if (!execute_real_) return;
-  auto it = runtime_models_.find(request.model.value());
-  if (it == runtime_models_.end()) {
-    const auto profile = registry_->get(request.model);
-    GFAAS_CHECK(profile.ok());
-    it = runtime_models_
-             .emplace(request.model.value(), tensor::build_cnn(profile->runtime_config))
-             .first;
-  }
-  // Run a genuinely-sized forward pass (small batch keeps CPU time sane;
-  // simulated timing still follows the Table I profiles).
-  tensor::SyntheticImageDataset dataset(
-      tensor::DatasetKind::kCifar10Like,
-      static_cast<std::uint64_t>(request.id.value()) + 1);
-  const tensor::Batch batch =
-      dataset.make_batch(std::min<std::int64_t>(2, request.batch));
-  const tensor::Tensor out = it->second->forward(batch.images);
-  GFAAS_CHECK(out.numel() > 0);
-}
-
 StatusOr<SimTime> GpuManager::execute(const core::Request& request, GpuId gpu,
                                       bool false_miss, bool via_local_queue,
                                       CompletionCallback done) {
@@ -147,7 +124,6 @@ StatusOr<SimTime> GpuManager::execute(const core::Request& request, GpuId gpu,
           const auto proc = dev.find_process(request.model);
           GFAAS_CHECK(proc.has_value());
           GFAAS_CHECK(dev.finish_inference(finish, proc->id).ok());
-          maybe_execute_real(request);
           GFAAS_CHECK(cache_->unpin(gpu, request.model).ok());
           record.completed = finish;
           publish_status(gpu, /*busy=*/false, finish);

@@ -11,6 +11,7 @@
 #pragma once
 
 #include <functional>
+#include <unordered_map>
 #include <vector>
 
 #include "cache/cache_manager.h"
@@ -22,7 +23,6 @@
 #include "models/latency_model.h"
 #include "models/zoo.h"
 #include "sim/simulator.h"
-#include "tensor/model_builder.h"
 
 namespace gfaas::cluster {
 
@@ -35,8 +35,7 @@ class GpuManager {
   GpuManager(NodeId node, sim::Executor* executor, datastore::KvStore* store,
              cache::CacheManager* cache, const models::ModelRegistry* registry,
              const models::LatencyOracle* oracle,
-             std::vector<gpu::VirtualGpu*> gpus,
-             bool execute_real_inference = false);
+             std::vector<gpu::VirtualGpu*> gpus);
 
   NodeId node() const { return node_; }
   bool manages(GpuId gpu) const;
@@ -81,8 +80,6 @@ class GpuManager {
 
   void publish_status(GpuId gpu, bool busy, SimTime finish_time);
   void report_latency(const core::Request& request, SimTime latency);
-  // Runs the scaled-down model for real when configured.
-  void maybe_execute_real(const core::Request& request);
 
   NodeId node_;
   sim::Executor* executor_;
@@ -91,9 +88,6 @@ class GpuManager {
   const models::ModelRegistry* registry_;
   const models::LatencyOracle* oracle_;
   std::vector<gpu::VirtualGpu*> gpus_;
-  bool execute_real_;
-  // Lazily built runtime models for real execution, by model id.
-  std::unordered_map<std::int64_t, tensor::ModulePtr> runtime_models_;
   // In-flight executions by GPU id (one request per GPU at a time).
   std::unordered_map<std::int64_t, InFlightExecution> in_flight_;
   // Active gray-degradation factors by GPU id (absent = healthy).

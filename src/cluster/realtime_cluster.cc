@@ -1,17 +1,12 @@
 #include "cluster/realtime_cluster.h"
 
+#include <memory>
+
 namespace gfaas::cluster {
 
 RealTimeCluster::RealTimeCluster(const ClusterConfig& config,
                                  const models::ModelRegistry& registry,
                                  double time_scale)
-    : executor_(std::make_unique<RealTimeExecutor>(time_scale)),
-      assembly_(std::make_unique<ClusterAssembly>(executor_.get(), config, registry)) {}
-
-RealTimeCluster::~RealTimeCluster() {
-  // Stop the worker thread (drops still-pending events, joins) before the
-  // assembly its callbacks point into is destroyed.
-  executor_.reset();
-}
+    : ElasticCluster(std::make_unique<RealTimeExecutor>(time_scale), config, registry) {}
 
 }  // namespace gfaas::cluster

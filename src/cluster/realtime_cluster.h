@@ -1,6 +1,6 @@
-// Deployment-mode cluster: the exact component stack SimCluster assembles
-// (Datastore, Cache Manager, GPU Managers, Scheduler engine), wired to the
-// wall-clock RealTimeExecutor instead of the discrete-event simulator.
+// Deployment-mode cluster: the ElasticCluster component stack (Datastore,
+// Cache Manager, GPU Managers, Scheduler engine) on the wall-clock
+// RealTimeExecutor instead of the discrete-event simulator.
 //
 // Threading contract (inherited from RealTimeExecutor): every component is
 // single-threaded and runs exclusively on the executor's worker thread.
@@ -18,9 +18,6 @@
 // integration testing (see autoscale::replay_with_autoscaler).
 #pragma once
 
-#include <memory>
-
-#include "cluster/assembly.h"
 #include "cluster/config.h"
 #include "cluster/elastic_cluster.h"
 #include "cluster/realtime.h"
@@ -31,41 +28,11 @@ class RealTimeCluster final : public ElasticCluster {
  public:
   RealTimeCluster(const ClusterConfig& config, const models::ModelRegistry& registry,
                   double time_scale = 1.0);
-  ~RealTimeCluster() override;
 
-  RealTimeExecutor& realtime() { return *executor_; }
-  datastore::KvStore& datastore() { return assembly_->datastore(); }
-  cache::CacheManager& cache() { return assembly_->cache(); }
-  const models::LatencyOracle& oracle() const { return assembly_->oracle(); }
-  gpu::VirtualGpu& gpu(std::size_t index) { return assembly_->gpu(index); }
-  std::size_t gpu_count() const { return assembly_->gpu_count(); }
-  const ClusterConfig& config() const { return assembly_->config(); }
+  RealTimeExecutor& realtime() { return static_cast<RealTimeExecutor&>(executor()); }
 
-  // --- ElasticCluster ---
-  sim::Executor& executor() override { return *executor_; }
-  SchedulerEngine& engine() override { return assembly_->engine(); }
-  const SchedulerEngine& engine() const override { return assembly_->engine(); }
-  const cache::CacheManager& cache() const override { return assembly_->cache(); }
-  GpuId add_gpu(const gpu::GpuSpec& spec) override { return assembly_->add_gpu(spec); }
-  void fence_gpu(GpuId gpu) override { assembly_->engine().fence_gpu(gpu); }
-  void unfence_gpu(GpuId gpu) override { assembly_->engine().unfence_gpu(gpu); }
-  void remove_gpu(GpuId gpu) override { assembly_->engine().remove_gpu(gpu); }
-  bool gpu_drained(GpuId gpu) const override { return assembly_->engine().drained(gpu); }
-  void kill_gpu(GpuId gpu) override { assembly_->engine().kill_gpu(gpu); }
-  std::size_t domain_count() const override { return assembly_->domain_count(); }
-  const std::vector<GpuId>& domain_gpus(std::size_t domain) const override {
-    return assembly_->domain_gpus(domain);
-  }
-  void kill_domain(std::size_t domain) override { assembly_->kill_domain(domain); }
-  void degrade_domain(std::size_t domain, double factor) override {
-    assembly_->degrade_domain(domain, factor);
-  }
   // Blocks the calling thread until no events remain pending.
-  void run_to_completion() override { executor_->drain(); }
-
- private:
-  std::unique_ptr<RealTimeExecutor> executor_;
-  std::unique_ptr<ClusterAssembly> assembly_;
+  void run_to_completion() override { realtime().drain(); }
 };
 
 }  // namespace gfaas::cluster

@@ -1,15 +1,15 @@
-#include "cluster/faas_cluster.h"
+#include "faas/faas_cluster.h"
 
 #include "common/log.h"
 
-namespace gfaas::cluster {
+namespace gfaas::faas {
 
-FaasCluster::FaasCluster(const ClusterConfig& config,
+FaasCluster::FaasCluster(const cluster::ClusterConfig& config,
                          const models::ModelRegistry& registry)
     : registry_(registry) {
-  cluster_ = std::make_unique<SimCluster>(config, registry);
-  gateway_ = std::make_unique<faas::Gateway>(&cluster_->datastore(),
-                                             &cluster_->simulator(), this);
+  cluster_ = std::make_unique<cluster::SimCluster>(config, registry);
+  gateway_ = std::make_unique<Gateway>(&cluster_->datastore(), &cluster_->simulator(),
+                                       this);
   cluster_->engine().set_completion_hook([this](const core::CompletionRecord& record) {
     auto it = pending_.find(record.id.value());
     if (it == pending_.end()) return;
@@ -24,7 +24,7 @@ FaasCluster::FaasCluster(const ClusterConfig& config,
                                std::to_string(record.id.value())));
       return;
     }
-    faas::InvocationResult result;
+    InvocationResult result;
     result.latency = record.latency();
     result.executed_on = "gpu-" + std::to_string(record.gpu.value());
     result.output.content_type = "application/x-gfaas-inference";
@@ -32,8 +32,8 @@ FaasCluster::FaasCluster(const ClusterConfig& config,
   });
 }
 
-void FaasCluster::submit(const faas::FunctionSpec& spec, const faas::Payload& input,
-                         std::function<void(StatusOr<faas::InvocationResult>)> done) {
+void FaasCluster::submit(const FunctionSpec& spec, const Payload& input,
+                         std::function<void(StatusOr<InvocationResult>)> done) {
   auto profile = registry_.get_by_name(spec.model_name);
   if (!profile.ok()) {
     done(profile.status());
@@ -51,4 +51,4 @@ void FaasCluster::submit(const faas::FunctionSpec& spec, const faas::Payload& in
   cluster_->engine().submit(std::move(request));
 }
 
-}  // namespace gfaas::cluster
+}  // namespace gfaas::faas

@@ -6,39 +6,39 @@
 // the same end-to-end path as the paper's Fig. 2.
 #pragma once
 
+#include <functional>
 #include <memory>
 #include <unordered_map>
 
 #include "cluster/experiment.h"
 #include "faas/gateway.h"
 
-namespace gfaas::cluster {
+namespace gfaas::faas {
 
-class FaasCluster final : public faas::GpuBackend {
+class FaasCluster final : public GpuBackend {
  public:
-  FaasCluster(const ClusterConfig& config, const models::ModelRegistry& registry);
+  FaasCluster(const cluster::ClusterConfig& config, const models::ModelRegistry& registry);
 
-  faas::Gateway& gateway() { return *gateway_; }
-  SimCluster& sim_cluster() { return *cluster_; }
+  Gateway& gateway() { return *gateway_; }
+  cluster::SimCluster& sim_cluster() { return *cluster_; }
   sim::Simulator& simulator() { return cluster_->simulator(); }
   datastore::KvStore& datastore() { return cluster_->datastore(); }
 
-  // faas::GpuBackend: resolves the function's model by name, builds a
+  // GpuBackend: resolves the function's model by name, builds a
   // scheduler request, and completes the callback when inference is done.
-  void submit(const faas::FunctionSpec& spec, const faas::Payload& input,
-              std::function<void(StatusOr<faas::InvocationResult>)> done) override;
+  void submit(const FunctionSpec& spec, const Payload& input,
+              std::function<void(StatusOr<InvocationResult>)> done) override;
 
   // Drives the simulation until all submitted work completes.
   void run_to_completion() { cluster_->simulator().run(); }
 
  private:
-  std::unique_ptr<SimCluster> cluster_;
-  std::unique_ptr<faas::Gateway> gateway_;
+  std::unique_ptr<cluster::SimCluster> cluster_;
+  std::unique_ptr<Gateway> gateway_;
   models::ModelRegistry registry_;
-  std::unordered_map<std::int64_t,
-                     std::function<void(StatusOr<faas::InvocationResult>)>>
+  std::unordered_map<std::int64_t, std::function<void(StatusOr<InvocationResult>)>>
       pending_;
   std::int64_t next_request_ = 0;
 };
 
-}  // namespace gfaas::cluster
+}  // namespace gfaas::faas

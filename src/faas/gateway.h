@@ -20,7 +20,7 @@
 namespace gfaas::faas {
 
 // The customized model-serving interface GPU-enabled functions are
-// rewired to. Implemented by cluster::FaasCluster (simulated or real).
+// rewired to. Implemented by FaasCluster on a simulated cluster.
 class GpuBackend {
  public:
   virtual ~GpuBackend() = default;

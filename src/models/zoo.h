@@ -8,8 +8,8 @@
 // experiments see the same cost structure the paper measured.
 //
 // Each profile also carries a scaled-down tensor::CnnConfig so the same
-// model identity can be *really executed* on the CPU engine in real-time
-// mode.
+// model identity can be *really executed* on the CPU engine (the runtime
+// profiler and the image-classification example do).
 #pragma once
 
 #include <string>

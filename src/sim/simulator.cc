@@ -1,6 +1,7 @@
 #include "sim/simulator.h"
 
 #include <algorithm>
+#include <utility>
 
 namespace gfaas::sim {
 
@@ -9,7 +10,8 @@ std::uint64_t Simulator::schedule_on_lane(SimTime when, std::uint8_t lane,
   GFAAS_CHECK(when >= now_) << "scheduling into the past: " << when << " < " << now_;
   GFAAS_CHECK(fn != nullptr);
   const std::uint64_t id = next_id_++;
-  queue_.push(Event{when, lane, next_seq_++, id, std::move(fn)});
+  heap_.push_back(Event{when, lane, next_seq_++, id, std::move(fn)});
+  std::push_heap(heap_.begin(), heap_.end(), EventOrder{});
   live_.insert(id);
   return id;
 }
@@ -30,14 +32,18 @@ bool Simulator::cancel(std::uint64_t event_id) {
 }
 
 void Simulator::settle_head() {
-  while (!queue_.empty() && live_.count(queue_.top().id) == 0) queue_.pop();
+  while (!heap_.empty() && live_.count(heap_.front().id) == 0) {
+    std::pop_heap(heap_.begin(), heap_.end(), EventOrder{});
+    heap_.pop_back();
+  }
 }
 
 bool Simulator::pop_and_run() {
   settle_head();
-  if (queue_.empty()) return false;
-  Event ev = queue_.top();
-  queue_.pop();
+  if (heap_.empty()) return false;
+  std::pop_heap(heap_.begin(), heap_.end(), EventOrder{});
+  Event ev = std::move(heap_.back());
+  heap_.pop_back();
   live_.erase(ev.id);
   now_ = ev.time;
   ++executed_;
@@ -55,7 +61,7 @@ std::size_t Simulator::run_until(SimTime deadline) {
   std::size_t n = 0;
   // Settle before testing the head so a cancelled tombstone inside the
   // deadline can never pull a live event from beyond it.
-  for (settle_head(); !queue_.empty() && queue_.top().time <= deadline;
+  for (settle_head(); !heap_.empty() && heap_.front().time <= deadline;
        settle_head()) {
     if (pop_and_run()) ++n;
   }

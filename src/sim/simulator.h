@@ -14,7 +14,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <queue>
 #include <unordered_set>
 #include <vector>
 
@@ -119,7 +118,7 @@ class Simulator final : public Executor {
     }
   };
 
-  // Pops cancelled tombstones off the queue head so queue_.top(), when it
+  // Pops cancelled tombstones off the heap so heap_.front(), when it
   // exists, is always a live event.
   void settle_head();
   bool pop_and_run();
@@ -128,7 +127,9 @@ class Simulator final : public Executor {
   std::uint64_t next_seq_ = 0;
   std::uint64_t next_id_ = 1;
   std::uint64_t executed_ = 0;
-  std::priority_queue<Event, std::vector<Event>, EventOrder> queue_;
+  // Binary heap under EventOrder, kept with std::push_heap/pop_heap so
+  // the head event can be moved out rather than copied.
+  std::vector<Event> heap_;
   // Ids of events scheduled but not yet run or cancelled. An event popped
   // off the heap whose id is absent here was cancelled (lazy tombstone).
   std::unordered_set<std::uint64_t> live_;

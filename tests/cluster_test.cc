@@ -1,11 +1,10 @@
 // Integration tests: the full Fig. 2 pipeline — Gateway -> Scheduler ->
 // GPU Manager -> virtual GPU -> Cache Manager -> Datastore — on small
-// simulated clusters, including the FaasCluster end-to-end path with real
-// CPU inference enabled.
+// simulated clusters, including the faas::FaasCluster end-to-end path.
 #include <gtest/gtest.h>
 
-#include "cluster/faas_cluster.h"
 #include "datastore/keys.h"
+#include "faas/faas_cluster.h"
 #include "testing/builders.h"
 #include "trace/workload.h"
 
@@ -144,17 +143,6 @@ TEST(SimClusterTest, HeterogeneousSpecsApplyPerNode) {
   EXPECT_GT(cluster.gpu(1).memory_capacity(), cluster.gpu(0).memory_capacity());
 }
 
-TEST(SimClusterTest, RealInferenceExecutionPath) {
-  ClusterConfig config;
-  config.nodes = 1;
-  config.gpus_per_node = 1;
-  config.execute_real_inference = true;  // forward passes really run
-  SimCluster cluster(config, head_registry(1));
-  cluster.replay({make_request(0, 0, 0), make_request(1, 0, sec(5))});
-  EXPECT_EQ(cluster.engine().completions().size(), 2u);
-  EXPECT_TRUE(cluster.engine().completions()[1].cache_hit);
-}
-
 TEST(GpuManagerTest, RejectsWorkOnBusyGpu) {
   ClusterConfig config;
   config.nodes = 1;
@@ -287,7 +275,7 @@ TEST(SchedulerEngineTest, PerMinuteSeriesTracksCompletions) {
 TEST(FaasClusterTest, GatewayEndToEnd) {
   // ClusterBuilder defaults: 1 node x 2 GPUs.
   auto built = testkit::ClusterBuilder().models(2).build_faas();
-  FaasCluster& faas_cluster = *built;
+  faas::FaasCluster& faas_cluster = *built;
 
   ASSERT_TRUE(faas_cluster.gateway()
                   .register_function(
@@ -319,7 +307,7 @@ TEST(FaasClusterTest, UnknownModelRejectedAtSubmit) {
   ClusterConfig config;
   config.nodes = 1;
   config.gpus_per_node = 1;
-  FaasCluster faas_cluster(config, head_registry(1));
+  faas::FaasCluster faas_cluster(config, head_registry(1));
   ASSERT_TRUE(faas_cluster.gateway()
                   .register_function(
                       testkit::gpu_function_spec("ghost", "not-a-model"))
@@ -336,7 +324,7 @@ TEST(FaasClusterTest, CpuAndGpuFunctionsCoexist) {
   ClusterConfig config;
   config.nodes = 1;
   config.gpus_per_node = 1;
-  FaasCluster faas_cluster(config, head_registry(1));
+  faas::FaasCluster faas_cluster(config, head_registry(1));
 
   faas::FunctionSpec cpu_spec = testkit::cpu_function_spec(
       "plain", [](const faas::Payload& p) -> StatusOr<faas::Payload> {

@@ -1,6 +1,7 @@
 // Tests for the wall-clock executor: ordering, cancellation, drain
 // semantics, time scaling — and an end-to-end scheduling run where the
-// SAME engine/GPU-manager/cache stack executes against real time.
+// SAME engine/GPU-manager/cache stack executes against real time, plus
+// the RealTimeCluster teardown order.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -10,6 +11,7 @@
 
 #include "cluster/engine.h"
 #include "cluster/realtime.h"
+#include "cluster/realtime_cluster.h"
 #include "metrics/timeline.h"
 #include "models/zoo.h"
 #include "testing/builders.h"
@@ -332,6 +334,32 @@ TEST(RealTimeExecutorTest, FullSchedulingStackRunsOnWallClock) {
   EXPECT_GE(hits, 2);
   EXPECT_TRUE(cache.cached_anywhere(ModelId(0)));
   EXPECT_TRUE(cache.cached_anywhere(ModelId(1)));
+}
+
+TEST(RealTimeClusterTest, DestroyWithoutDrainDropsPendingCompletion) {
+  // Time scale 1: the cold load + inference submitted below completes
+  // seconds of wall time later. Destroying the cluster while that event
+  // is pending must stop the worker thread (dropping the event) before
+  // the engine, cache and GPU Managers its callbacks point into go away.
+  ClusterConfig config;
+  config.nodes = 1;
+  config.gpus_per_node = 1;
+  std::atomic<bool> submitted{false};
+  std::atomic<bool> dispatched{false};
+  std::atomic<int> completions{0};
+  {
+    RealTimeCluster cluster(config, testkit::head_registry(1), /*time_scale=*/1.0);
+    cluster.executor().post([&] {
+      cluster.engine().set_completion_hook(
+          [&](const core::CompletionRecord&) { ++completions; });
+      cluster.engine().submit(testkit::make_request(0, 0, cluster.executor().now()));
+      dispatched = cluster.gpu(0).is_busy();
+      submitted = true;
+    });
+    while (!submitted) std::this_thread::yield();
+  }
+  EXPECT_TRUE(dispatched);
+  EXPECT_EQ(completions.load(), 0);
 }
 
 TEST(TimeSeriesTest, BucketsByTime) {

@@ -8,7 +8,7 @@
 #include <vector>
 
 #include "cluster/experiment.h"
-#include "cluster/faas_cluster.h"
+#include "faas/faas_cluster.h"
 #include "models/zoo.h"
 #include "testing/builders.h"
 #include "testing/matchers.h"
@@ -18,10 +18,8 @@ namespace {
 
 TEST(SmokeTest, QuickstartScenarioCompletes) {
   // The quickstart example, minus stdout: paper testbed (3 nodes x 4
-  // GPUs), real scaled-down CPU inference, resnet50 behind a function.
-  ClusterConfig config;
-  config.execute_real_inference = true;
-  FaasCluster faas(config, models::ModelRegistry::full_catalog());
+  // GPUs), resnet50 behind a function.
+  faas::FaasCluster faas(ClusterConfig{}, models::ModelRegistry::full_catalog());
 
   ASSERT_TRUE(
       faas.gateway()

@@ -109,19 +109,13 @@ ClusterBuilder& ClusterBuilder::models(int count) {
   return *this;
 }
 
-ClusterBuilder& ClusterBuilder::real_inference(bool on) {
-  config_.execute_real_inference = on;
-  return *this;
-}
-
 std::unique_ptr<cluster::SimCluster> ClusterBuilder::build() const {
   return std::make_unique<cluster::SimCluster>(config_,
                                                head_registry(model_count_));
 }
 
-std::unique_ptr<cluster::FaasCluster> ClusterBuilder::build_faas() const {
-  return std::make_unique<cluster::FaasCluster>(config_,
-                                                head_registry(model_count_));
+std::unique_ptr<faas::FaasCluster> ClusterBuilder::build_faas() const {
+  return std::make_unique<faas::FaasCluster>(config_, head_registry(model_count_));
 }
 
 }  // namespace gfaas::testkit

@@ -9,7 +9,7 @@
 #include <vector>
 
 #include "cluster/experiment.h"
-#include "cluster/faas_cluster.h"
+#include "faas/faas_cluster.h"
 #include "trace/workload.h"
 
 namespace gfaas::testkit {
@@ -58,12 +58,11 @@ class ClusterBuilder {
   ClusterBuilder& o3_limit(int limit);
   ClusterBuilder& cache_policy(cache::PolicyKind kind);
   ClusterBuilder& models(int count);
-  ClusterBuilder& real_inference(bool on);
 
   const cluster::ClusterConfig& config() const { return config_; }
 
   std::unique_ptr<cluster::SimCluster> build() const;
-  std::unique_ptr<cluster::FaasCluster> build_faas() const;
+  std::unique_ptr<faas::FaasCluster> build_faas() const;
 
  private:
   cluster::ClusterConfig config_;
