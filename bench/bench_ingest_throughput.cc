@@ -128,9 +128,10 @@ struct Options {
   std::size_t capacity = 4096;
   double floor = 3.0;
   int models = 3;
-  // Sharded-ingestion row: shard count and the JSON result sink.
+  // Sharded-ingestion row: shard count and the JSON result sink (empty =
+  // write nothing; the committed record is BENCH_shard.json).
   int shards = 4;
-  std::string json = "BENCH_shard.json";
+  std::string json;
 };
 
 core::Request make_request(std::int64_t id, std::int64_t model) {
@@ -139,7 +140,6 @@ core::Request make_request(std::int64_t id, std::int64_t model) {
   request.function = FunctionId(id);
   request.model = ModelId(model);
   request.batch = 32;
-  request.function_name = "f";
   return request;
 }
 

@@ -41,8 +41,9 @@
 // the sim results are bit-identical across reps; only the wall-clock
 // measurement varies, and min is its low-noise estimator.
 //
-// --json (default BENCH_sharded_scale.json) gets the machine-readable
-// rows; CI smoke-runs this bench on a reduced fleet (see ci.yml).
+// --json PATH writes the machine-readable rows (default: none; the
+// committed record is BENCH_sharded_scale.json); CI smoke-runs this bench
+// on a reduced fleet (see ci.yml).
 #include <algorithm>
 #include <cstdint>
 #include <cstdio>
@@ -75,7 +76,7 @@ struct Options {
   double floor4 = 2.5;
   double floor16 = 6.0;
   double p99_slack = 1.10;
-  std::string json = "BENCH_sharded_scale.json";
+  std::string json;
 };
 
 struct Row {

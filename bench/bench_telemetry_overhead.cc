@@ -125,7 +125,6 @@ core::Request make_request(std::int64_t id, std::int64_t model) {
   request.function = FunctionId(id);
   request.model = ModelId(model);
   request.batch = 32;
-  request.function_name = "f";
   return request;
 }
 

@@ -119,14 +119,14 @@ std::size_t CacheManager::gpu_count() const {
 }
 
 void CacheManager::index_location(GpuId gpu, ModelId model) {
-  GFAAS_CHECK(locations_[model.value()].insert(gpu.value()).second)
+  GFAAS_CHECK(locations_[model.value()].insert(gpu).second)
       << "location index out of sync for model " << model.value();
   mirror_locations(model);
 }
 
 void CacheManager::deindex_location(GpuId gpu, ModelId model) {
   auto it = locations_.find(model.value());
-  GFAAS_CHECK(it != locations_.end() && it->second.erase(gpu.value()) == 1)
+  GFAAS_CHECK(it != locations_.end() && it->second.erase(gpu) == 1)
       << "location index out of sync for model " << model.value();
   if (it->second.empty()) locations_.erase(it);
   mirror_locations(model);
@@ -172,15 +172,6 @@ GpuCacheState& CacheManager::mutable_state(GpuId gpu) {
 
 bool CacheManager::is_cached(GpuId gpu, ModelId model) const {
   return state(gpu).contains(model);
-}
-
-std::vector<GpuId> CacheManager::locations(ModelId model) const {
-  std::vector<GpuId> out;
-  auto it = locations_.find(model.value());
-  if (it == locations_.end()) return out;
-  out.reserve(it->second.size());
-  for (std::int64_t gpu : it->second) out.push_back(GpuId(gpu));
-  return out;
 }
 
 Status CacheManager::record_access(GpuId gpu, ModelId model) {

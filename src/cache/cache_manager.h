@@ -113,9 +113,13 @@ class CacheManager {
 
   // --- queries used by the Scheduler ---
   bool is_cached(GpuId gpu, ModelId model) const;
-  // All GPUs that currently hold the model, ascending id. Served by the
-  // global model -> GPUs index (§VI): O(#locations), never a GPU scan.
-  std::vector<GpuId> locations(ModelId model) const;
+  // All GPUs that currently hold the model, ascending id. Read in place
+  // from the global model -> GPUs index (§VI): no copy, never a GPU scan.
+  // Valid until the next insertion, eviction or membership change.
+  const std::set<GpuId>& locations(ModelId model) const {
+    const auto it = locations_.find(model.value());
+    return it == locations_.end() ? no_holders_ : it->second;
+  }
   // Whether the model is cached on ANY gpu (false-miss accounting). O(1).
   bool cached_anywhere(ModelId model) const {
     return locations_.count(model.value()) > 0;
@@ -167,7 +171,8 @@ class CacheManager {
   // Ordered by GPU id so enumerations (and the datastore mirror) match
   // the ascending-id order a full GPU scan would produce. A model with no
   // holders has no entry, making cached_anywhere() a pure lookup.
-  std::unordered_map<std::int64_t, std::set<std::int64_t>> locations_;
+  std::unordered_map<std::int64_t, std::set<GpuId>> locations_;
+  const std::set<GpuId> no_holders_;
   CacheStats stats_;
 };
 

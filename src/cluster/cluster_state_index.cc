@@ -4,17 +4,6 @@
 
 namespace gfaas::cluster {
 
-const ClusterStateIndex::PerGpu& ClusterStateIndex::state(GpuId gpu) const {
-  const auto index = static_cast<std::size_t>(gpu.value());
-  GFAAS_CHECK(gpu.valid() && index < gpus_.size()) << "unknown gpu " << gpu.value();
-  GFAAS_CHECK(gpus_[index].registered) << "gpu " << gpu.value() << " was removed";
-  return gpus_[index];
-}
-
-ClusterStateIndex::PerGpu& ClusterStateIndex::state(GpuId gpu) {
-  return const_cast<PerGpu&>(static_cast<const ClusterStateIndex*>(this)->state(gpu));
-}
-
 void ClusterStateIndex::enter_sets(const PerGpu& s, GpuId gpu) {
   if (!s.idle || s.fenced) return;
   GFAAS_CHECK(idle_.emplace(s.dispatches, gpu.value()).second);

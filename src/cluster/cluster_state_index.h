@@ -32,6 +32,7 @@
 #include <vector>
 
 #include "common/id.h"
+#include "common/log.h"
 #include "common/time.h"
 
 namespace gfaas::cluster {
@@ -79,6 +80,11 @@ class ClusterStateIndex {
 
   // --- O(1) lookups ---
   bool is_idle(GpuId gpu) const { return state(gpu).idle; }
+  // Idle and not fenced: a dispatch target (one lookup, policy hot path).
+  bool is_idle_unfenced(GpuId gpu) const {
+    const PerGpu& s = state(gpu);
+    return s.idle && !s.fenced;
+  }
   std::int64_t dispatch_count(GpuId gpu) const { return state(gpu).dispatches; }
   SimTime committed_finish(GpuId gpu) const { return state(gpu).committed_finish; }
   SimTime local_work(GpuId gpu) const { return state(gpu).local_work; }
@@ -87,6 +93,22 @@ class ClusterStateIndex {
   // First GPU in idle order that is unfenced and has local-queue work
   // (invalid id if none): the serve-local target of Algorithm 1.
   GpuId first_idle_with_local_work() const;
+
+  // --- idle-order walks, allocation-free ---
+  // First and last schedulable idle GPU in idle order (invalid if none).
+  GpuId first_idle() const {
+    return idle_.empty() ? GpuId() : GpuId(idle_.begin()->second);
+  }
+  GpuId last_idle() const {
+    return idle_.empty() ? GpuId() : GpuId(idle_.rbegin()->second);
+  }
+  // First schedulable idle GPU ordered strictly after the key
+  // (dispatches, gpu), invalid if none. `gpu` need not be idle any more:
+  // a walk passes the key the previous GPU had when it was visited.
+  GpuId next_idle_after(std::int64_t dispatches, GpuId gpu) const {
+    const auto it = idle_.upper_bound({dispatches, gpu.value()});
+    return it == idle_.end() ? GpuId() : GpuId(it->second);
+  }
 
   // --- enumerations ---
   // Schedulable idle GPUs, most-dispatched first, ties broken by ascending
@@ -118,8 +140,16 @@ class ClusterStateIndex {
   };
   using OrderedSet = std::set<std::pair<std::int64_t, std::int64_t>, IdleOrder>;
 
-  const PerGpu& state(GpuId gpu) const;
-  PerGpu& state(GpuId gpu);
+  // Checked per-GPU lookup; inline, as every O(1) query goes through it.
+  const PerGpu& state(GpuId gpu) const {
+    const auto index = static_cast<std::size_t>(gpu.value());
+    GFAAS_CHECK(gpu.valid() && index < gpus_.size()) << "unknown gpu " << gpu.value();
+    GFAAS_CHECK(gpus_[index].registered) << "gpu " << gpu.value() << " was removed";
+    return gpus_[index];
+  }
+  PerGpu& state(GpuId gpu) {
+    return const_cast<PerGpu&>(static_cast<const ClusterStateIndex*>(this)->state(gpu));
+  }
   // Inserts/erases the GPU in the ordered sets according to its flags.
   void enter_sets(const PerGpu& s, GpuId gpu);
   void leave_sets(const PerGpu& s, GpuId gpu);

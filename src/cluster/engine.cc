@@ -28,13 +28,17 @@ SchedulerEngine::SchedulerEngine(sim::Executor* executor, cache::CacheManager* c
     : executor_(executor),
       cache_(cache),
       oracle_(oracle),
-      gpus_(std::move(gpus)),
-      managers_(std::move(managers)),
       policy_(std::move(policy)),
-      local_queues_(gpus_.size()) {
+      local_queues_(gpus.size()) {
   GFAAS_CHECK(executor_ && cache_ && oracle_ && policy_);
-  GFAAS_CHECK(!gpus_.empty() && !managers_.empty());
-  for (const gpu::VirtualGpu* g : gpus_) index_.add_gpu(g->id());
+  GFAAS_CHECK(!gpus.empty() && !managers.empty());
+  for (const gpu::VirtualGpu* g : gpus) {
+    index_.add_gpu(g->id());
+    const auto owner = std::find_if(managers.begin(), managers.end(),
+                                    [g](GpuManager* m) { return m->manages(g->id()); });
+    GFAAS_CHECK(owner != managers.end()) << "no manager for gpu " << g->id().value();
+    manager_by_gpu_.push_back(*owner);
+  }
 }
 
 SchedulerEngine::~SchedulerEngine() = default;
@@ -98,11 +102,10 @@ void SchedulerEngine::set_telemetry(telemetry::Telemetry* telemetry) {
 }
 
 GpuManager& SchedulerEngine::manager_for(GpuId gpu) {
-  for (GpuManager* m : managers_) {
-    if (m->manages(gpu)) return *m;
-  }
-  GFAAS_CHECK(false) << "no manager for gpu " << gpu.value();
-  __builtin_unreachable();
+  const auto index = static_cast<std::size_t>(gpu.value());
+  GFAAS_CHECK(gpu.valid() && index < manager_by_gpu_.size())
+      << "no manager for gpu " << gpu.value();
+  return *manager_by_gpu_[index];
 }
 
 void SchedulerEngine::detach_hook(core::Request& request) {
@@ -128,11 +131,8 @@ void SchedulerEngine::submit(core::Request request) {
 void SchedulerEngine::add_gpu(gpu::VirtualGpu* gpu, GpuManager* manager) {
   serial_.AssertHeld();
   GFAAS_CHECK(gpu != nullptr && manager != nullptr && manager->manages(gpu->id()));
-  gpus_.push_back(gpu);
-  if (std::find(managers_.begin(), managers_.end(), manager) == managers_.end()) {
-    managers_.push_back(manager);
-  }
   index_.add_gpu(gpu->id());
+  manager_by_gpu_.push_back(manager);
   local_queues_.ensure_gpu_count(static_cast<std::size_t>(gpu->id().value()) + 1);
   // A scale-up during a backed-up queue must take effect immediately.
   run_policy();
@@ -165,20 +165,6 @@ void SchedulerEngine::remove_gpu(GpuId gpu) {
 }
 
 SimTime SchedulerEngine::now() const { return executor_->now(); }
-
-std::vector<GpuId> SchedulerEngine::idle_gpus() const {
-  serial_.AssertHeld();
-  // "Sorted by frequency": most-dispatched first (hot GPUs hold hot
-  // models); ties by id for determinism. LB picks from the back, i.e. the
-  // least-used idle GPU, which is classic load balancing. The index keeps
-  // this ordering incrementally, so enumerating costs O(#idle).
-  return index_.idle_gpus();
-}
-
-std::vector<GpuId> SchedulerEngine::busy_gpus() const {
-  serial_.AssertHeld();
-  return index_.busy_gpus();
-}
 
 SimTime SchedulerEngine::estimated_finish_time(GpuId gpu) const {
   serial_.AssertHeld();
@@ -240,9 +226,10 @@ void SchedulerEngine::start_execution(core::Request request, GpuId gpu, bool fal
   // the completion callback can fire as soon as execute() schedules it,
   // and mark_idle() must never observe a GPU the index still thinks is
   // idle. Nothing reads the index between here and execute() returning,
-  // so simulated runs are unaffected by the ordering.
-  index_.record_dispatch(gpu);
+  // so simulated runs are unaffected by the ordering. Marking busy first
+  // spares record_dispatch() re-keying the GPU in the idle set.
   index_.mark_busy(gpu);
+  index_.record_dispatch(gpu);
   ++in_flight_;
   executing_[request.id.value()] = gpu;
   if (tel_) {
@@ -465,9 +452,8 @@ GpuId SchedulerEngine::hedge_dispatch(core::Request request, RequestId primary) 
     }
   }
   if (!target.valid()) {
-    const auto idle = index_.idle_gpus();
-    if (idle.empty()) return GpuId();
-    target = idle.back();
+    target = index_.last_idle();
+    if (!target.valid()) return GpuId();
   }
   // Only duplicate when the copy is expected to win. The scheduler's own
   // placement judged the primary's spot cheapest at the time, so an

@@ -233,15 +233,36 @@ class SchedulerEngine final : public core::SchedulingContext {
     return policy_queue_len_max_;
   }
 
+  // Copies of the idle set (frequency order) and busy set (id order) for
+  // tests, the Gateway and the autoscaler; the policies walk the index.
+  std::vector<GpuId> idle_gpus() const {
+    serial_.AssertHeld();
+    return index_.idle_gpus();
+  }
+  std::vector<GpuId> busy_gpus() const {
+    serial_.AssertHeld();
+    return index_.busy_gpus();
+  }
+
   // --- core::SchedulingContext ---
   SimTime now() const override;
-  std::vector<GpuId> idle_gpus() const override;
-  std::vector<GpuId> busy_gpus() const override;
+  GpuId first_idle_gpu() const override {
+    serial_.AssertHeld();
+    return index_.first_idle();
+  }
+  GpuId last_idle_gpu() const override {
+    serial_.AssertHeld();
+    return index_.last_idle();
+  }
+  GpuId next_idle_gpu(std::int64_t dispatches, GpuId gpu) const override {
+    serial_.AssertHeld();
+    return index_.next_idle_after(dispatches, gpu);
+  }
   // Fenced GPUs report busy to the policies: they must not be targeted
   // while draining even if physically idle between local-queue requests.
   bool is_idle(GpuId gpu) const override {
     serial_.AssertHeld();
-    return index_.is_idle(gpu) && !index_.is_fenced(gpu);
+    return index_.is_idle_unfenced(gpu);
   }
   std::int64_t dispatch_count(GpuId gpu) const override {
     serial_.AssertHeld();
@@ -292,8 +313,8 @@ class SchedulerEngine final : public core::SchedulingContext {
   sim::Executor* executor_;
   cache::CacheManager* cache_;
   const models::LatencyOracle* oracle_;
-  std::vector<gpu::VirtualGpu*> gpus_;
-  std::vector<GpuManager*> managers_;
+  // Owning GPU Manager of each GPU, indexed by GpuId value.
+  std::vector<GpuManager*> manager_by_gpu_;
   std::unique_ptr<core::SchedulingPolicy> policy_;
 
   // Thread-affinity capability: the engine is a single event-loop by

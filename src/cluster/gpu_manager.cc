@@ -74,12 +74,6 @@ void GpuManager::publish_status(GpuId gpu, bool busy, SimTime finish_time) {
               std::to_string(gpu_ref(gpu).free_memory()));
 }
 
-void GpuManager::report_latency(const core::Request& request, SimTime latency) {
-  if (store_ == nullptr) return;
-  store_->put(datastore::keys::fn_latency(request.function_name),
-              std::to_string(latency));
-}
-
 StatusOr<SimTime> GpuManager::execute(const core::Request& request, GpuId gpu,
                                       bool false_miss, bool via_local_queue,
                                       CompletionCallback done) {
@@ -127,7 +121,6 @@ StatusOr<SimTime> GpuManager::execute(const core::Request& request, GpuId gpu,
           GFAAS_CHECK(cache_->unpin(gpu, request.model).ok());
           record.completed = finish;
           publish_status(gpu, /*busy=*/false, finish);
-          report_latency(request, record.latency());
           // Retire the in-flight entry before the callback: the engine's
           // completion handling may immediately start the next request on
           // this GPU.

@@ -5,9 +5,9 @@
 // Manager: on a hit it forwards the input to the existing GPU process; on
 // a miss it asks for a victim list, kills the victims' processes, starts
 // a new process and uploads the model, then runs the inference. It
-// enforces one request per GPU at a time, publishes busy/idle status and
-// estimated finish times to the Datastore, and reports per-request
-// latency on completion — exactly the responsibilities Fig. 2 assigns it.
+// enforces one request per GPU at a time and publishes busy/idle status
+// and estimated finish times to the Datastore. Per-request latency flows
+// back to the engine in the completion record.
 #pragma once
 
 #include <functional>
@@ -79,7 +79,6 @@ class GpuManager {
   };
 
   void publish_status(GpuId gpu, bool busy, SimTime finish_time);
-  void report_latency(const core::Request& request, SimTime latency);
 
   NodeId node_;
   sim::Executor* executor_;

@@ -1,7 +1,5 @@
 #include "core/queues.h"
 
-#include <algorithm>
-
 #include "common/log.h"
 
 namespace gfaas::core {
@@ -14,8 +12,6 @@ void GlobalQueue::push(Request request) {
   queue_.push_back(std::move(request));
   auto it = std::prev(queue_.end());
   by_id_[it->id.value()] = it;
-  by_model_[it->model.value()].push_back(it->id.value());
-  ++visits_histogram_[it->visits];
 }
 
 const Request* GlobalQueue::head() const {
@@ -30,13 +26,7 @@ const Request* GlobalQueue::find(RequestId id) const {
 int GlobalQueue::bump_visits(RequestId id) {
   auto it = by_id_.find(id.value());
   GFAAS_CHECK(it != by_id_.end()) << "bump_visits on unqueued request " << id.value();
-  Request& req = *it->second;
-  auto bucket = visits_histogram_.find(req.visits);
-  GFAAS_CHECK(bucket != visits_histogram_.end() && bucket->second > 0);
-  if (--bucket->second == 0) visits_histogram_.erase(bucket);
-  ++req.visits;
-  ++visits_histogram_[req.visits];
-  return req.visits;
+  return ++it->second->visits;
 }
 
 StatusOr<Request> GlobalQueue::take(RequestId id) {
@@ -45,47 +35,16 @@ StatusOr<Request> GlobalQueue::take(RequestId id) {
     return Status::NotFound("request " + std::to_string(id.value()) + " not queued");
   }
   Request out = std::move(*it->second);
-  auto& model_deque = by_model_[out.model.value()];
-  auto pos = std::find(model_deque.begin(), model_deque.end(), id.value());
-  GFAAS_CHECK(pos != model_deque.end());
-  model_deque.erase(pos);
-  if (model_deque.empty()) by_model_.erase(out.model.value());
-  auto bucket = visits_histogram_.find(out.visits);
-  GFAAS_CHECK(bucket != visits_histogram_.end() && bucket->second > 0);
-  if (--bucket->second == 0) visits_histogram_.erase(bucket);
   queue_.erase(it->second);
   by_id_.erase(it);
   return out;
-}
-
-const Request* GlobalQueue::first_for_model(ModelId model) const {
-  auto it = by_model_.find(model.value());
-  if (it == by_model_.end() || it->second.empty()) return nullptr;
-  return find(RequestId(it->second.front()));
-}
-
-std::vector<ModelId> GlobalQueue::pending_models() const {
-  std::vector<ModelId> out;
-  out.reserve(by_model_.size());
-  for (const auto& [model, ids] : by_model_) out.push_back(ModelId(model));
-  return out;
-}
-
-std::vector<RequestId> GlobalQueue::in_arrival_order() const {
-  std::vector<RequestId> out;
-  out.reserve(queue_.size());
-  for (const auto& r : queue_) out.push_back(r.id);
-  return out;
-}
-
-int GlobalQueue::max_visits() const {
-  return visits_histogram_.empty() ? 0 : visits_histogram_.rbegin()->first;
 }
 
 void LocalQueues::push(GpuId gpu, Request request) {
   const auto index = static_cast<std::size_t>(gpu.value());
   GFAAS_CHECK(index < queues_.size()) << "unknown gpu " << gpu.value();
   queues_[index].push_back(std::move(request));
+  ++total_;
 }
 
 std::optional<Request> LocalQueues::pop_head(GpuId gpu) {
@@ -94,6 +53,7 @@ std::optional<Request> LocalQueues::pop_head(GpuId gpu) {
   if (queues_[index].empty()) return std::nullopt;
   Request out = std::move(queues_[index].front());
   queues_[index].pop_front();
+  --total_;
   return out;
 }
 
@@ -105,28 +65,17 @@ std::optional<Request> LocalQueues::remove(GpuId gpu, RequestId id) {
     if (it->id == id) {
       Request out = std::move(*it);
       queue.erase(it);
+      --total_;
       return out;
     }
   }
   return std::nullopt;
 }
 
-const Request* LocalQueues::head(GpuId gpu) const {
-  const auto index = static_cast<std::size_t>(gpu.value());
-  GFAAS_CHECK(index < queues_.size());
-  return queues_[index].empty() ? nullptr : &queues_[index].front();
-}
-
 std::size_t LocalQueues::size(GpuId gpu) const {
   const auto index = static_cast<std::size_t>(gpu.value());
   GFAAS_CHECK(index < queues_.size());
   return queues_[index].size();
-}
-
-std::size_t LocalQueues::total_pending() const {
-  std::size_t total = 0;
-  for (const auto& q : queues_) total += q.size();
-  return total;
 }
 
 const std::deque<Request>& LocalQueues::queued(GpuId gpu) const {

@@ -1,12 +1,10 @@
 // The Scheduler's queues (paper Fig. 3).
 //
-// GlobalQueue holds every pending request in arrival order and maintains
-// the auxiliary model -> requests index described in §VI ("the Scheduler
-// maintains an auxiliary data structure that links the queued requests to
-// their corresponding models — the requests linked to the same model are
-// still sorted by their arriving order"), which bounds the
-// find-a-cached-request search by the number of models cached on a GPU
-// instead of the queue length.
+// GlobalQueue holds every pending request in arrival order, with an
+// id -> position index for O(1) lookup and removal. Algorithm 1 walks it
+// from the head; its O3 skip counter bounds that walk in the amortized
+// sense (see LalbScheduler::schedule_out_of_order), so no per-model index
+// is kept.
 //
 // LocalQueues holds the per-GPU queues of requests the policy moved to a
 // busy GPU (Algorithm 2 line 12). "When this GPU becomes idle, it always
@@ -16,7 +14,6 @@
 
 #include <deque>
 #include <list>
-#include <map>
 #include <optional>
 #include <unordered_map>
 #include <vector>
@@ -28,9 +25,8 @@ namespace gfaas::core {
 
 class GlobalQueue {
  public:
-  // Const iteration in arrival order, without the O(n) snapshot copy of
-  // in_arrival_order(). Policies may dispatch/take requests while
-  // iterating: taking a request invalidates only iterators to THAT
+  // Const iteration in arrival order. Policies may dispatch/take requests
+  // while iterating: taking a request invalidates only iterators to THAT
   // request (std::list semantics), so callers advance before acting.
   using const_iterator = std::list<Request>::const_iterator;
   const_iterator begin() const { return queue_.begin(); }
@@ -45,37 +41,17 @@ class GlobalQueue {
   const Request* head() const;
   const Request* find(RequestId id) const;
 
-  // Increments the request's O3 skip counter (Algorithm 1 lines 14-16)
-  // and keeps the visits histogram consistent; returns the new value.
-  // This is the only sanctioned way to mutate a queued request.
+  // Increments the request's O3 skip counter (Algorithm 1 lines 14-16);
+  // returns the new value. This is the only sanctioned way to mutate a
+  // queued request.
   int bump_visits(RequestId id);
 
   // Removes and returns the request.
   StatusOr<Request> take(RequestId id);
 
-  // Earliest-arrival request whose model is `model` (nullptr if none) —
-  // served by the §VI per-model index.
-  const Request* first_for_model(ModelId model) const;
-
-  // Distinct models with at least one pending request.
-  std::vector<ModelId> pending_models() const;
-
-  // Request ids in arrival order (snapshot; O(n)). Kept for tests that
-  // cross-check the iterator path; hot paths use begin()/end().
-  std::vector<RequestId> in_arrival_order() const;
-
-  // Highest `visits` value among pending requests (0 if empty).
-  // O(1) lookup against the incrementally maintained histogram.
-  int max_visits() const;
-
  private:
   std::list<Request> queue_;  // arrival order (push_back)
   std::unordered_map<std::int64_t, std::list<Request>::iterator> by_id_;
-  // model id -> request ids in arrival order.
-  std::map<std::int64_t, std::deque<std::int64_t>> by_model_;
-  // visits value -> number of pending requests with that value, updated on
-  // push/take/bump_visits so max_visits() never rescans the queue.
-  std::map<int, std::size_t> visits_histogram_;
 };
 
 class LocalQueues {
@@ -94,16 +70,17 @@ class LocalQueues {
   // cancels a parked loser mid-queue; the head is the common case but a
   // deep-waiting duplicate can win first). Nullopt if not queued there.
   std::optional<Request> remove(GpuId gpu, RequestId id);
-  const Request* head(GpuId gpu) const;
   std::size_t size(GpuId gpu) const;
   bool empty(GpuId gpu) const { return size(gpu) == 0; }
-  std::size_t total_pending() const;
+  // Requests queued across all GPUs; a maintained counter, O(1).
+  std::size_t total_pending() const { return total_; }
 
   // Requests queued on the GPU, head first (for finish-time estimation).
   const std::deque<Request>& queued(GpuId gpu) const;
 
  private:
   std::vector<std::deque<Request>> queues_;
+  std::size_t total_ = 0;
 };
 
 }  // namespace gfaas::core

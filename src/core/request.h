@@ -10,7 +10,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <string>
 
 #include "common/id.h"
 #include "common/time.h"
@@ -31,8 +30,6 @@ struct Request {
   SimTime arrival = 0;
   // O3 skip counter (Algorithm 1).
   int visits = 0;
-  // Function name, for datastore metric keys and logs.
-  std::string function_name;
   // --- serving-layer metadata (src/gateway) ---
   // Absolute completion deadline; kSimTimeMax = no SLO. The Gateway
   // stamps arrival + the request's latency SLO here at admission. The

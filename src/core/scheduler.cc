@@ -1,6 +1,7 @@
 #include "core/scheduler.h"
 
 #include <iterator>
+#include <set>
 
 #include "common/log.h"
 
@@ -15,8 +16,8 @@ bool is_false_miss(const SchedulingContext& ctx, ModelId model, GpuId gpu) {
   return ctx.cache().cached_anywhere(model);
 }
 
-// Earliest idle holder of `model` in the frequency ordering of
-// idle_gpus(): the idle holder maximizing (dispatch_count, lowest id).
+// Earliest idle holder of `model` in the idle frequency ordering: the
+// idle holder maximizing (dispatch_count, lowest id).
 // Scans the O(#locations) holder list instead of the idle set, so the
 // cost is bounded by the model's duplicate count (§VI), not cluster size.
 GpuId best_idle_holder(const SchedulingContext& ctx, ModelId model, GpuId exclude) {
@@ -61,10 +62,9 @@ void LbScheduler::schedule(SchedulingContext& ctx) {
   while (true) {
     const Request* head = ctx.global_queue().head();
     if (head == nullptr) return;
-    const auto idle = ctx.idle_gpus();
-    if (idle.empty()) return;
     // Least-frequently-dispatched idle GPU = plain load balancing.
-    const GpuId target = idle.back();
+    const GpuId target = ctx.last_idle_gpu();
+    if (!target.valid()) return;
     ctx.dispatch_from_global(head->id, target,
                              is_false_miss(ctx, head->model, target));
   }
@@ -92,13 +92,11 @@ bool LalbScheduler::locality_load_balance(SchedulingContext& ctx, GpuId gpu_i,
   const Request* req = ctx.global_queue().find(request);
   GFAAS_CHECK(req != nullptr);
   const ModelId model = req->model;
-  const std::int64_t batch = req->batch;
-  (void)batch;
 
   // Every branch below probes only the model's holder list (the cache's
-  // model -> GPU location index), never the full idle/busy enumerations:
-  // Algorithm 2's cost is O(#locations of the model), per §VI.
-  const std::vector<GpuId> locations = ctx.cache().locations(model);
+  // model -> GPU location index, read in place: no action runs before its
+  // last read), never the idle set: O(#locations of the model), per §VI.
+  const std::set<GpuId>& locations = ctx.cache().locations(model);
   if (locations.empty()) {
     // Line 1-3: not cached anywhere -> plain cache miss on gpu_i.
     ctx.dispatch_from_global(request, gpu_i, /*false_miss=*/false);
@@ -152,8 +150,8 @@ void LalbScheduler::schedule_in_order(SchedulingContext& ctx) {
 
     const Request* head = ctx.global_queue().head();
     if (head == nullptr) return;
-    const auto idle = ctx.idle_gpus();
-    if (idle.empty()) return;
+    const GpuId first_idle = ctx.first_idle_gpu();
+    if (!first_idle.valid()) return;
 
     // Hit on an idle GPU if possible — resolved against the model's
     // holder list (O(#locations)), not a scan of the idle set.
@@ -163,69 +161,74 @@ void LalbScheduler::schedule_in_order(SchedulingContext& ctx) {
       continue;
     }
     // Otherwise Algorithm 2 decides; either way the head leaves the queue.
-    locality_load_balance(ctx, idle.front(), head->id);
+    locality_load_balance(ctx, first_idle, head->id);
   }
 }
 
 void LalbScheduler::schedule_out_of_order(SchedulingContext& ctx) {
-  // Algorithm 1 with the O3 skip counter, driven by live arrival-order
-  // iterators instead of per-GPU O(n) snapshots. Within one invocation
-  // the only queue mutations are our own actions, and Algorithm 2 only
-  // ever removes the request passed to it, so advancing the iterator
-  // before acting keeps iteration valid (std::list erase semantics).
+  // Algorithm 1 walks the idle GPUs in frequency order by successor lookup
+  // on the key each GPU had when visited. That matches a snapshot walk
+  // exactly: no GPU turns idle inside a policy call, and a GPU's key only
+  // changes when a dispatch takes it out of the idle set.
+  const GlobalQueue& queue = ctx.global_queue();
+  for (GpuId gpu_i = ctx.first_idle_gpu(); gpu_i.valid() && !queue.empty();) {
+    const std::int64_t dispatches = ctx.dispatch_count(gpu_i);
+    serve_out_of_order(ctx, gpu_i);
+    gpu_i = ctx.next_idle_gpu(dispatches, gpu_i);
+  }
+  // With the global queue empty the rest of the walk could only serve local
+  // queues (lines 2-5) in idle order, which is what the index's serve-local
+  // head yields: idle GPUs never gain local work (move_to_local targets
+  // busy GPUs).
+  for (GpuId gpu = ctx.first_idle_with_local_work(); gpu.valid();
+       gpu = ctx.first_idle_with_local_work()) {
+    ctx.dispatch_from_local(gpu);
+  }
+}
+
+void LalbScheduler::serve_out_of_order(SchedulingContext& ctx, GpuId gpu_i) {
+  // Lines 2-5: local queue first.
+  if (!ctx.local_queues().empty(gpu_i)) {
+    ctx.dispatch_from_local(gpu_i);
+    return;
+  }
+
+  // Lines 6-16: find the earliest request with its model cached on gpu_i,
+  // skipping (and aging) non-cached requests up to the limit. The walk
+  // uses live arrival-order iterators: within one invocation the only
+  // queue mutations are our own actions, and Algorithm 2 only ever removes
+  // the request passed to it, so advancing the iterator before acting
+  // keeps iteration valid (std::list erase semantics).
   //
   // The scan over the uncached prefix is bounded by the O3 limit in the
   // amortized sense: every touch of a request either dispatches it, ages
   // it (at most o3_limit_ + 1 times over its lifetime), or force-places
   // it, so total scan work per request is O(o3_limit_), independent of
   // queue length.
-  const std::vector<GpuId> idle_snapshot = ctx.idle_gpus();
   const GlobalQueue& queue = ctx.global_queue();
-  for (GpuId gpu_i : idle_snapshot) {
-    if (!ctx.is_idle(gpu_i)) continue;  // used by an earlier iteration
-
-    // Lines 2-5: local queue first.
-    if (!ctx.local_queues().empty(gpu_i)) {
-      ctx.dispatch_from_local(gpu_i);
+  for (auto it = queue.begin(); it != queue.end();) {
+    const auto next = std::next(it);
+    if (ctx.cache().is_cached(gpu_i, it->model)) {
+      ctx.dispatch_from_global(it->id, gpu_i, /*false_miss=*/false);
+      return;
+    }
+    if (it->visits > o3_limit_) {
+      // Starvation limit reached: place unconditionally (lines 11-13).
+      // Done once the request took gpu_i, or gpu_i went to other work.
+      if (locality_load_balance(ctx, gpu_i, it->id) || !ctx.is_idle(gpu_i)) return;
+      it = next;
       continue;
     }
+    ctx.mutable_global_queue().bump_visits(it->id);  // lines 14-16
+    it = next;
+  }
 
-    // Lines 6-16: find the earliest request with its model cached on
-    // gpu_i, skipping (and aging) non-cached requests up to the limit.
-    bool dispatched = false;
-    for (auto it = queue.begin(); it != queue.end();) {
-      const auto next = std::next(it);
-      if (ctx.cache().is_cached(gpu_i, it->model)) {
-        ctx.dispatch_from_global(it->id, gpu_i, /*false_miss=*/false);
-        dispatched = true;
-        break;
-      }
-      if (it->visits > o3_limit_) {
-        // Starvation limit reached: place unconditionally (lines 11-13).
-        if (locality_load_balance(ctx, gpu_i, it->id)) {
-          dispatched = true;
-          break;
-        }
-        if (!ctx.is_idle(gpu_i)) {
-          dispatched = true;  // gpu_i consumed by a re-entrant action
-          break;
-        }
-        it = next;
-        continue;
-      }
-      ctx.mutable_global_queue().bump_visits(it->id);  // lines 14-16
-      it = next;
-    }
-    if (dispatched) continue;
-
-    // For-else (lines 17-21): nothing cached on gpu_i; fall back to
-    // locality-aware load balancing in arrival order until gpu_i is used.
-    for (auto it = queue.begin(); it != queue.end();) {
-      const auto next = std::next(it);
-      if (locality_load_balance(ctx, gpu_i, it->id)) break;
-      if (!ctx.is_idle(gpu_i)) break;
-      it = next;
-    }
+  // For-else (lines 17-21): nothing cached on gpu_i; fall back to
+  // locality-aware load balancing in arrival order until gpu_i is used.
+  for (auto it = queue.begin(); it != queue.end();) {
+    const auto next = std::next(it);
+    if (locality_load_balance(ctx, gpu_i, it->id) || !ctx.is_idle(gpu_i)) return;
+    it = next;
   }
 }
 

@@ -20,7 +20,6 @@
 
 #include <memory>
 #include <string>
-#include <vector>
 
 #include "cache/cache_manager.h"
 #include "common/id.h"
@@ -39,13 +38,17 @@ class SchedulingContext {
   virtual SimTime now() const = 0;
 
   // Idle GPUs, "sorted by frequency" (Algorithm 1 input). We interpret
-  // frequency as dispatch count, most-used first: hot GPUs hold hot
-  // models, so scanning them first maximizes hit chances.
-  virtual std::vector<GpuId> idle_gpus() const = 0;
-  virtual std::vector<GpuId> busy_gpus() const = 0;
+  // frequency as dispatch count, most-used first, ties by lowest id: hot
+  // GPUs hold hot models, so scanning them first maximizes hit chances.
+  // The order is walked, never copied: first/last are O(1), and
+  // next_idle_gpu() steps past the (dispatch_count, id) key a GPU had when
+  // the walk visited it. All three return an invalid id when there is no
+  // such GPU.
+  virtual GpuId first_idle_gpu() const = 0;
+  virtual GpuId last_idle_gpu() const = 0;
+  virtual GpuId next_idle_gpu(std::int64_t dispatches, GpuId gpu) const = 0;
   // O(1) lookups against the engine's cluster-state index, so policies can
-  // probe individual GPUs (e.g. the holders from cache().locations())
-  // without materializing the idle/busy vectors.
+  // probe individual GPUs (e.g. the holders from cache().locations()).
   virtual bool is_idle(GpuId gpu) const = 0;
   // Dispatch count backing the idle-GPU frequency ordering: among a set of
   // candidates, the "first in idle order" is the one maximizing
@@ -113,6 +116,8 @@ class LalbScheduler final : public SchedulingPolicy {
 
   void schedule_in_order(SchedulingContext& ctx);
   void schedule_out_of_order(SchedulingContext& ctx);
+  // Algorithm 1 lines 2-21 for one idle GPU.
+  void serve_out_of_order(SchedulingContext& ctx, GpuId gpu_i);
 
   int o3_limit_;
 };

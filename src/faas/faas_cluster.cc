@@ -46,7 +46,6 @@ void FaasCluster::submit(const FunctionSpec& spec, const Payload& input,
   request.batch = spec.batch_size > 0 ? spec.batch_size : 32;
   if (!input.shape.empty()) request.batch = input.shape.front();
   request.arrival = cluster_->simulator().now();
-  request.function_name = spec.name;
   pending_[request.id.value()] = std::move(done);
   cluster_->engine().submit(std::move(request));
 }

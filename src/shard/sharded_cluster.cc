@@ -228,6 +228,10 @@ std::size_t ShardedCluster::steal_rebalance(SimTime at) {
                                  static_cast<double>(schedulable[i])));
   }
   const std::size_t chunk = std::max<std::size_t>(1, options_.steal.max_batch);
+  // Per-model answers of the selective filter below, by model id (-1 = not
+  // asked yet). The qualified targets are fixed for one steal_from_global()
+  // call, so each model is resolved once per call, not once per request.
+  std::vector<std::int8_t> warm_memo;
 
   std::size_t moved_total = 0;
   for (std::size_t donor = 0; donor < n; ++donor) {
@@ -262,13 +266,18 @@ std::size_t ShardedCluster::steal_rebalance(SimTime at) {
         any_target = qualifies(t);
       }
       if (!any_target) break;
+      warm_memo.assign(warm_memo.size(), -1);
       auto warm_elsewhere = [&](const core::Request& req) {
-        for (std::size_t t = 0; t < n; ++t) {
-          if (qualifies(t) && shards_[t]->cache().cached_anywhere(req.model)) {
-            return true;
+        const auto model = static_cast<std::size_t>(req.model.value());
+        if (model >= warm_memo.size()) warm_memo.resize(model + 1, -1);
+        std::int8_t& warm = warm_memo[model];
+        if (warm < 0) {
+          warm = 0;
+          for (std::size_t t = 0; t < n && warm == 0; ++t) {
+            warm = qualifies(t) && shards_[t]->cache().cached_anywhere(req.model) ? 1 : 0;
           }
         }
-        return false;
+        return warm == 1;
       };
       std::vector<core::Request> batch =
           shards_[donor]->engine().steal_from_global(

@@ -5,35 +5,56 @@
 
 namespace gfaas::sim {
 
-std::uint64_t Simulator::schedule_on_lane(SimTime when, std::uint8_t lane,
-                                          std::function<void()> fn) {
+std::uint64_t Simulator::schedule_keyed(SimTime when, std::uint64_t lane_bit,
+                                        std::function<void()> fn) {
   GFAAS_CHECK(when >= now_) << "scheduling into the past: " << when << " < " << now_;
   GFAAS_CHECK(fn != nullptr);
-  const std::uint64_t id = next_id_++;
-  heap_.push_back(Event{when, lane, next_seq_++, id, std::move(fn)});
-  std::push_heap(heap_.begin(), heap_.end(), EventOrder{});
-  live_.insert(id);
-  return id;
+  std::uint32_t slot;
+  if (free_slots_.empty()) {
+    slot = static_cast<std::uint32_t>(slots_.size());
+    slots_.emplace_back();
+  } else {
+    slot = free_slots_.back();
+    free_slots_.pop_back();
+  }
+  Slot& s = slots_[slot];
+  s.fn = std::move(fn);
+  heap_.push_back(Entry{when, lane_bit | next_seq_++, slot, s.gen});
+  std::push_heap(heap_.begin(), heap_.end(), Later{});
+  return make_id(slot, s.gen);
 }
 
 std::uint64_t Simulator::schedule_at(SimTime when, std::function<void()> fn) {
-  return schedule_on_lane(when, kDefaultLane, std::move(fn));
+  return schedule_keyed(when, kDefaultLaneBit, std::move(fn));
 }
 
 std::uint64_t Simulator::schedule_arrival_at(SimTime when, std::function<void()> fn) {
-  return schedule_on_lane(when, kArrivalLane, std::move(fn));
+  return schedule_keyed(when, 0, std::move(fn));
+}
+
+void Simulator::release(std::uint32_t slot) {
+  Slot& s = slots_[slot];
+  s.fn = nullptr;
+  ++s.gen;
+  free_slots_.push_back(slot);
 }
 
 bool Simulator::cancel(std::uint64_t event_id) {
   // Only events still pending (scheduled, not yet run or cancelled) can be
-  // cancelled. The heap entry stays behind as a tombstone and is dropped
-  // lazily by settle_head(); amortized O(1).
-  return live_.erase(event_id) > 0;
+  // cancelled. The heap entry stays behind, stale, and is dropped lazily
+  // by settle_head(); amortized O(1).
+  const auto slot = static_cast<std::uint32_t>(event_id);
+  const auto gen = static_cast<std::uint32_t>(event_id >> 32);
+  if (slot >= slots_.size() || slots_[slot].gen != gen || !slots_[slot].fn) {
+    return false;
+  }
+  release(slot);
+  return true;
 }
 
 void Simulator::settle_head() {
-  while (!heap_.empty() && live_.count(heap_.front().id) == 0) {
-    std::pop_heap(heap_.begin(), heap_.end(), EventOrder{});
+  while (!heap_.empty() && slots_[heap_.front().slot].gen != heap_.front().gen) {
+    std::pop_heap(heap_.begin(), heap_.end(), Later{});
     heap_.pop_back();
   }
 }
@@ -41,13 +62,16 @@ void Simulator::settle_head() {
 bool Simulator::pop_and_run() {
   settle_head();
   if (heap_.empty()) return false;
-  std::pop_heap(heap_.begin(), heap_.end(), EventOrder{});
-  Event ev = std::move(heap_.back());
+  std::pop_heap(heap_.begin(), heap_.end(), Later{});
+  const Entry ev = heap_.back();
   heap_.pop_back();
-  live_.erase(ev.id);
+  // Move the callback out and free the slot before running it: the
+  // callback may schedule (reusing this slot) or cancel its own id.
+  std::function<void()> fn = std::move(slots_[ev.slot].fn);
+  release(ev.slot);
   now_ = ev.time;
   ++executed_;
-  ev.fn();
+  fn();
   return true;
 }
 
@@ -59,7 +83,7 @@ std::size_t Simulator::run() {
 
 std::size_t Simulator::run_until(SimTime deadline) {
   std::size_t n = 0;
-  // Settle before testing the head so a cancelled tombstone inside the
+  // Settle before testing the head so a cancelled entry inside the
   // deadline can never pull a live event from beyond it.
   for (settle_head(); !heap_.empty() && heap_.front().time <= deadline;
        settle_head()) {

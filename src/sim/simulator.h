@@ -14,7 +14,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <unordered_set>
 #include <vector>
 
 #include "common/log.h"
@@ -75,8 +74,9 @@ class Simulator final : public Executor {
     return schedule_at(now_ + delay, std::move(fn));
   }
 
-  // Cancels a pending event; returns false if it already ran or never
-  // existed. Cancellation is O(1) (lazy: the event is tombstoned).
+  // Cancels a pending event; returns false if it already ran, was already
+  // cancelled, or never existed. O(1): the callback is released at once
+  // and its heap entry is dropped lazily when it surfaces.
   bool cancel(std::uint64_t event_id) override;
 
   // Runs until the event queue is empty. Returns the number of events run.
@@ -89,50 +89,61 @@ class Simulator final : public Executor {
   // Executes the single next event, if any. Returns false if queue empty.
   bool step();
 
-  std::size_t pending_events() const { return live_.size(); }
+  // Occupied slots are exactly the pending events.
+  std::size_t pending_events() const { return slots_.size() - free_slots_.size(); }
   std::uint64_t events_executed() const { return executed_; }
 
  private:
   // Same-time ordering is (lane, seq): the arrival lane first, then
   // insertion order. Everything scheduled through the Executor interface
-  // uses kDefaultLane, so the lane only matters to callers that opt into
-  // schedule_arrival_at().
-  static constexpr std::uint8_t kArrivalLane = 0;
-  static constexpr std::uint8_t kDefaultLane = 1;
+  // uses the default lane, so the lane only matters to callers that opt
+  // into schedule_arrival_at(). Both live in one key: the lane is the top
+  // bit, the insertion sequence the rest.
+  static constexpr std::uint64_t kDefaultLaneBit = std::uint64_t{1} << 63;
 
-  std::uint64_t schedule_on_lane(SimTime when, std::uint8_t lane,
-                                 std::function<void()> fn);
+  std::uint64_t schedule_keyed(SimTime when, std::uint64_t lane_bit,
+                               std::function<void()> fn);
 
-  struct Event {
+  // A heap entry is plain data; the callback lives in slots_[slot]. The
+  // entry is current only while the slot's generation still equals `gen`:
+  // running or cancelling an event bumps the generation and frees the
+  // slot, which turns the entry (and every id handed out for it) stale.
+  struct Entry {
     SimTime time;
-    std::uint8_t lane;  // first tie-breaker: arrivals beat scheduled work
-    std::uint64_t seq;  // second tie-breaker: FIFO among same-lane events
-    std::uint64_t id;
-    std::function<void()> fn;
+    std::uint64_t key;  // lane bit | insertion sequence
+    std::uint32_t slot;
+    std::uint32_t gen;
   };
-  struct EventOrder {
-    bool operator()(const Event& a, const Event& b) const {
+  struct Later {
+    bool operator()(const Entry& a, const Entry& b) const {
       if (a.time != b.time) return a.time > b.time;
-      if (a.lane != b.lane) return a.lane > b.lane;
-      return a.seq > b.seq;
+      return a.key > b.key;
     }
   };
+  struct Slot {
+    std::function<void()> fn;  // empty while the slot is free
+    std::uint32_t gen = 1;
+  };
 
-  // Pops cancelled tombstones off the heap so heap_.front(), when it
-  // exists, is always a live event.
+  // Event ids pack (generation, slot); generations start at 1, so no id
+  // is ever 0 and a stale id can never match the slot's next occupant.
+  static std::uint64_t make_id(std::uint32_t slot, std::uint32_t gen) {
+    return (std::uint64_t{gen} << 32) | slot;
+  }
+  // Frees the slot and bumps its generation.
+  void release(std::uint32_t slot);
+  // Pops stale entries off the heap so heap_.front(), when it exists, is
+  // always a live event.
   void settle_head();
   bool pop_and_run();
 
   SimTime now_ = 0;
   std::uint64_t next_seq_ = 0;
-  std::uint64_t next_id_ = 1;
   std::uint64_t executed_ = 0;
-  // Binary heap under EventOrder, kept with std::push_heap/pop_heap so
-  // the head event can be moved out rather than copied.
-  std::vector<Event> heap_;
-  // Ids of events scheduled but not yet run or cancelled. An event popped
-  // off the heap whose id is absent here was cancelled (lazy tombstone).
-  std::unordered_set<std::uint64_t> live_;
+  // Binary min-heap under Later, kept with std::push_heap/pop_heap.
+  std::vector<Entry> heap_;
+  std::vector<Slot> slots_;
+  std::vector<std::uint32_t> free_slots_;
 };
 
 }  // namespace gfaas::sim

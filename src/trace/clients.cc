@@ -16,7 +16,6 @@ core::Request make_client_request(std::int64_t id, std::size_t model,
   request.function = FunctionId(static_cast<std::int64_t>(model));
   request.model = ModelId(static_cast<std::int64_t>(model));
   request.batch = config.batch_size;
-  request.function_name = "fn" + std::to_string(model);
   // arrival and deadline are stamped by the serving layer at submission.
   return request;
 }

@@ -184,8 +184,6 @@ StatusOr<Workload> build_rate_workload(const AzureTrace& trace,
         req.model = ModelId(static_cast<std::int64_t>(k));
         req.batch = config.batch_size;
         req.arrival = minutes(minute) + offsets[static_cast<std::size_t>(i)];
-        req.function_name =
-            workload.registry.get(req.model).value().name + "-fn" + std::to_string(k);
         workload.requests.push_back(std::move(req));
       }
     }

@@ -9,6 +9,7 @@
 
 #include <algorithm>
 #include <memory>
+#include <set>
 #include <vector>
 
 #include "autoscale/autoscaler.h"
@@ -221,7 +222,7 @@ TEST(CacheMembershipTest, FenceHidesHolderFromLocationIndex) {
 
   cache.fence_gpu(GpuId(0));
   // The scheduler-facing views stop reporting the draining holder...
-  EXPECT_EQ(cache.locations(ModelId(7)), std::vector<GpuId>{GpuId(1)});
+  EXPECT_EQ(cache.locations(ModelId(7)), std::set<GpuId>{GpuId(1)});
   EXPECT_EQ(cache.duplicate_count(ModelId(7)), 1u);
   // ...while the per-GPU truth stays live for in-flight bookkeeping.
   EXPECT_TRUE(cache.is_cached(GpuId(0), ModelId(7)));
@@ -408,7 +409,7 @@ TEST(EngineMembershipTest, UnfenceAbortsDrainAndRestoresLocality) {
   cluster.fence_gpu(hot);
   EXPECT_TRUE(cluster.cache().locations(ModelId(0)).empty());
   cluster.unfence_gpu(hot);
-  EXPECT_EQ(cluster.cache().locations(ModelId(0)), std::vector<GpuId>{hot});
+  EXPECT_EQ(cluster.cache().locations(ModelId(0)), std::set<GpuId>{hot});
 
   cluster.simulator().schedule_at(sec(10),
                                   [&] { engine.submit(make_request(1, 0, sec(10))); });

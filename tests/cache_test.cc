@@ -3,6 +3,8 @@
 // CacheManager with its datastore mirroring.
 #include <gtest/gtest.h>
 
+#include <set>
+
 #include "cache/cache_manager.h"
 #include "cache/policy.h"
 #include "datastore/keys.h"
@@ -168,10 +170,7 @@ TEST(CacheManagerTest, LocationsTrackMultipleGpus) {
   manager.add_gpu(GpuId(2), MB(1000));
   ASSERT_TRUE(manager.record_insertion(GpuId(0), ModelId(7), MB(100)).ok());
   ASSERT_TRUE(manager.record_insertion(GpuId(2), ModelId(7), MB(100)).ok());
-  const auto locations = manager.locations(ModelId(7));
-  ASSERT_EQ(locations.size(), 2u);
-  EXPECT_EQ(locations[0], GpuId(0));
-  EXPECT_EQ(locations[1], GpuId(2));
+  EXPECT_EQ(manager.locations(ModelId(7)), (std::set<GpuId>{GpuId(0), GpuId(2)}));
   EXPECT_TRUE(manager.cached_anywhere(ModelId(7)));
   EXPECT_FALSE(manager.cached_anywhere(ModelId(8)));
   EXPECT_EQ(manager.duplicate_count(ModelId(7)), 2u);

@@ -44,8 +44,6 @@ TEST(SimClusterTest, SingleRequestFullLifecycle) {
   EXPECT_TRUE(cluster.cache().is_cached(GpuId(0), ModelId(0)));
   EXPECT_EQ(cluster.datastore().get(datastore::keys::gpu_status(GpuId(0)))->value,
             "idle");
-  EXPECT_TRUE(
-      cluster.datastore().get(datastore::keys::fn_latency("fn0")).ok());
 }
 
 TEST(SimClusterTest, EvictionHappensWhenMemoryFull) {

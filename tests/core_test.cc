@@ -5,14 +5,20 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <map>
+#include <iterator>
+#include <memory>
 #include <vector>
 
+#include "cluster/engine.h"
 #include "cluster/experiment.h"
 #include "common/rng.h"
 #include "core/queues.h"
 #include "core/scheduler.h"
+#include "gpu/gpu_spec.h"
+#include "gpu/pcie.h"
+#include "gpu/virtual_gpu.h"
 #include "models/zoo.h"
+#include "sim/simulator.h"
 #include "testing/builders.h"
 #include "testing/matchers.h"
 
@@ -21,6 +27,13 @@ namespace {
 
 using testkit::make_request;
 
+// Request ids in the queue's arrival order.
+std::vector<RequestId> ids_in_order(const GlobalQueue& q) {
+  std::vector<RequestId> out;
+  for (const Request& r : q) out.push_back(r.id);
+  return out;
+}
+
 TEST(GlobalQueueTest, ArrivalOrderPreserved) {
   GlobalQueue q;
   q.push(make_request(1, 0, 10));
@@ -28,21 +41,8 @@ TEST(GlobalQueueTest, ArrivalOrderPreserved) {
   q.push(make_request(3, 0, 30));
   EXPECT_EQ(q.size(), 3u);
   EXPECT_EQ(q.head()->id, RequestId(1));
-  const auto order = q.in_arrival_order();
-  EXPECT_EQ(order, (std::vector<RequestId>{RequestId(1), RequestId(2), RequestId(3)}));
-}
-
-TEST(GlobalQueueTest, ModelIndexFindsEarliest) {
-  GlobalQueue q;
-  q.push(make_request(1, 5, 10));
-  q.push(make_request(2, 7, 20));
-  q.push(make_request(3, 5, 30));
-  const Request* first = q.first_for_model(ModelId(5));
-  ASSERT_NE(first, nullptr);
-  EXPECT_EQ(first->id, RequestId(1));
-  EXPECT_EQ(q.first_for_model(ModelId(9)), nullptr);
-  const auto models = q.pending_models();
-  EXPECT_EQ(models.size(), 2u);
+  EXPECT_EQ(ids_in_order(q),
+            (std::vector<RequestId>{RequestId(1), RequestId(2), RequestId(3)}));
 }
 
 TEST(GlobalQueueTest, TakeRemovesAndMaintainsIndex) {
@@ -52,9 +52,7 @@ TEST(GlobalQueueTest, TakeRemovesAndMaintainsIndex) {
   auto taken = q.take(RequestId(1));
   ASSERT_TRUE(taken.ok());
   EXPECT_EQ(taken->id, RequestId(1));
-  EXPECT_EQ(q.first_for_model(ModelId(5))->id, RequestId(2));
   ASSERT_TRUE(q.take(RequestId(2)).ok());
-  EXPECT_EQ(q.first_for_model(ModelId(5)), nullptr);
   EXPECT_TRUE(q.empty());
   EXPECT_EQ(q.take(RequestId(1)).status().code(), StatusCode::kNotFound);
 }
@@ -62,25 +60,8 @@ TEST(GlobalQueueTest, TakeRemovesAndMaintainsIndex) {
 TEST(GlobalQueueTest, VisitsTracking) {
   GlobalQueue q;
   q.push(make_request(1, 0, 10));
-  EXPECT_EQ(q.max_visits(), 0);
   for (int i = 1; i <= 7; ++i) EXPECT_EQ(q.bump_visits(RequestId(1)), i);
-  EXPECT_EQ(q.max_visits(), 7);
   EXPECT_EQ(q.find(RequestId(1))->visits, 7);
-}
-
-TEST(GlobalQueueTest, MaxVisitsFallsWhenHolderLeaves) {
-  // The incremental histogram must track removals of the current maximum,
-  // not just increments.
-  GlobalQueue q;
-  q.push(make_request(1, 0, 10));
-  q.push(make_request(2, 1, 20));
-  for (int i = 0; i < 5; ++i) q.bump_visits(RequestId(1));
-  q.bump_visits(RequestId(2));
-  EXPECT_EQ(q.max_visits(), 5);
-  ASSERT_TRUE(q.take(RequestId(1)).ok());
-  EXPECT_EQ(q.max_visits(), 1);
-  ASSERT_TRUE(q.take(RequestId(2)).ok());
-  EXPECT_EQ(q.max_visits(), 0);
 }
 
 TEST(GlobalQueueTest, IndexInvariantsThroughInterleavedPushTake) {
@@ -93,22 +74,14 @@ TEST(GlobalQueueTest, IndexInvariantsThroughInterleavedPushTake) {
   ASSERT_TRUE(q.take(RequestId(4)).ok());
   q.push(make_request(5, 5, 50));
 
-  // first_for_model tracks the earliest survivor per model.
-  EXPECT_EQ(q.first_for_model(ModelId(5))->id, RequestId(3));
-  EXPECT_EQ(q.first_for_model(ModelId(7))->id, RequestId(2));
-  EXPECT_EQ(q.first_for_model(ModelId(9)), nullptr);
-  // pending_models reflects only models with survivors.
-  const auto models = q.pending_models();
-  EXPECT_EQ(models.size(), 2u);
   // Arrival order is preserved across the holes.
-  EXPECT_EQ(q.in_arrival_order(),
+  EXPECT_EQ(ids_in_order(q),
             (std::vector<RequestId>{RequestId(2), RequestId(3), RequestId(5)}));
 }
 
 TEST(GlobalQueueTest, IteratorMatchesSnapshotUnderRandomOps) {
-  // Property check: the snapshot-free const iteration, the per-model
-  // index, and the incremental max_visits must agree with ground truth
-  // recomputed from in_arrival_order() after every random operation.
+  // Property check: const iteration must agree with a plain model of the
+  // live ids in push order after every random operation.
   Rng rng(0xfeed5eed);
   GlobalQueue q;
   std::vector<std::int64_t> live;
@@ -128,31 +101,9 @@ TEST(GlobalQueueTest, IteratorMatchesSnapshotUnderRandomOps) {
       live.erase(live.begin() + static_cast<std::ptrdiff_t>(pick));
     }
 
-    // Iteration order == snapshot order.
-    const std::vector<RequestId> snapshot = q.in_arrival_order();
-    std::vector<RequestId> iterated;
-    int scan_max = 0;
-    std::map<std::int64_t, RequestId> first_by_model;
-    for (const Request& r : q) {
-      iterated.push_back(r.id);
-      scan_max = std::max(scan_max, r.visits);
-      first_by_model.emplace(r.model.value(), r.id);
-    }
-    ASSERT_EQ(iterated, snapshot);
-    // Incremental max_visits == scan recomputation.
-    ASSERT_EQ(q.max_visits(), scan_max);
-    // Per-model index == scan recomputation, including absent models.
-    ASSERT_EQ(q.pending_models().size(), first_by_model.size());
-    for (std::int64_t model = 0; model <= 6; ++model) {
-      const Request* first = q.first_for_model(ModelId(model));
-      auto expect = first_by_model.find(model);
-      if (expect == first_by_model.end()) {
-        ASSERT_EQ(first, nullptr);
-      } else {
-        ASSERT_NE(first, nullptr);
-        ASSERT_EQ(first->id, expect->second);
-      }
-    }
+    std::vector<RequestId> expected;
+    for (std::int64_t id : live) expected.push_back(RequestId(id));
+    ASSERT_EQ(ids_in_order(q), expected);
   }
   EXPECT_GT(q.size(), 0u);
 }
@@ -164,12 +115,39 @@ TEST(LocalQueuesTest, FifoPerGpu) {
   lq.push(GpuId(1), make_request(3, 1, 30));
   EXPECT_EQ(lq.size(GpuId(0)), 2u);
   EXPECT_EQ(lq.total_pending(), 3u);
-  EXPECT_EQ(lq.head(GpuId(0))->id, RequestId(1));
+  EXPECT_EQ(lq.queued(GpuId(0)).front().id, RequestId(1));
   auto popped = lq.pop_head(GpuId(0));
   ASSERT_TRUE(popped.has_value());
   EXPECT_EQ(popped->id, RequestId(1));
   EXPECT_EQ(lq.queued(GpuId(0)).size(), 1u);
   EXPECT_FALSE(lq.pop_head(GpuId(1)).has_value() == false);
+}
+
+TEST(LocalQueuesTest, TotalPendingTracksEveryMutation) {
+  // total_pending() is a maintained counter; it must equal the sum of the
+  // per-GPU sizes through push, pop_head and remove (hit or miss).
+  Rng rng(0x10ca1);
+  LocalQueues lq(4);
+  std::int64_t next_id = 1;
+  const auto sum_of_sizes = [&lq] {
+    std::size_t total = 0;
+    for (std::int64_t g = 0; g < 4; ++g) total += lq.size(GpuId(g));
+    return total;
+  };
+  for (int op = 0; op < 400; ++op) {
+    const GpuId gpu(static_cast<std::int64_t>(rng.next_below(4)));
+    const std::uint64_t dice = rng.next_below(10);
+    if (dice < 5) {
+      lq.push(gpu, make_request(next_id++, 0, op));
+    } else if (dice < 8) {
+      lq.pop_head(gpu);
+    } else {
+      const auto id = rng.next_below(static_cast<std::uint64_t>(next_id));
+      lq.remove(gpu, RequestId(1 + static_cast<std::int64_t>(id)));
+    }
+    ASSERT_EQ(lq.total_pending(), sum_of_sizes()) << "op " << op;
+  }
+  EXPECT_GT(lq.total_pending(), 0u);
 }
 
 TEST(SchedulerFactoryTest, NamesAndKinds) {
@@ -329,6 +307,187 @@ TEST_F(PolicyBehaviourTest, LbDispatchesStrictlyInArrivalOrder) {
     const SimTime d = completion_of(cluster, id).dispatched;
     EXPECT_GE(d, prev);
     prev = d;
+  }
+}
+
+
+// --- reference: the snapshot-walk O3 policy ---
+
+// LALB+O3 as it was before the successor walk: Algorithm 1 over an
+// upfront copy of the idle order, revisiting every snapshot entry even
+// after the global queue drains, with Algorithm 2 over a copied holder
+// list. Kept here only as the oracle for the production walk.
+class SnapshotWalkO3 final : public SchedulingPolicy {
+ public:
+  explicit SnapshotWalkO3(int o3_limit) : o3_limit_(o3_limit) {}
+  std::string name() const override { return "SnapshotWalkO3"; }
+
+  void schedule(SchedulingContext& ctx) override {
+    std::vector<GpuId> idle_snapshot;
+    for (GpuId g = ctx.first_idle_gpu(); g.valid();
+         g = ctx.next_idle_gpu(ctx.dispatch_count(g), g)) {
+      idle_snapshot.push_back(g);
+    }
+    const GlobalQueue& queue = ctx.global_queue();
+    for (GpuId gpu_i : idle_snapshot) {
+      if (!ctx.is_idle(gpu_i)) continue;
+      if (!ctx.local_queues().empty(gpu_i)) {
+        ctx.dispatch_from_local(gpu_i);
+        continue;
+      }
+      bool dispatched = false;
+      for (auto it = queue.begin(); it != queue.end();) {
+        const auto next = std::next(it);
+        if (ctx.cache().is_cached(gpu_i, it->model)) {
+          ctx.dispatch_from_global(it->id, gpu_i, /*false_miss=*/false);
+          dispatched = true;
+          break;
+        }
+        if (it->visits > o3_limit_) {
+          if (locality_load_balance(ctx, gpu_i, it->id) || !ctx.is_idle(gpu_i)) {
+            dispatched = true;
+            break;
+          }
+          it = next;
+          continue;
+        }
+        ctx.mutable_global_queue().bump_visits(it->id);
+        it = next;
+      }
+      if (dispatched) continue;
+      for (auto it = queue.begin(); it != queue.end();) {
+        const auto next = std::next(it);
+        if (locality_load_balance(ctx, gpu_i, it->id)) break;
+        if (!ctx.is_idle(gpu_i)) break;
+        it = next;
+      }
+    }
+  }
+
+ private:
+  static GpuId best_idle_holder(const SchedulingContext& ctx,
+                                const std::vector<GpuId>& holders, GpuId exclude) {
+    GpuId best;
+    std::int64_t best_count = -1;
+    for (GpuId gpu : holders) {
+      if (gpu == exclude || !ctx.is_idle(gpu)) continue;
+      if (ctx.dispatch_count(gpu) > best_count) {
+        best_count = ctx.dispatch_count(gpu);
+        best = gpu;
+      }
+    }
+    return best;
+  }
+
+  bool locality_load_balance(SchedulingContext& ctx, GpuId gpu_i, RequestId request) {
+    const ModelId model = ctx.global_queue().find(request)->model;
+    const std::set<GpuId>& view = ctx.cache().locations(model);
+    const std::vector<GpuId> holders(view.begin(), view.end());
+    if (holders.empty()) {
+      ctx.dispatch_from_global(request, gpu_i, /*false_miss=*/false);
+      return true;
+    }
+    const GpuId idle_holder = best_idle_holder(ctx, holders, gpu_i);
+    if (idle_holder.valid()) {
+      ctx.dispatch_from_global(request, idle_holder, /*false_miss=*/false);
+      return false;
+    }
+    GpuId best_gpu;
+    SimTime best_wait = kSimTimeMax;
+    for (GpuId gpu_j : holders) {
+      if (ctx.is_idle(gpu_j)) continue;
+      const SimTime wait = ctx.estimated_finish_time(gpu_j) - ctx.now();
+      if (wait < best_wait) {
+        best_wait = wait;
+        best_gpu = gpu_j;
+      }
+    }
+    if (best_gpu.valid() && best_wait < ctx.load_time(model)) {
+      ctx.move_to_local(request, best_gpu);
+      return false;
+    }
+    ctx.dispatch_from_global(request, gpu_i, /*false_miss=*/true);
+    return true;
+  }
+
+  int o3_limit_;
+};
+
+// Replays the workload on a 64-GPU fleet (8 nodes x 8 RTX 2080 sharing a
+// per-node PCIe link, LRU caches) driven by `policy`.
+std::vector<CompletionRecord> replay_on_64_gpus(std::unique_ptr<SchedulingPolicy> policy,
+                                                const trace::Workload& workload) {
+  sim::Simulator sim;
+  cache::CacheManager cache(cache::PolicyKind::kLru);
+  const models::LatencyOracle oracle(workload.registry);
+  std::vector<std::unique_ptr<gpu::PcieLink>> links;
+  std::vector<std::unique_ptr<gpu::VirtualGpu>> gpus;
+  std::vector<std::unique_ptr<cluster::GpuManager>> managers;
+  std::vector<gpu::VirtualGpu*> gpu_ptrs;
+  std::vector<cluster::GpuManager*> manager_ptrs;
+  const gpu::GpuSpec spec = gpu::rtx2080();
+  for (std::int64_t node = 0; node < 8; ++node) {
+    links.push_back(std::make_unique<gpu::PcieLink>(spec.pcie_gbps, spec.pcie_latency));
+    std::vector<gpu::VirtualGpu*> node_gpus;
+    for (std::int64_t g = 0; g < 8; ++g) {
+      const GpuId id(node * 8 + g);
+      gpus.push_back(std::make_unique<gpu::VirtualGpu>(id, spec, links.back().get()));
+      cache.add_gpu(id, gpus.back()->memory_capacity());
+      node_gpus.push_back(gpus.back().get());
+      gpu_ptrs.push_back(gpus.back().get());
+    }
+    managers.push_back(std::make_unique<cluster::GpuManager>(
+        NodeId(node), &sim, /*store=*/nullptr, &cache, &workload.registry, &oracle,
+        node_gpus));
+    manager_ptrs.push_back(managers.back().get());
+  }
+  cluster::SchedulerEngine engine(&sim, &cache, &oracle, gpu_ptrs, manager_ptrs,
+                                  std::move(policy));
+  for (const Request& request : workload.requests) {
+    sim.schedule_at(request.arrival, [&engine, request] { engine.submit(request); });
+  }
+  sim.run();
+  EXPECT_EQ(engine.pending(), 0u);
+  return engine.completions();
+}
+
+TEST(O3ReferenceTest, SuccessorWalkMatchesSnapshotWalkOn64Gpus) {
+  // 96 models over 64 GPUs at ~1.4x the testbed's per-GPU rate: the global
+  // queue backs up, requests age past the O3 limit, local queues fill and
+  // caches evict, so every branch of Algorithms 1 and 2 runs.
+  for (std::uint64_t seed : {1, 2, 3}) {
+    trace::WorkloadConfig config;
+    config.working_set_size = 96;
+    config.window_minutes = 2;
+    config.requests_per_minute = 2400;
+    config.seed = seed;
+    auto workload = trace::build_standard_workload(config);
+    ASSERT_TRUE(workload.ok()) << workload.status().to_string();
+
+    const auto expected =
+        replay_on_64_gpus(std::make_unique<SnapshotWalkO3>(25), *workload);
+    const auto actual =
+        replay_on_64_gpus(make_scheduler(PolicyName::kLalbO3, 25), *workload);
+    ASSERT_EQ(actual.size(), workload->requests.size());
+    ASSERT_EQ(actual.size(), expected.size());
+    std::size_t local = 0, false_misses = 0, misses = 0;
+    for (std::size_t i = 0; i < actual.size(); ++i) {
+      const CompletionRecord& a = actual[i];
+      const CompletionRecord& e = expected[i];
+      ASSERT_EQ(a.id, e.id) << "seed " << seed << " record " << i;
+      ASSERT_EQ(a.gpu, e.gpu) << "seed " << seed << " request " << a.id.value();
+      ASSERT_EQ(a.dispatched, e.dispatched) << "seed " << seed;
+      ASSERT_EQ(a.completed, e.completed) << "seed " << seed;
+      ASSERT_EQ(a.cache_hit, e.cache_hit) << "seed " << seed;
+      ASSERT_EQ(a.false_miss, e.false_miss) << "seed " << seed;
+      ASSERT_EQ(a.via_local_queue, e.via_local_queue) << "seed " << seed;
+      local += a.via_local_queue ? 1 : 0;
+      false_misses += a.false_miss ? 1 : 0;
+      misses += a.cache_hit ? 0 : 1;
+    }
+    EXPECT_GT(local, 0u) << "seed " << seed;
+    EXPECT_GT(false_misses, 0u) << "seed " << seed;
+    EXPECT_GT(misses, 0u) << "seed " << seed;
   }
 }
 

@@ -312,7 +312,6 @@ TEST(RealTimeExecutorTest, FullSchedulingStackRunsOnWallClock) {
       req.model = ModelId(i % 2);
       req.batch = 32;
       req.arrival = executor.now();
-      req.function_name = "rt-fn";
       engine.submit(std::move(req));
     });
   }

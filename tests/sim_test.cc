@@ -2,8 +2,13 @@
 // cancellation, run_until semantics, nested scheduling, determinism.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <iterator>
+#include <map>
 #include <vector>
 
+#include "common/rng.h"
 #include "sim/simulator.h"
 
 namespace gfaas::sim {
@@ -214,6 +219,86 @@ TEST(SimulatorTest, ExecutorInterfaceWorksPolymorphically) {
   sim.run();
   EXPECT_TRUE(ran);
   EXPECT_EQ(static_cast<const Clock&>(sim).now(), 5);
+}
+
+TEST(SimulatorTest, StaleIdCannotCancelReusedSlot) {
+  // A cancelled or executed event frees its slot for the next schedule;
+  // the old id must not reach the new occupant.
+  Simulator sim;
+  const auto cancelled = sim.schedule_at(10, [] {});
+  ASSERT_TRUE(sim.cancel(cancelled));
+  bool reused_ran = false;
+  const auto reused = sim.schedule_at(20, [&] { reused_ran = true; });
+  EXPECT_NE(reused, cancelled);
+  EXPECT_FALSE(sim.cancel(cancelled));
+  EXPECT_EQ(sim.pending_events(), 1u);
+
+  // The same after the first occupant ran rather than being cancelled.
+  EXPECT_TRUE(sim.step());
+  EXPECT_TRUE(reused_ran);
+  bool next_ran = false;
+  const auto next = sim.schedule_at(30, [&] { next_ran = true; });
+  EXPECT_NE(next, reused);
+  EXPECT_FALSE(sim.cancel(reused));
+  EXPECT_EQ(sim.run(), 1u);
+  EXPECT_TRUE(next_ran);
+}
+
+TEST(SimulatorTest, PendingEventsExactUnderRandomScheduleCancelRun) {
+  // Model check against a plain map of live events: pending_events(),
+  // cancel() results and the execution order must match through slot
+  // reuse, stale cancels and interleaved runs.
+  Rng rng(0x51075);
+  Simulator sim;
+  std::map<std::uint64_t, int> live;  // event id -> tag
+  std::vector<std::uint64_t> dead;    // ids that ran or were cancelled
+  std::vector<int> ran;
+  int next_tag = 0;
+  for (int op = 0; op < 2000; ++op) {
+    const std::uint64_t dice = rng.next_below(10);
+    if (dice < 5) {
+      const int tag = next_tag++;
+      const SimTime when = sim.now() + static_cast<SimTime>(rng.next_below(50));
+      live[sim.schedule_at(when, [&ran, tag] { ran.push_back(tag); })] = tag;
+    } else if (dice < 7 && !live.empty()) {
+      auto it = live.begin();
+      std::advance(it, static_cast<std::ptrdiff_t>(rng.next_below(live.size())));
+      ASSERT_TRUE(sim.cancel(it->first)) << "op " << op;
+      dead.push_back(it->first);
+      live.erase(it);
+    } else if (dice < 8 && !dead.empty()) {
+      ASSERT_FALSE(sim.cancel(dead[rng.next_below(dead.size())])) << "op " << op;
+    } else {
+      const std::size_t before = ran.size();
+      if (sim.step()) {
+        ASSERT_EQ(ran.size(), before + 1);
+        const int tag = ran.back();
+        auto it = std::find_if(live.begin(), live.end(),
+                               [tag](const auto& e) { return e.second == tag; });
+        ASSERT_NE(it, live.end()) << "a cancelled event ran, op " << op;
+        dead.push_back(it->first);
+        live.erase(it);
+      }
+    }
+    ASSERT_EQ(sim.pending_events(), live.size()) << "op " << op;
+  }
+  sim.run();
+  EXPECT_EQ(sim.pending_events(), 0u);
+}
+
+TEST(SimulatorTest, ArrivalLaneWinsSameTimeTies) {
+  // Among events at one instant the arrival lane runs first, FIFO among
+  // itself, whatever the insertion order; later instants still wait.
+  Simulator sim;
+  std::vector<int> order;
+  sim.schedule_at(10, [&] { order.push_back(1); });
+  sim.schedule_at(5, [&] { order.push_back(0); });
+  sim.schedule_arrival_at(10, [&] { order.push_back(2); });
+  sim.schedule_at(10, [&] { order.push_back(3); });
+  sim.schedule_arrival_at(10, [&] { order.push_back(4); });
+  sim.schedule_arrival_at(20, [&] { order.push_back(5); });
+  sim.run();
+  EXPECT_EQ(order, (std::vector<int>{0, 2, 4, 1, 3, 5}));
 }
 
 }  // namespace

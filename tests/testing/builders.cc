@@ -15,7 +15,6 @@ core::Request make_request(std::int64_t id, std::int64_t model, SimTime arrival,
   r.model = ModelId(model);
   r.batch = batch;
   r.arrival = arrival;
-  r.function_name = "fn" + std::to_string(id);
   return r;
 }
 

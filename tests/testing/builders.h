@@ -14,8 +14,7 @@
 
 namespace gfaas::testkit {
 
-// Canonical test request: the function id mirrors the request id and
-// function_name is "fn<id>".
+// Canonical test request: the function id mirrors the request id.
 core::Request make_request(std::int64_t id, std::int64_t model, SimTime arrival,
                            int batch = 32);
 
