@@ -133,15 +133,17 @@ void CacheManager::deindex_location(GpuId gpu, ModelId model) {
 }
 
 void CacheManager::fence_gpu(GpuId gpu) {
-  GFAAS_CHECK(fenced_.insert(gpu.value()).second)
-      << "gpu " << gpu.value() << " already fenced";
-  for (ModelId model : state(gpu).models()) deindex_location(gpu, model);
+  GpuCacheState& st = mutable_state(gpu);
+  GFAAS_CHECK(!st.fenced()) << "gpu " << gpu.value() << " already fenced";
+  st.set_fenced(true);
+  for (ModelId model : st.models()) deindex_location(gpu, model);
 }
 
 void CacheManager::unfence_gpu(GpuId gpu) {
-  GFAAS_CHECK(fenced_.erase(gpu.value()) == 1)
-      << "gpu " << gpu.value() << " is not fenced";
-  for (ModelId model : state(gpu).models()) index_location(gpu, model);
+  GpuCacheState& st = mutable_state(gpu);
+  GFAAS_CHECK(st.fenced()) << "gpu " << gpu.value() << " is not fenced";
+  st.set_fenced(false);
+  for (ModelId model : st.models()) index_location(gpu, model);
 }
 
 void CacheManager::remove_gpu(GpuId gpu) {
@@ -152,7 +154,6 @@ void CacheManager::remove_gpu(GpuId gpu) {
   // per-GPU state wholesale. These are decommission drops, not cache
   // pressure, so stats().evictions is not touched.
   for (ModelId model : st.models()) GFAAS_CHECK(st.remove(model).ok());
-  fenced_.erase(gpu.value());
   gpus_[static_cast<std::size_t>(gpu.value())] = nullptr;
   if (store_ != nullptr) {
     store_->put(datastore::keys::gpu_lru(gpu), "");

@@ -73,10 +73,15 @@ class GpuCacheState {
 
   Bytes size_of(ModelId model) const;
 
+  // Fenced for drain: the GPU's entries are out of the location index.
+  bool fenced() const { return fenced_; }
+  void set_fenced(bool fenced) { fenced_ = fenced; }
+
  private:
   GpuId gpu_;
   Bytes capacity_;
   Bytes used_ = 0;
+  bool fenced_ = false;
   std::unique_ptr<EvictionPolicy> policy_;
   std::unordered_map<std::int64_t, Bytes> sizes_;      // model id -> bytes
   std::unordered_map<std::int64_t, int> pin_counts_;   // model id -> pins
@@ -105,7 +110,10 @@ class CacheManager {
   // Retires a fenced GPU, evicting all resident models. No model may be
   // pinned (i.e. the GPU must have drained its in-flight work first).
   void remove_gpu(GpuId gpu);
-  bool is_fenced(GpuId gpu) const { return fenced_.count(gpu.value()) > 0; }
+  // False for a removed (or never added) GPU.
+  bool is_fenced(GpuId gpu) const {
+    return is_registered(gpu) && gpus_[static_cast<std::size_t>(gpu.value())]->fenced();
+  }
   bool is_registered(GpuId gpu) const {
     const auto index = static_cast<std::size_t>(gpu.value());
     return gpu.valid() && index < gpus_.size() && gpus_[index] != nullptr;
@@ -165,8 +173,6 @@ class CacheManager {
   // Indexed by GpuId value; removed GPUs leave a null slot (ids are never
   // reused, matching ClusterStateIndex).
   std::vector<std::unique_ptr<GpuCacheState>> gpus_;
-  // GPUs currently fenced for drain: excluded from locations_.
-  std::set<std::int64_t> fenced_;
   // Global model -> holder-GPU index, maintained on insertion/eviction.
   // Ordered by GPU id so enumerations (and the datastore mirror) match
   // the ascending-id order a full GPU scan would produce. A model with no

@@ -21,7 +21,6 @@ ElasticCluster::ElasticCluster(std::unique_ptr<sim::Executor> executor,
   registry_ = std::make_unique<models::ModelRegistry>(registry);
   oracle_ = std::make_unique<models::LatencyOracle>(*registry_, config.latency_alpha);
 
-  std::vector<gpu::VirtualGpu*> gpu_ptrs;
   std::vector<GpuManager*> manager_ptrs;
   std::int64_t next_gpu = 0;
   for (int node = 0; node < config.nodes; ++node) {
@@ -33,7 +32,6 @@ ElasticCluster::ElasticCluster(std::unique_ptr<sim::Executor> executor,
       shared_link = links_.back().get();
     }
     std::vector<gpu::VirtualGpu*> node_gpus;
-    std::vector<GpuId> domain_members;
     for (int g = 0; g < config.gpus_per_node; ++g) {
       gpu::PcieLink* link = shared_link;
       if (link == nullptr) {
@@ -45,10 +43,7 @@ ElasticCluster::ElasticCluster(std::unique_ptr<sim::Executor> executor,
       gpus_.push_back(std::make_unique<gpu::VirtualGpu>(id, spec, link));
       cache_->add_gpu(id, gpus_.back()->memory_capacity());
       node_gpus.push_back(gpus_.back().get());
-      gpu_ptrs.push_back(gpus_.back().get());
-      domain_members.push_back(id);
     }
-    domain_gpus_.push_back(std::move(domain_members));
     managers_.push_back(std::make_unique<GpuManager>(
         NodeId(node), executor_.get(), store_.get(), cache_.get(), registry_.get(),
         oracle_.get(), node_gpus));
@@ -56,7 +51,7 @@ ElasticCluster::ElasticCluster(std::unique_ptr<sim::Executor> executor,
   }
 
   engine_ = std::make_unique<SchedulerEngine>(
-      executor_.get(), cache_.get(), oracle_.get(), gpu_ptrs, manager_ptrs,
+      executor_.get(), cache_.get(), oracle_.get(), manager_ptrs,
       core::make_scheduler(config.policy, config.o3_limit));
 }
 
@@ -76,14 +71,13 @@ GpuId ElasticCluster::add_gpu(const gpu::GpuSpec& spec) {
       NodeId(static_cast<std::int64_t>(managers_.size())), executor_.get(), store_.get(),
       cache_.get(), registry_.get(), oracle_.get(),
       std::vector<gpu::VirtualGpu*>{gpus_.back().get()}));
-  engine_->add_gpu(gpus_.back().get(), managers_.back().get());
-  domain_gpus_.push_back({id});
+  engine_->add_node(managers_.back().get());
   return id;
 }
 
-const std::vector<GpuId>& ElasticCluster::domain_gpus(std::size_t domain) const {
-  GFAAS_CHECK(domain < domain_gpus_.size()) << "unknown domain " << domain;
-  return domain_gpus_[domain];
+std::vector<GpuId> ElasticCluster::domain_gpus(std::size_t domain) const {
+  GFAAS_CHECK(domain < managers_.size()) << "unknown domain " << domain;
+  return managers_[domain]->gpu_ids();
 }
 
 void ElasticCluster::kill_domain(std::size_t domain) {

@@ -71,9 +71,10 @@ class ElasticCluster {
   // kernel panic) take out the whole group at once. Autoscaler-added
   // GPUs are single-GPU nodes, i.e. each is its own domain. Domains are
   // never renumbered; a fully-killed domain simply has no registered
-  // members left.
-  std::size_t domain_count() const { return domain_gpus_.size(); }
-  const std::vector<GpuId>& domain_gpus(std::size_t domain) const;
+  // members left. Domain d is node d, so its members are read from
+  // GPU Manager d.
+  std::size_t domain_count() const { return managers_.size(); }
+  std::vector<GpuId> domain_gpus(std::size_t domain) const;
   // Kills every still-registered GPU of the domain in one step (see
   // SchedulerEngine::kill_gpu for per-GPU semantics). Members already
   // removed or killed are skipped.
@@ -100,8 +101,7 @@ class ElasticCluster {
   std::unique_ptr<models::LatencyOracle> oracle_;
   std::vector<std::unique_ptr<gpu::PcieLink>> links_;
   std::vector<std::unique_ptr<gpu::VirtualGpu>> gpus_;
-  std::vector<std::unique_ptr<GpuManager>> managers_;
-  std::vector<std::vector<GpuId>> domain_gpus_;  // domain ordinal -> members
+  std::vector<std::unique_ptr<GpuManager>> managers_;  // node ordinal order
   std::unique_ptr<SchedulerEngine> engine_;
 };
 

@@ -22,23 +22,16 @@ struct SchedulerEngine::TelemetryHandles {
 
 SchedulerEngine::SchedulerEngine(sim::Executor* executor, cache::CacheManager* cache,
                                  const models::LatencyOracle* oracle,
-                                 std::vector<gpu::VirtualGpu*> gpus,
-                                 std::vector<GpuManager*> managers,
+                                 const std::vector<GpuManager*>& managers,
                                  std::unique_ptr<core::SchedulingPolicy> policy)
     : executor_(executor),
       cache_(cache),
       oracle_(oracle),
       policy_(std::move(policy)),
-      local_queues_(gpus.size()) {
+      local_queues_(0) {
   GFAAS_CHECK(executor_ && cache_ && oracle_ && policy_);
-  GFAAS_CHECK(!gpus.empty() && !managers.empty());
-  for (const gpu::VirtualGpu* g : gpus) {
-    index_.add_gpu(g->id());
-    const auto owner = std::find_if(managers.begin(), managers.end(),
-                                    [g](GpuManager* m) { return m->manages(g->id()); });
-    GFAAS_CHECK(owner != managers.end()) << "no manager for gpu " << g->id().value();
-    manager_by_gpu_.push_back(*owner);
-  }
+  GFAAS_CHECK(!managers.empty());
+  for (GpuManager* manager : managers) join(manager);
 }
 
 SchedulerEngine::~SchedulerEngine() = default;
@@ -128,12 +121,20 @@ void SchedulerEngine::submit(core::Request request) {
   run_policy();
 }
 
-void SchedulerEngine::add_gpu(gpu::VirtualGpu* gpu, GpuManager* manager) {
+void SchedulerEngine::join(GpuManager* manager) {
+  GFAAS_CHECK(manager != nullptr);
+  for (const GpuId gpu : manager->gpu_ids()) {
+    GFAAS_CHECK(gpu.value() == static_cast<std::int64_t>(manager_by_gpu_.size()))
+        << "gpu " << gpu.value() << " breaks the dense id order";
+    index_.add_gpu(gpu);
+    manager_by_gpu_.push_back(manager);
+  }
+  local_queues_.ensure_gpu_count(manager_by_gpu_.size());
+}
+
+void SchedulerEngine::add_node(GpuManager* manager) {
   serial_.AssertHeld();
-  GFAAS_CHECK(gpu != nullptr && manager != nullptr && manager->manages(gpu->id()));
-  index_.add_gpu(gpu->id());
-  manager_by_gpu_.push_back(manager);
-  local_queues_.ensure_gpu_count(static_cast<std::size_t>(gpu->id().value()) + 1);
+  join(manager);
   // A scale-up during a backed-up queue must take effect immediately.
   run_policy();
 }

@@ -34,10 +34,11 @@ namespace gfaas::cluster {
 
 class SchedulerEngine final : public core::SchedulingContext {
  public:
+  // The fleet is the managers' GPUs, whose ids must run 0, 1, 2, ... in
+  // manager order.
   SchedulerEngine(sim::Executor* executor, cache::CacheManager* cache,
                   const models::LatencyOracle* oracle,
-                  std::vector<gpu::VirtualGpu*> gpus,
-                  std::vector<GpuManager*> managers,
+                  const std::vector<GpuManager*>& managers,
                   std::unique_ptr<core::SchedulingPolicy> policy);
   ~SchedulerEngine();
 
@@ -53,11 +54,11 @@ class SchedulerEngine final : public core::SchedulingContext {
   void submit(core::Request request);
 
   // --- dynamic fleet membership (src/autoscale) ---
-  // Joins a provisioned GPU (fresh, densely numbered id): it enters the
-  // idle set and the cache index, and the policy runs immediately so a
-  // backed-up global queue can use it at once. `manager` must already
-  // manage the GPU; both pointers must outlive the engine.
-  void add_gpu(gpu::VirtualGpu* gpu, GpuManager* manager);
+  // Joins a provisioned node's GPUs (fresh ids that continue the dense
+  // numbering): they enter the idle set and the cache index, and the
+  // policy runs immediately so a backed-up global queue can use them at
+  // once. `manager` must outlive the engine.
+  void add_node(GpuManager* manager);
   // Begins draining: the GPU leaves the idle/location indexes (no new
   // dispatches, its cached models stop attracting requests), finishes its
   // in-flight work, and serves out its local queue — those requests hold
@@ -294,6 +295,8 @@ class SchedulerEngine final : public core::SchedulingContext {
 
  private:
   GpuManager& manager_for(GpuId gpu);
+  // Registers the manager's GPUs, checking their ids extend the fleet.
+  void join(GpuManager* manager) REQUIRES(serial_);
   // Moves request.on_complete into request_hooks_ (submit/hedge paths).
   void detach_hook(core::Request& request) REQUIRES(serial_);
   void run_policy() REQUIRES(serial_);

@@ -17,10 +17,16 @@ GpuManager::GpuManager(NodeId node, sim::Executor* executor, datastore::KvStore*
       store_(store),
       cache_(cache),
       registry_(registry),
-      oracle_(oracle),
-      gpus_(std::move(gpus)) {
+      oracle_(oracle) {
   GFAAS_CHECK(executor_ && cache_ && registry_ && oracle_);
-  GFAAS_CHECK(!gpus_.empty());
+  GFAAS_CHECK(!gpus.empty());
+  first_gpu_ = gpus.front()->id().value();
+  for (gpu::VirtualGpu* device : gpus) {
+    const std::int64_t expected = first_gpu_ + static_cast<std::int64_t>(slots_.size());
+    GFAAS_CHECK(device->id().value() == expected)
+        << "node " << node_.value() << " gpu ids must be dense and ascending";
+    slots_.emplace_back().device = device;
+  }
 }
 
 namespace {
@@ -34,36 +40,21 @@ SimTime stretched(SimTime t, double factor) {
 
 }  // namespace
 
+std::vector<GpuId> GpuManager::gpu_ids() const {
+  std::vector<GpuId> ids;
+  for (const Slot& s : slots_) ids.push_back(s.device->id());
+  return ids;
+}
+
+GpuManager::Slot& GpuManager::slot(GpuId gpu) {
+  GFAAS_CHECK(manages(gpu)) << "gpu " << gpu.value() << " not managed by node "
+                            << node_.value();
+  return slots_[static_cast<std::size_t>(gpu.value() - first_gpu_)];
+}
+
 void GpuManager::set_slowdown(GpuId gpu, double factor) {
-  GFAAS_CHECK(manages(gpu)) << "slowdown on unmanaged gpu " << gpu.value();
   GFAAS_CHECK(factor >= 1.0) << "slowdown factor must be >= 1";
-  if (factor == 1.0) {
-    slowdown_.erase(gpu.value());
-  } else {
-    slowdown_[gpu.value()] = factor;
-  }
-}
-
-double GpuManager::slowdown(GpuId gpu) const {
-  const auto it = slowdown_.find(gpu.value());
-  return it == slowdown_.end() ? 1.0 : it->second;
-}
-
-bool GpuManager::manages(GpuId gpu) const {
-  return std::any_of(gpus_.begin(), gpus_.end(),
-                     [&](const gpu::VirtualGpu* g) { return g->id() == gpu; });
-}
-
-gpu::VirtualGpu& GpuManager::gpu_ref(GpuId gpu) {
-  for (auto* g : gpus_) {
-    if (g->id() == gpu) return *g;
-  }
-  GFAAS_CHECK(false) << "gpu " << gpu.value() << " not managed by node " << node_.value();
-  __builtin_unreachable();
-}
-
-const gpu::VirtualGpu& GpuManager::gpu_ref(GpuId gpu) const {
-  return const_cast<GpuManager*>(this)->gpu_ref(gpu);
+  slot(gpu).slowdown = factor;
 }
 
 void GpuManager::publish_status(GpuId gpu, bool busy, SimTime finish_time) {
@@ -71,14 +62,15 @@ void GpuManager::publish_status(GpuId gpu, bool busy, SimTime finish_time) {
   store_->put(datastore::keys::gpu_status(gpu), busy ? "busy" : "idle");
   store_->put(datastore::keys::gpu_finish_time(gpu), std::to_string(finish_time));
   store_->put(datastore::keys::gpu_free_mem(gpu),
-              std::to_string(gpu_ref(gpu).free_memory()));
+              std::to_string(slot(gpu).device->free_memory()));
 }
 
 StatusOr<SimTime> GpuManager::execute(const core::Request& request, GpuId gpu,
                                       bool false_miss, bool via_local_queue,
                                       CompletionCallback done) {
   GFAAS_CHECK(done != nullptr);
-  gpu::VirtualGpu& device = gpu_ref(gpu);
+  Slot& s = slot(gpu);
+  gpu::VirtualGpu& device = *s.device;
   if (device.is_busy()) {
     return Status::FailedPrecondition("gpu " + std::to_string(gpu.value()) +
                                       " is busy; one request at a time");
@@ -90,49 +82,26 @@ StatusOr<SimTime> GpuManager::execute(const core::Request& request, GpuId gpu,
   // A degraded GPU runs at the stretched timings but execute() returns
   // (and publishes) the healthy estimate — the scheduler must not know,
   // that is what makes the degradation gray.
-  const double slow = slowdown(gpu);
-  const SimTime real_infer = stretched(*infer_time, slow);
+  const SimTime real_infer = stretched(*infer_time, s.slowdown);
 
   const bool hit = cache_->is_cached(gpu, model);
 
-  core::CompletionRecord record;
-  record.id = request.id;
-  record.model = model;
-  record.gpu = gpu;
-  record.arrival = request.arrival;
-  record.dispatched = now;
-  record.cache_hit = hit;
-  record.false_miss = false_miss;
-  record.via_local_queue = via_local_queue;
-  record.deadline = request.deadline;
-  record.steal_hops = request.steal_hops;
-
-  auto complete = [this, request, gpu, record, done](SimTime finish) mutable {
-    // Under the wall-clock executor now() keeps moving, so the remaining
-    // delay can come out marginally negative; clamp to "immediately".
-    const SimTime delay = std::max<SimTime>(0, finish - executor_->now());
-    const std::uint64_t event =
-        executor_->schedule_after(delay, [this, request, gpu, record,
-                                          done, finish]() mutable {
-          gpu::VirtualGpu& dev = gpu_ref(gpu);
-          const auto proc = dev.find_process(request.model);
-          GFAAS_CHECK(proc.has_value());
-          GFAAS_CHECK(dev.finish_inference(finish, proc->id).ok());
-          GFAAS_CHECK(cache_->unpin(gpu, request.model).ok());
-          record.completed = finish;
-          publish_status(gpu, /*busy=*/false, finish);
-          // Retire the in-flight entry before the callback: the engine's
-          // completion handling may immediately start the next request on
-          // this GPU.
-          in_flight_.erase(gpu.value());
-          done(record);
-        });
-    // Runs on the executor's worker (or inside the simulator's event
-    // loop), so the event cannot fire before the id is recorded.
-    auto it = in_flight_.find(gpu.value());
-    GFAAS_CHECK(it != in_flight_.end());
-    it->second.pending_event = event;
-  };
+  // The slot is only read while the device is busy, so an error return
+  // below leaves nothing behind that a later execute() could observe.
+  s.record = core::CompletionRecord{};
+  s.record.id = request.id;
+  s.record.model = model;
+  s.record.gpu = gpu;
+  s.record.arrival = request.arrival;
+  s.record.dispatched = now;
+  s.record.cache_hit = hit;
+  s.record.false_miss = false_miss;
+  s.record.via_local_queue = via_local_queue;
+  s.record.deadline = request.deadline;
+  s.record.steal_hops = request.steal_hops;
+  s.batch = request.batch;
+  s.infer_time = real_infer;
+  s.done = std::move(done);
 
   if (hit) {
     // Cache hit: "the GPU process that uses the requested model is
@@ -146,8 +115,9 @@ StatusOr<SimTime> GpuManager::execute(const core::Request& request, GpuId gpu,
       if (!end.ok()) return end.status();
       const SimTime believed_end = *end - (real_infer - *infer_time);
       publish_status(gpu, /*busy=*/true, believed_end);
-      in_flight_[gpu.value()] = InFlightExecution{request, record, 0};
-      complete(*end);
+      s.process = proc->id;
+      s.finish = *end;
+      schedule_completion(gpu);
       return believed_end;
     }
     // Resident model without a backing process: a mid-load abort killed
@@ -182,7 +152,7 @@ StatusOr<SimTime> GpuManager::execute(const core::Request& request, GpuId gpu,
 
   auto load_time = oracle_->load_time(model);
   if (!load_time.ok()) return load_time.status();
-  const SimTime real_load = stretched(*load_time, slow);
+  const SimTime real_load = stretched(*load_time, s.slowdown);
   auto load_end = device.begin_load(now, *pid, real_load);
   if (!load_end.ok()) return load_end.status();
 
@@ -192,60 +162,84 @@ StatusOr<SimTime> GpuManager::execute(const core::Request& request, GpuId gpu,
       *load_end - (real_load - *load_time) + *infer_time;
   publish_status(gpu, /*busy=*/true, expected_finish);
 
-  const ProcessId process = *pid;
-  const SimTime load_finish = *load_end;
-  const SimTime infer_duration = real_infer;
-  const std::uint64_t load_event = executor_->schedule_after(
-      std::max<SimTime>(0, load_finish - executor_->now()),
-      [this, gpu, process, request, load_finish, infer_duration, complete]() mutable {
-        gpu::VirtualGpu& dev = gpu_ref(gpu);
-        GFAAS_CHECK(dev.finish_load(load_finish, process).ok());
-        auto end = dev.begin_inference(load_finish, process, infer_duration,
-                                       request.batch);
-        GFAAS_CHECK(end.ok()) << end.status().to_string();
-        complete(*end);
-      });
-  in_flight_[gpu.value()] = InFlightExecution{request, record, load_event};
+  s.process = *pid;
+  s.finish = *load_end;
+  s.pending_event = executor_->schedule_after(
+      std::max<SimTime>(0, s.finish - executor_->now()),
+      [this, gpu] { finish_load(gpu); });
   return expected_finish;
 }
 
+void GpuManager::finish_load(GpuId gpu) {
+  Slot& s = slot(gpu);
+  GFAAS_CHECK(s.device->finish_load(s.finish, s.process).ok());
+  auto end = s.device->begin_inference(s.finish, s.process, s.infer_time, s.batch);
+  GFAAS_CHECK(end.ok()) << end.status().to_string();
+  s.finish = *end;
+  schedule_completion(gpu);
+}
+
+void GpuManager::schedule_completion(GpuId gpu) {
+  Slot& s = slot(gpu);
+  // Under the wall-clock executor now() keeps moving, so the remaining
+  // delay can come out marginally negative; clamp to "immediately".
+  // Events run on the executor's worker (or inside the simulator's event
+  // loop), so this one cannot fire before its id is recorded.
+  s.pending_event = executor_->schedule_after(
+      std::max<SimTime>(0, s.finish - executor_->now()),
+      [this, gpu] { finish_inference(gpu); });
+}
+
+void GpuManager::finish_inference(GpuId gpu) {
+  Slot& s = slot(gpu);
+  GFAAS_CHECK(s.device->finish_inference(s.finish, s.process).ok());
+  GFAAS_CHECK(cache_->unpin(gpu, s.record.model).ok());
+  s.record.completed = s.finish;
+  publish_status(gpu, /*busy=*/false, s.finish);
+  // The engine's completion handling may immediately start the next
+  // request on this GPU, which refills the slot: hand over copies.
+  const core::CompletionRecord record = s.record;
+  const CompletionCallback done = std::move(s.done);
+  done(record);
+}
+
 StatusOr<core::CompletionRecord> GpuManager::abort(GpuId gpu) {
-  auto it = in_flight_.find(gpu.value());
-  if (it == in_flight_.end()) {
+  Slot& s = slot(gpu);
+  gpu::VirtualGpu& device = *s.device;
+  if (!device.is_busy()) {
     return Status::NotFound("gpu " + std::to_string(gpu.value()) +
                             " has no in-flight request");
   }
-  InFlightExecution state = std::move(it->second);
-  in_flight_.erase(it);
   // The pending event is the load-finish or the completion event; either
   // way it has not fired yet (abort must precede the completion instant),
-  // so the cancel is authoritative and the chained lambdas never run.
-  GFAAS_CHECK(executor_->cancel(state.pending_event))
-      << "abort raced the completion of request " << state.request.id.value();
-  gpu::VirtualGpu& device = gpu_ref(gpu);
+  // so the cancel is authoritative and neither event body runs.
+  GFAAS_CHECK(executor_->cancel(s.pending_event))
+      << "abort raced the completion of request " << s.record.id.value();
+  s.done = nullptr;
+  const ModelId model = s.record.model;
   GFAAS_CHECK(device.abort_execution(executor_->now()).ok());
   // Drop the execution pin taken at dispatch; residency bookkeeping for
   // loaded models stays until a killed GPU is retired through
   // CacheManager::remove_gpu.
-  GFAAS_CHECK(cache_->unpin(gpu, state.request.model).ok());
+  GFAAS_CHECK(cache_->unpin(gpu, model).ok());
   // If the abort interrupted the model upload, the process never became
   // servable: evict it, or the cache index would advertise a "cached"
   // model whose next hit finds it unloaded. This matters both for
   // kill-during-load (the cache must not mirror a phantom location while
   // the GPU is torn down) and for a cancelled hedge loser, where the GPU
   // lives on and must stay dispatchable.
-  const auto proc = device.find_process(state.request.model);
+  const auto proc = device.find_process(model);
   if (proc.has_value() && !proc->loaded) {
     GFAAS_CHECK(device.kill_process(proc->id).ok());
-    if (cache_->state(gpu).pinned(state.request.model)) {
+    if (cache_->state(gpu).pinned(model)) {
       // Queued requests for this model still hold pins: keep the entry
       // resident (they enqueued against it) and let the next dispatch
       // re-upload via the hit-without-process path in execute().
     } else {
-      GFAAS_CHECK(cache_->record_eviction(gpu, state.request.model).ok());
+      GFAAS_CHECK(cache_->record_eviction(gpu, model).ok());
     }
   }
-  core::CompletionRecord record = state.record;
+  core::CompletionRecord record = s.record;
   record.completed = executor_->now();
   record.failed = true;
   publish_status(gpu, /*busy=*/false, record.completed);

@@ -8,10 +8,15 @@
 // enforces one request per GPU at a time and publishes busy/idle status
 // and estimated finish times to the Datastore. Per-request latency flows
 // back to the engine in the completion record.
+//
+// All per-GPU execution state lives in one slot per managed GPU: the
+// device, its gray-degradation factor, and the one in-flight execution
+// (completion record, batch, process, timings, pending event and
+// callback). The load-finish and completion events capture only the
+// manager and the GPU id and read everything else from the slot.
 #pragma once
 
 #include <functional>
-#include <unordered_map>
 #include <vector>
 
 #include "cache/cache_manager.h"
@@ -32,13 +37,19 @@ using CompletionCallback = std::function<void(const core::CompletionRecord&)>;
 
 class GpuManager {
  public:
+  // `gpus` must carry dense, ascending ids (one node's GPUs).
   GpuManager(NodeId node, sim::Executor* executor, datastore::KvStore* store,
              cache::CacheManager* cache, const models::ModelRegistry* registry,
              const models::LatencyOracle* oracle,
              std::vector<gpu::VirtualGpu*> gpus);
 
   NodeId node() const { return node_; }
-  bool manages(GpuId gpu) const;
+  bool manages(GpuId gpu) const {
+    const std::int64_t index = gpu.value() - first_gpu_;
+    return index >= 0 && index < static_cast<std::int64_t>(slots_.size());
+  }
+  // Ids of the managed GPUs: dense and ascending, in construction order.
+  std::vector<GpuId> gpu_ids() const;
 
   // Starts `request` on `gpu` (must be one of this manager's idle GPUs).
   // `cache_hit` / `false_miss` / `via_local_queue` are the scheduler's
@@ -64,20 +75,29 @@ class GpuManager {
   // built on it (committed finish, parking decisions) goes stale exactly
   // the way a real straggler's would. factor >= 1; 1 restores health.
   void set_slowdown(GpuId gpu, double factor);
-  double slowdown(GpuId gpu) const;
-
-  gpu::VirtualGpu& gpu_ref(GpuId gpu);
-  const gpu::VirtualGpu& gpu_ref(GpuId gpu) const;
 
  private:
-  // One executing request: what abort() needs to unwind the lambdas
-  // execute() chains through the executor.
-  struct InFlightExecution {
-    core::Request request;
-    core::CompletionRecord record;  // completed still unset
+  // One managed GPU. The execution fields describe the request running on
+  // it and are meaningful only while the device is busy.
+  struct Slot {
+    gpu::VirtualGpu* device = nullptr;
+    double slowdown = 1.0;  // 1 = healthy
+    core::CompletionRecord record;  // `completed` is set at the finish
+    std::int64_t batch = 0;
+    ProcessId process;
+    SimTime infer_time = 0;  // stretched by the slowdown
+    SimTime finish = 0;  // load end while loading, then inference end
     std::uint64_t pending_event = 0;  // load-finish or completion event
+    CompletionCallback done;
   };
 
+  Slot& slot(GpuId gpu);
+
+  // Event bodies: each reads the GPU's slot.
+  void finish_load(GpuId gpu);
+  void finish_inference(GpuId gpu);
+  // Schedules the completion event at the slot's `finish`.
+  void schedule_completion(GpuId gpu);
   void publish_status(GpuId gpu, bool busy, SimTime finish_time);
 
   NodeId node_;
@@ -86,11 +106,9 @@ class GpuManager {
   cache::CacheManager* cache_;
   const models::ModelRegistry* registry_;
   const models::LatencyOracle* oracle_;
-  std::vector<gpu::VirtualGpu*> gpus_;
-  // In-flight executions by GPU id (one request per GPU at a time).
-  std::unordered_map<std::int64_t, InFlightExecution> in_flight_;
-  // Active gray-degradation factors by GPU id (absent = healthy).
-  std::unordered_map<std::int64_t, double> slowdown_;
+  // slots_[i] is GPU first_gpu_ + i.
+  std::int64_t first_gpu_ = 0;
+  std::vector<Slot> slots_;
 };
 
 }  // namespace gfaas::cluster

@@ -240,25 +240,15 @@ void Gateway::admit(core::Request request, ResultCallback done,
   }
   // The hook routes back through route_ so retries (same id) and hedges
   // (fresh id) all land in on_engine_result; the flight keeps a pristine
-  // request copy — hook included — to resubmit from. Without resilience
-  // there is nothing to resubmit: keep only the scalar header (no
-  // string, no visit history, no hook copy — the admitted fast path
-  // then allocates nothing per flight beyond the map node).
+  // request copy — hook included — to resubmit from. The request holds
+  // no heap data and the hook captures one pointer (stored inline), so
+  // the copy allocates nothing.
   request.on_complete = [this](const core::CompletionRecord& record) {
     serial_.AssertHeld();  // engine completions fire on the worker thread
     on_engine_result(record);
   };
   Flight flight;
-  if (resilient_) {
-    flight.request = request;
-  } else {
-    flight.request.id = request.id;
-    flight.request.function = request.function;
-    flight.request.model = request.model;
-    flight.request.batch = request.batch;
-    flight.request.arrival = request.arrival;
-    flight.request.deadline = request.deadline;
-  }
+  flight.request = request;
   flight.done = std::move(done);
   flight.estimate = estimate;
   auto [it, inserted] = flights_.emplace(id, std::move(flight));

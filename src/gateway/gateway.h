@@ -296,9 +296,8 @@ class Gateway {
   // have up to two engine-side copies racing for it (the primary —
   // possibly a retry reincarnation under the same id — and one hedge
   // under a fresh id); `route_` maps engine-side ids back here. When
-  // resilience is off (resilient_ == false) the flight keeps only the
-  // request's scalar header — no string / visit-history / hook copies —
-  // and routing is the identity, skipping route_ entirely.
+  // resilience is off (resilient_ == false) routing is the identity,
+  // skipping route_ entirely.
   struct Flight {
     core::Request request;  // pristine copy for retries and hedges
     ResultCallback done;
@@ -365,9 +364,8 @@ class Gateway {
 
   cluster::ElasticCluster* cluster_;
   GatewayConfig config_;
-  // Retries or hedging enabled: flights keep full pristine request
-  // copies and engine-side ids go through route_. Off (the common
-  // serving path), both per-submission costs are skipped.
+  // Retries or hedging enabled: engine-side ids go through route_. Off
+  // (the common serving path), that per-submission cost is skipped.
   bool resilient_ = false;
   concurrent::CallbackExecutor* callbacks_ = nullptr;
   // Telemetry instrument handles, resolved once at set_telemetry();

@@ -30,7 +30,7 @@ class Profiler {
       : batches_(std::move(batches)) {}
 
   // Builds the model's runtime topology and measures wall-clock forward
-  // latency per batch size (median of `repeats` runs), then fits the
+  // latency per batch size (fastest of `repeats` runs), then fits the
   // regression.
   StatusOr<ProfileResult> profile(const ModelProfile& profile, int repeats = 3) const;
 

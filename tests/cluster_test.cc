@@ -3,6 +3,7 @@
 // simulated clusters, including the faas::FaasCluster end-to-end path.
 #include <gtest/gtest.h>
 
+#include "cluster/gpu_manager.h"
 #include "datastore/keys.h"
 #include "faas/faas_cluster.h"
 #include "testing/builders.h"
@@ -141,21 +142,95 @@ TEST(SimClusterTest, HeterogeneousSpecsApplyPerNode) {
   EXPECT_GT(cluster.gpu(1).memory_capacity(), cluster.gpu(0).memory_capacity());
 }
 
+// One GPU under a GpuManager driven directly on the simulator, wired the
+// way realtime_test's FullSchedulingStackRunsOnWallClock wires it.
+struct ManagedGpu {
+  ManagedGpu() { cache.add_gpu(GpuId(0), device.memory_capacity()); }
+
+  sim::Simulator sim;
+  datastore::KvStore store{&sim};
+  cache::CacheManager cache{cache::PolicyKind::kLru, &store};
+  models::ModelRegistry registry = head_registry(2);
+  models::LatencyOracle oracle{registry};
+  gpu::PcieLink link{12.6, usec(20)};
+  gpu::VirtualGpu device{GpuId(0), gpu::rtx2080(), &link};
+  GpuManager manager{NodeId(0), &sim, &store, &cache, &registry, &oracle, {&device}};
+};
+
 TEST(GpuManagerTest, RejectsWorkOnBusyGpu) {
-  ClusterConfig config;
-  config.nodes = 1;
-  config.gpus_per_node = 1;
-  SimCluster cluster(config, head_registry(2));
-  auto& engine = cluster.engine();
-  // Occupy the GPU, then drive a second execute() directly against the
-  // busy device: the one-request-per-GPU rule (§III-C) must hold.
-  cluster.simulator().schedule_at(0, [&] { engine.submit(make_request(0, 0, 0)); });
-  cluster.simulator().schedule_at(usec(10), [&] {
-    EXPECT_TRUE(cluster.gpu(0).is_busy());
-    EXPECT_EQ(cluster.gpu(0).phase(), gpu::GpuPhase::kLoading);
+  // One request per GPU at a time (§III-C): a second execute() against
+  // the busy device is refused and leaves the running request untouched.
+  ManagedGpu m;
+  std::vector<core::CompletionRecord> done;
+  auto record = [&done](const core::CompletionRecord& r) { done.push_back(r); };
+  const auto finish = m.manager.execute(make_request(0, 0, 0), GpuId(0),
+                                        /*false_miss=*/false,
+                                        /*via_local_queue=*/false, record);
+  ASSERT_TRUE(finish.ok());
+  EXPECT_EQ(m.device.phase(), gpu::GpuPhase::kLoading);
+  const auto refused = m.manager.execute(make_request(1, 1, 0), GpuId(0), false,
+                                         false, record);
+  EXPECT_EQ(refused.status().code(), StatusCode::kFailedPrecondition);
+  m.sim.run();
+  ASSERT_EQ(done.size(), 1u);
+  EXPECT_EQ(done[0].id, RequestId(0));
+  EXPECT_EQ(done[0].completed, *finish);
+  EXPECT_FALSE(m.device.is_busy());
+}
+
+// Aborts request 0 on the GPU at `abort_at`, then starts request 1 (same
+// model) there at once. The aborted callback must never fire; the reused
+// slot must complete request 1 exactly once, at the time execute()
+// returned, and leave no event or pin behind.
+void abort_then_reuse(SimTime abort_at, bool expect_hit) {
+  ManagedGpu m;
+  int aborted_calls = 0;
+  std::vector<core::CompletionRecord> done;
+  SimTime expected_finish = 0;
+  ASSERT_TRUE(m.manager
+                  .execute(make_request(0, 0, 0), GpuId(0), false, false,
+                           [&](const core::CompletionRecord&) { ++aborted_calls; })
+                  .ok());
+  m.sim.schedule_at(abort_at, [&] {
+    const auto aborted = m.manager.abort(GpuId(0));
+    ASSERT_TRUE(aborted.ok());
+    EXPECT_EQ(aborted->id, RequestId(0));
+    EXPECT_TRUE(aborted->failed);
+    EXPECT_EQ(aborted->completed, abort_at);
+    EXPECT_EQ(m.sim.pending_events(), 0u);
+    EXPECT_FALSE(m.manager.abort(GpuId(0)).ok());
+    const auto finish = m.manager.execute(
+        make_request(1, 0, abort_at), GpuId(0), false, false,
+        [&](const core::CompletionRecord& r) { done.push_back(r); });
+    ASSERT_TRUE(finish.ok());
+    expected_finish = *finish;
   });
-  cluster.simulator().run();
-  EXPECT_EQ(engine.completions().size(), 1u);
+  m.sim.run();
+  EXPECT_EQ(aborted_calls, 0);
+  ASSERT_EQ(done.size(), 1u);
+  EXPECT_EQ(done[0].id, RequestId(1));
+  EXPECT_EQ(done[0].cache_hit, expect_hit);
+  EXPECT_FALSE(done[0].failed);
+  EXPECT_EQ(done[0].dispatched, abort_at);
+  EXPECT_EQ(done[0].completed, expected_finish);
+  if (expect_hit) {
+    EXPECT_EQ(done[0].completed, abort_at + *m.oracle.infer_time(ModelId(0), 32));
+  }
+  EXPECT_EQ(m.sim.pending_events(), 0u);
+  EXPECT_FALSE(m.cache.state(GpuId(0)).any_pinned());
+  EXPECT_FALSE(m.device.is_busy());
+}
+
+TEST(GpuManagerTest, SlotReusedAfterAbortMidLoad) {
+  // squeezenet1.1 loads for 2.41s: abort at 1s, mid-upload. The
+  // half-loaded process is evicted, so request 1 loads again.
+  abort_then_reuse(sec(1), /*expect_hit=*/false);
+}
+
+TEST(GpuManagerTest, SlotReusedAfterAbortMidInference) {
+  // Load ends near 2.41s and inference runs 1.28s: abort at 3s. The model
+  // stays resident, so request 1 is a hit.
+  abort_then_reuse(sec(3), /*expect_hit=*/true);
 }
 
 TEST(GpuManagerTest, MissEvictsExactlyPlannedVictims) {

@@ -423,7 +423,6 @@ std::vector<CompletionRecord> replay_on_64_gpus(std::unique_ptr<SchedulingPolicy
   std::vector<std::unique_ptr<gpu::PcieLink>> links;
   std::vector<std::unique_ptr<gpu::VirtualGpu>> gpus;
   std::vector<std::unique_ptr<cluster::GpuManager>> managers;
-  std::vector<gpu::VirtualGpu*> gpu_ptrs;
   std::vector<cluster::GpuManager*> manager_ptrs;
   const gpu::GpuSpec spec = gpu::rtx2080();
   for (std::int64_t node = 0; node < 8; ++node) {
@@ -434,15 +433,13 @@ std::vector<CompletionRecord> replay_on_64_gpus(std::unique_ptr<SchedulingPolicy
       gpus.push_back(std::make_unique<gpu::VirtualGpu>(id, spec, links.back().get()));
       cache.add_gpu(id, gpus.back()->memory_capacity());
       node_gpus.push_back(gpus.back().get());
-      gpu_ptrs.push_back(gpus.back().get());
     }
     managers.push_back(std::make_unique<cluster::GpuManager>(
         NodeId(node), &sim, /*store=*/nullptr, &cache, &workload.registry, &oracle,
         node_gpus));
     manager_ptrs.push_back(managers.back().get());
   }
-  cluster::SchedulerEngine engine(&sim, &cache, &oracle, gpu_ptrs, manager_ptrs,
-                                  std::move(policy));
+  cluster::SchedulerEngine engine(&sim, &cache, &oracle, manager_ptrs, std::move(policy));
   for (const Request& request : workload.requests) {
     sim.schedule_at(request.arrival, [&engine, request] { engine.submit(request); });
   }

@@ -186,7 +186,7 @@ TEST(LatencyOracleTest, ReturnsProfiledTimes) {
 TEST(ProfilerTest, ProfilesRealModelAndFitsRegression) {
   Profiler profiler({1, 2, 4});
   const ModelProfile& squeezenet = table1_catalog()[0];
-  auto result = profiler.profile(squeezenet, /*repeats=*/1);
+  auto result = profiler.profile(squeezenet);
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(result->model, squeezenet.id);
   ASSERT_EQ(result->points.size(), 3u);

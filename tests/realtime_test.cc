@@ -300,7 +300,7 @@ TEST(RealTimeExecutorTest, FullSchedulingStackRunsOnWallClock) {
   cache.add_gpu(GpuId(1), gpu1.memory_capacity());
   GpuManager manager(NodeId(0), &executor, &store, &cache, &registry, &oracle,
                      {&gpu0, &gpu1});
-  SchedulerEngine engine(&executor, &cache, &oracle, {&gpu0, &gpu1}, {&manager},
+  SchedulerEngine engine(&executor, &cache, &oracle, {&manager},
                          core::make_scheduler(core::PolicyName::kLalbO3));
 
   // Submit from the executor thread (the engine is single-threaded).
