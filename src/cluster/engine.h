@@ -55,9 +55,9 @@ class SchedulerEngine final : public core::SchedulingContext {
 
   // --- dynamic fleet membership (src/autoscale) ---
   // Joins a provisioned node's GPUs (fresh ids that continue the dense
-  // numbering): they enter the idle set and the cache index, and the
-  // policy runs immediately so a backed-up global queue can use them at
-  // once. `manager` must outlive the engine.
+  // numbering; the caller has already added them to the cache): they
+  // enter the idle set, and the policy runs immediately so a backed-up
+  // global queue can use them at once. `manager` must outlive the engine.
   void add_node(GpuManager* manager);
   // Begins draining: the GPU leaves the idle/location indexes (no new
   // dispatches, its cached models stop attracting requests), finishes its
