@@ -102,12 +102,13 @@ void Gateway::submit(core::Request request, ResultCallback done) {
   submit_one(std::move(request), std::move(done), nullptr);
 }
 
-void Gateway::submit_batch(std::vector<Submission> batch) {
+void Gateway::submit_batch(std::vector<Submission>&& batch) {
   serial_.AssertHeld();
   BatchMemo memo;
   for (Submission& cell : batch) {
     submit_one(std::move(cell.request), std::move(cell.done), &memo);
   }
+  batch.clear();  // keeps the capacity, so the caller may reuse the buffer
 }
 
 void Gateway::submit_one(core::Request request, ResultCallback done,

@@ -234,7 +234,8 @@ class Gateway {
   // finish-time estimate over the batch. Decisions are identical to
   // calling submit() per cell — the memoized scan is invalidated by
   // every admission, and only engine-invariant stretches reuse it.
-  void submit_batch(std::vector<Submission> batch);
+  // Leaves `batch` empty with its capacity, so a caller may reuse it.
+  void submit_batch(std::vector<Submission>&& batch);
 
   // Routes every future result callback (and the synchronous shed /
   // expired answers) through `callbacks` instead of invoking them on the

@@ -1,7 +1,6 @@
 #include "gateway/ingress.h"
 
 #include <utility>
-#include <vector>
 
 #include "common/log.h"
 #include "telemetry/telemetry.h"
@@ -50,18 +49,16 @@ void ConcurrentIngress::drain() {
   // and posts its own pass, so nothing published concurrently with the
   // sweep below can be stranded.
   drain_armed_.store(false);
-  std::vector<Submission> batch;
-  batch.reserve(queue_.approx_size() + 1);
-  queue_.drain(batch);
-  if (batch.empty()) return;  // raced with a later pass; nothing stranded
+  queue_.drain(batch_);
+  if (batch_.empty()) return;  // raced with a later pass; nothing stranded
   drains_.fetch_add(1, std::memory_order_relaxed);
-  drained_.fetch_add(batch.size(), std::memory_order_relaxed);
+  drained_.fetch_add(batch_.size(), std::memory_order_relaxed);
   std::uint64_t prev = max_batch_.load(std::memory_order_relaxed);
-  while (prev < batch.size() &&
-         !max_batch_.compare_exchange_weak(prev, batch.size(),
+  while (prev < batch_.size() &&
+         !max_batch_.compare_exchange_weak(prev, batch_.size(),
                                            std::memory_order_relaxed)) {
   }
-  gateway_->submit_batch(std::move(batch));
+  gateway_->submit_batch(std::move(batch_));
 }
 
 }  // namespace gfaas::gateway

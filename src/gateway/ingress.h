@@ -12,7 +12,9 @@
 //
 // Backpressure: a full ring fails try_submit() immediately (the cell
 // stays with the caller — retry, park, or report upstream). Nothing on
-// the producer path blocks or allocates.
+// the producer path blocks or allocates, and the drain side reuses one
+// batch buffer, so a pass allocates nothing once it has grown to the
+// largest burst.
 //
 // Threading: try_submit() from any thread; everything else (the drain,
 // the Gateway) stays on the executor worker thread. Counters are
@@ -21,6 +23,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <vector>
 
 #include "common/thread_annotations.h"
 #include "concurrent/mpsc_queue.h"
@@ -74,6 +77,9 @@ class ConcurrentIngress {
   // genuinely concurrent and stays annotation-free).
   common::ExecutorAffinity consumer_serial_;
   concurrent::BoundedMpscQueue<Submission> queue_;
+  // The drain's batch buffer; submit_batch empties it and keeps its
+  // capacity for the next pass.
+  std::vector<Submission> batch_ GUARDED_BY(consumer_serial_);
   // True while a drain task is posted-but-not-yet-disarmed; gates the
   // one-post-per-burst wakeup.
   std::atomic<bool> drain_armed_{false};

@@ -13,6 +13,11 @@
 #include <thread>
 #include <vector>
 
+#ifdef __linux__
+#include <pthread.h>
+#include <sched.h>
+#endif
+
 #include "cluster/realtime_cluster.h"
 #include "common/rng.h"
 #include "concurrent/callback_executor.h"
@@ -151,6 +156,59 @@ TEST(CallbackExecutorTest, DestructorRunsEverythingPosted) {
     }
   }
   EXPECT_EQ(ran.load(), 50);
+}
+
+TEST(CallbackExecutorTest, PostFromCallbackRunsBeforeDrainReturns) {
+  CallbackExecutor callbacks;
+  // Hold the callback thread so callbacks 0 and 1 land in one batch.
+  std::atomic<bool> release{false};
+  callbacks.post([&release] {
+    while (!release.load()) std::this_thread::yield();
+  });
+  std::vector<int> order;
+  callbacks.post([&callbacks, &order] {
+    order.push_back(0);
+    callbacks.post([&order] { order.push_back(2); });
+  });
+  callbacks.post([&order] { order.push_back(1); });
+  release.store(true);
+  callbacks.drain();
+  // The nested callback runs after the rest of its batch, and before
+  // drain() returns.
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2}));
+  EXPECT_EQ(callbacks.executed(), 4u);
+  EXPECT_EQ(callbacks.pending(), 0u);
+}
+
+#ifdef __linux__
+TEST(CallbackExecutorTest, CallbackThreadRunsUnderSchedBatch) {
+  // The executor ignores a refused policy change (some sandboxes reject
+  // it), so only expect SCHED_BATCH where a thread may set it.
+  int probe = -1;
+  std::thread([&probe] {
+    sched_param param{};
+    probe = pthread_setschedparam(pthread_self(), SCHED_BATCH, &param);
+  }).join();
+  if (probe != 0) GTEST_SKIP() << "this host refuses SCHED_BATCH: " << probe;
+  CallbackExecutor callbacks;
+  int policy = -1;
+  callbacks.post([&policy] { policy = sched_getscheduler(0); });
+  callbacks.drain();
+  EXPECT_EQ(policy, SCHED_BATCH);
+}
+#endif
+
+TEST(CallbackExecutorDeathTest, DrainOnCallbackThreadDies) {
+  // The statement starts and blocks threads: run it in a re-executed
+  // child rather than a fork of this process.
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  EXPECT_DEATH(
+      {
+        CallbackExecutor callbacks;
+        callbacks.post([&callbacks] { callbacks.drain(); });
+        callbacks.drain();
+      },
+      "callback thread");
 }
 
 // ---------------------------------------------------------------------------
