@@ -61,7 +61,7 @@ class ElasticCluster {
   void remove_gpu(GpuId gpu) { engine_->remove_gpu(gpu); }
   bool gpu_drained(GpuId gpu) const { return engine_->drained(gpu); }
   // Chaos verb (fault-injection harness): the GPU dies mid-run — the
-  // in-flight request fails through its completion hooks, local-queue
+  // in-flight request fails through its completion hook, local-queue
   // requests rejoin the global queue, and the GPU is retired.
   void kill_gpu(GpuId gpu) { engine_->kill_gpu(gpu); }
 

@@ -101,22 +101,8 @@ GpuManager& SchedulerEngine::manager_for(GpuId gpu) {
   return *manager_by_gpu_[index];
 }
 
-void SchedulerEngine::detach_hook(core::Request& request) {
-  // Detach the per-request hook before the request is copied through the
-  // queues and GPU Manager lambdas; it is re-attached to the completion
-  // (or failure) by id in notify_request_hook().
-  if (request.on_complete) {
-    const bool inserted =
-        request_hooks_.emplace(request.id.value(), std::move(request.on_complete))
-            .second;
-    GFAAS_CHECK(inserted) << "duplicate in-flight request id " << request.id.value();
-    request.on_complete = nullptr;
-  }
-}
-
 void SchedulerEngine::submit(core::Request request) {
   serial_.AssertHeld();
-  detach_hook(request);
   global_queue_.push(std::move(request));
   run_policy();
 }
@@ -232,7 +218,14 @@ void SchedulerEngine::start_execution(core::Request request, GpuId gpu, bool fal
   index_.mark_busy(gpu);
   index_.record_dispatch(gpu);
   ++in_flight_;
-  executing_[request.id.value()] = gpu;
+  // The hook leaves the request here; the GPU Manager only reads it.
+  const bool inserted =
+      executing_
+          .emplace(request.id.value(),
+                   Executing{gpu, std::move(request.on_complete)})
+          .second;
+  GFAAS_CHECK(inserted) << "duplicate in-flight request id "
+                        << request.id.value();
   if (tel_) {
     tel_->dispatches->add();
     tel_->spans->record(
@@ -256,7 +249,11 @@ void SchedulerEngine::start_execution(core::Request request, GpuId gpu, bool fal
 void SchedulerEngine::on_completion(const core::CompletionRecord& record) {
   GFAAS_CHECK(in_flight_ > 0);
   --in_flight_;
-  executing_.erase(record.id.value());
+  // Taken out before the hook fires: the hook may resubmit under the same
+  // id (a Gateway retry) or admit follow-up work.
+  const auto done = executing_.extract(record.id.value());
+  GFAAS_CHECK(!done.empty()) << "completion of unknown request "
+                             << record.id.value();
   // The GPU Manager retired the inference before invoking us, so the GPU
   // is idle again as of this event.
   index_.mark_idle(record.gpu);
@@ -276,8 +273,7 @@ void SchedulerEngine::on_completion(const core::CompletionRecord& record) {
     tel_->spans->record(record.id.value(), telemetry::SpanEvent::kExecute,
                         record.completed, gpu, record.cache_hit ? 1 : 0);
   }
-  if (completion_hook_) completion_hook_(record);
-  notify_request_hook(record);
+  if (done.mapped().hook) done.mapped().hook(record);
   update_duplicates_meter();
   // A draining GPU is invisible to the policy, so the engine serves out
   // its local queue directly — those requests pinned its cached models and
@@ -286,16 +282,6 @@ void SchedulerEngine::on_completion(const core::CompletionRecord& record) {
     dispatch_from_local(record.gpu);
   }
   run_policy();
-}
-
-void SchedulerEngine::notify_request_hook(const core::CompletionRecord& record) {
-  auto it = request_hooks_.find(record.id.value());
-  if (it == request_hooks_.end()) return;
-  // Detach before invoking: the hook may submit a follow-up request (the
-  // Gateway admitting from its pending queue) and must never re-fire.
-  core::CompletionHook hook = std::move(it->second);
-  request_hooks_.erase(it);
-  hook(record);
 }
 
 void SchedulerEngine::kill_gpu(GpuId gpu) {
@@ -309,18 +295,18 @@ void SchedulerEngine::kill_gpu(GpuId gpu) {
     cache_->fence_gpu(gpu);
   }
   // Fail the in-flight request, if any: the GPU Manager unwinds the
-  // execution and the hooks receive a failed record instead of silence.
+  // execution and its hook receives a failed record instead of silence.
   if (!index_.is_idle(gpu)) {
     auto aborted = manager_for(gpu).abort(gpu);
     GFAAS_CHECK(aborted.ok()) << aborted.status().to_string();
     GFAAS_CHECK(in_flight_ > 0);
     --in_flight_;
-    executing_.erase(aborted->id.value());
+    const auto failed = executing_.extract(aborted->id.value());
+    GFAAS_CHECK(!failed.empty());
     index_.mark_idle(gpu);
     failures_.push_back(*aborted);
     if (tel_) tel_->failures->add();
-    if (completion_hook_) completion_hook_(*aborted);
-    notify_request_hook(*aborted);
+    if (failed.mapped().hook) failed.mapped().hook(*aborted);
   }
   // Local-queue requests pinned this GPU's cached models; give the pins
   // back and let them rejoin the global queue (ids, deadlines and hooks
@@ -344,7 +330,6 @@ bool SchedulerEngine::cancel_request(RequestId id) {
   // (1) Waiting in the global queue: drop it before any GPU commits.
   if (global_queue_.find(id) != nullptr) {
     GFAAS_CHECK(global_queue_.take(id).ok());
-    request_hooks_.erase(id.value());
     return true;
   }
   // (2) Parked in a local queue: undo move_to_local — give back the pin
@@ -356,7 +341,6 @@ bool SchedulerEngine::cancel_request(RequestId id) {
       index_.add_local_work(gpu, -infer_time(req->model, req->batch));
       index_.pop_local_request(gpu);
       GFAAS_CHECK(cache_->unpin(gpu, req->model).ok());
-      request_hooks_.erase(id.value());
       return true;
     }
   }
@@ -367,7 +351,7 @@ bool SchedulerEngine::cancel_request(RequestId id) {
   // overhead metric.
   auto it = executing_.find(id.value());
   if (it == executing_.end()) return false;
-  const GpuId gpu = it->second;
+  const GpuId gpu = it->second.gpu;
   auto aborted = manager_for(gpu).abort(gpu);
   GFAAS_CHECK(aborted.ok()) << aborted.status().to_string();
   GFAAS_CHECK(in_flight_ > 0);
@@ -381,7 +365,6 @@ bool SchedulerEngine::cancel_request(RequestId id) {
     tel_->cancelled_execution_time_us->add(aborted->completed -
                                            aborted->dispatched);
   }
-  request_hooks_.erase(id.value());
   update_duplicates_meter();
   // Same serve-next chain as a completion: a draining GPU works through
   // its local queue, everyone else goes back to the policy.
@@ -412,18 +395,12 @@ std::vector<core::Request> SchedulerEngine::steal_from_global(
   }
   stolen.reserve(victims.size());
   for (auto v = victims.rbegin(); v != victims.rend(); ++v) {
+    // The hook rides inside the request: from this engine's point of
+    // view the request was never here, so exactly-once delivery is now
+    // the thief's obligation (killing THIS shard later cannot touch it).
     auto req = global_queue_.take(*v);
     GFAAS_CHECK(req.ok()) << req.status().to_string();
-    core::Request request = std::move(req).value();
-    // The hook rides with the request: from this engine's point of view
-    // the request was never here, so exactly-once delivery is now the
-    // thief's obligation (killing THIS shard later cannot touch it).
-    auto hook = request_hooks_.find(request.id.value());
-    if (hook != request_hooks_.end()) {
-      request.on_complete = std::move(hook->second);
-      request_hooks_.erase(hook);
-    }
-    stolen.push_back(std::move(request));
+    stolen.push_back(std::move(req).value());
   }
   return stolen;
 }
@@ -478,7 +455,7 @@ GpuId SchedulerEngine::hedge_dispatch(core::Request request, RequestId primary) 
   };
   const auto ex = executing_.find(primary.value());
   if (ex != executing_.end()) {
-    effective = overdue_by(ex->second);
+    effective = overdue_by(ex->second.gpu);
   } else if (global_queue_.find(primary) == nullptr) {
     for (std::size_t i = 0; i < index_.gpu_count() && effective == kSimTimeMax;
          ++i) {
@@ -498,7 +475,6 @@ GpuId SchedulerEngine::hedge_dispatch(core::Request request, RequestId primary) 
     if (effective == kSimTimeMax) return GpuId();
   }
   if (effective <= hedge_eta) return GpuId();
-  detach_hook(request);
   start_execution(std::move(request), target, /*false_miss=*/false,
                   /*via_local_queue=*/false);
   return target;

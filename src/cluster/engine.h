@@ -5,8 +5,10 @@
 // -> the policy is invoked ("at least one request waiting and at least
 // one GPU idle", §IV-A) -> policy actions are applied synchronously
 // (dispatch via the owning GPU Manager, or move to a local queue) -> on
-// every GPU completion the engine re-invokes the policy and routes the
-// per-request completion hook back out to the submitter. The engine is
+// every GPU completion the engine re-invokes the policy and fires the
+// request's own completion hook (core::Request::on_complete), which rode
+// inside the request through the queues and sat in its executing_ entry
+// while it ran. The engine is
 // also the core::SchedulingContext the policies program against,
 // providing finish-time estimates built from the GPU Managers' committed
 // finish times plus local-queue work (§IV-A).
@@ -69,7 +71,7 @@ class SchedulerEngine final : public core::SchedulingContext {
   // Retires a drained GPU (fenced, idle, empty local queue) permanently.
   void remove_gpu(GpuId gpu);
   // Chaos verb: the GPU dies mid-run. The in-flight request (if any)
-  // fails — its completion hooks fire with `failed = true` rather than
+  // fails — its completion hook fires with `failed = true` rather than
   // silence — local-queue requests give back their model pins and rejoin
   // the global queue (keeping their ids, deadlines and hooks), and the
   // GPU is fenced and removed in one step. Must run strictly before the
@@ -106,8 +108,8 @@ class SchedulerEngine final : public core::SchedulingContext {
   // global queue, parked in a local queue (its model pin is given back),
   // or executing on a GPU (aborted through the GPU Manager; the wasted
   // GPU-time accrues to cancelled_execution_time()). The request's
-  // completion hook is dropped without firing — the caller owns result
-  // delivery for cancelled duplicates. Returns false if the request is
+  // completion hook is dropped with it, without firing — the caller owns
+  // result delivery for cancelled duplicates. Returns false if the request is
   // unknown here (already completed, failed, or never submitted).
   bool cancel_request(RequestId id);
   // Whether the request is still queued (global or local), i.e. has not
@@ -151,8 +153,8 @@ class SchedulerEngine final : public core::SchedulingContext {
   // Removes up to `max_count` requests from the BACK of the global queue
   // — the newest arrivals, which have waited least, hold no O3 skip
   // credit, and whose departure can invalidate no placement already made
-  // — and returns them in arrival order with their detached completion
-  // hooks re-attached, ready to be submit()ed into another engine. The
+  // — and returns them in arrival order, each still carrying its
+  // completion hook, ready to be submit()ed into another engine. The
   // caller (shard::ShardedCluster's steal balancer) stamps the steal
   // marker; this engine only forgets the requests. Requests parked in
   // local queues or executing are never stolen: they hold model pins and
@@ -164,11 +166,6 @@ class SchedulerEngine final : public core::SchedulingContext {
   std::vector<core::Request> steal_from_global(
       std::size_t max_count,
       const std::function<bool(const core::Request&)>& eligible = nullptr);
-
-  // Optional per-completion hook (e.g. the Gateway resolving a future).
-  void set_completion_hook(std::function<void(const core::CompletionRecord&)> hook) {
-    completion_hook_ = std::move(hook);
-  }
 
   // Optionally tracked model for the duplicate meter (Fig. 6).
   void track_duplicates_of(ModelId model) { tracked_model_ = model; }
@@ -297,15 +294,10 @@ class SchedulerEngine final : public core::SchedulingContext {
   GpuManager& manager_for(GpuId gpu);
   // Registers the manager's GPUs, checking their ids extend the fleet.
   void join(GpuManager* manager) REQUIRES(serial_);
-  // Moves request.on_complete into request_hooks_ (submit/hedge paths).
-  void detach_hook(core::Request& request) REQUIRES(serial_);
   void run_policy() REQUIRES(serial_);
   void start_execution(core::Request request, GpuId gpu, bool false_miss,
                        bool via_local_queue) REQUIRES(serial_);
   void on_completion(const core::CompletionRecord& record) REQUIRES(serial_);
-  // Fires and discards the request's detached completion hook, if any.
-  void notify_request_hook(const core::CompletionRecord& record)
-      REQUIRES(serial_);
   void update_duplicates_meter() REQUIRES(serial_);
 
   // Telemetry instrument handles, resolved once at set_telemetry();
@@ -343,15 +335,15 @@ class SchedulerEngine final : public core::SchedulingContext {
 
   std::vector<core::CompletionRecord> completions_ GUARDED_BY(serial_);
   std::vector<core::CompletionRecord> failures_ GUARDED_BY(serial_);
-  std::function<void(const core::CompletionRecord&)> completion_hook_;
-  // Per-request hooks, detached from the Request at submit() so they ride
-  // by id instead of being copied through the queues and GPU Managers.
-  std::unordered_map<std::int64_t, core::CompletionHook> request_hooks_
-      GUARDED_BY(serial_);
-  // Where each executing request runs (request id -> GPU), maintained at
-  // dispatch/completion/abort so cancel_request() can find its target
-  // without a fleet scan.
-  std::unordered_map<std::int64_t, GpuId> executing_ GUARDED_BY(serial_);
+  // Each executing request by id: the GPU it runs on, so cancel_request()
+  // finds its target without a fleet scan, and its completion hook, moved
+  // out of the request at dispatch and fired once on completion or
+  // kill_gpu. Maintained at dispatch/completion/abort.
+  struct Executing {
+    GpuId gpu;
+    core::CompletionHook hook;
+  };
+  std::unordered_map<std::int64_t, Executing> executing_ GUARDED_BY(serial_);
   SimTime cancelled_execution_time_ GUARDED_BY(serial_) = 0;
   std::int64_t cancellations_ GUARDED_BY(serial_) = 0;
   ModelId tracked_model_;

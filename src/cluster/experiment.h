@@ -105,4 +105,15 @@ class SimCluster final : public ElasticCluster {
   SimTime finish_replay();
 };
 
+// The evaluation metrics of a finished replay over one or more cells: a
+// direct run is one cell, a sharded run its shards in shard order.
+// Completion streams fold in cell order, the makespan is their last
+// completion, and `tracker` is the engine tracking the workload's top
+// model for the duplicate meter. `completions`, when non-null, receives
+// the concatenated stream. Dies unless every workload request completed.
+ExperimentResult aggregate_result(
+    const std::vector<SimCluster*>& cells, const SchedulerEngine& tracker,
+    const trace::Workload& workload,
+    std::vector<core::CompletionRecord>* completions = nullptr);
+
 }  // namespace gfaas::cluster

@@ -44,9 +44,12 @@ struct Request {
   // the seed engine (the digest folds it into the flags byte, where a
   // zero adds nothing).
   std::int32_t steal_hops = 0;
-  // Per-request completion hook. The engine detaches it at submit() and
-  // invokes it after the global completion hook, so it survives the
-  // request's trip through the global/local queues by id, not by copy.
+  // Per-request completion hook: the only way a result reaches its
+  // submitter. It stays inside the request through the global and local
+  // queues (which move requests, never copy them) and across a steal to
+  // another engine; at dispatch the engine moves it into the request's
+  // executing entry, where it fires once on completion or GPU death.
+  // Cancelling the request drops it unfired.
   CompletionHook on_complete;
 };
 

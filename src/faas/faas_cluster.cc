@@ -1,6 +1,6 @@
 #include "faas/faas_cluster.h"
 
-#include "common/log.h"
+#include <string>
 
 namespace gfaas::faas {
 
@@ -10,26 +10,6 @@ FaasCluster::FaasCluster(const cluster::ClusterConfig& config,
   cluster_ = std::make_unique<cluster::SimCluster>(config, registry);
   gateway_ = std::make_unique<Gateway>(&cluster_->datastore(), &cluster_->simulator(),
                                        this);
-  cluster_->engine().set_completion_hook([this](const core::CompletionRecord& record) {
-    auto it = pending_.find(record.id.value());
-    if (it == pending_.end()) return;
-    auto done = std::move(it->second);
-    pending_.erase(it);
-    // The hook also fires for requests whose GPU died mid-run
-    // (SchedulerEngine::kill_gpu): report the failure instead of
-    // fabricating a successful invocation.
-    if (record.failed) {
-      done(Status::Unavailable("gpu-" + std::to_string(record.gpu.value()) +
-                               " died while executing request " +
-                               std::to_string(record.id.value())));
-      return;
-    }
-    InvocationResult result;
-    result.latency = record.latency();
-    result.executed_on = "gpu-" + std::to_string(record.gpu.value());
-    result.output.content_type = "application/x-gfaas-inference";
-    done(std::move(result));
-  });
 }
 
 void FaasCluster::submit(const FunctionSpec& spec, const Payload& input,
@@ -46,7 +26,23 @@ void FaasCluster::submit(const FunctionSpec& spec, const Payload& input,
   request.batch = spec.batch_size > 0 ? spec.batch_size : 32;
   if (!input.shape.empty()) request.batch = input.shape.front();
   request.arrival = cluster_->simulator().now();
-  pending_[request.id.value()] = std::move(done);
+  request.on_complete = [done = std::move(done)](
+                            const core::CompletionRecord& record) {
+    // The hook also fires for requests whose GPU died mid-run
+    // (SchedulerEngine::kill_gpu): report the failure instead of
+    // fabricating a successful invocation.
+    if (record.failed) {
+      done(Status::Unavailable("gpu-" + std::to_string(record.gpu.value()) +
+                               " died while executing request " +
+                               std::to_string(record.id.value())));
+      return;
+    }
+    InvocationResult result;
+    result.latency = record.latency();
+    result.executed_on = "gpu-" + std::to_string(record.gpu.value());
+    result.output.content_type = "application/x-gfaas-inference";
+    done(std::move(result));
+  };
   cluster_->engine().submit(std::move(request));
 }
 

@@ -8,7 +8,6 @@
 
 #include <functional>
 #include <memory>
-#include <unordered_map>
 
 #include "cluster/experiment.h"
 #include "faas/gateway.h"
@@ -36,8 +35,6 @@ class FaasCluster final : public GpuBackend {
   std::unique_ptr<cluster::SimCluster> cluster_;
   std::unique_ptr<Gateway> gateway_;
   models::ModelRegistry registry_;
-  std::unordered_map<std::int64_t, std::function<void(StatusOr<InvocationResult>)>>
-      pending_;
   std::int64_t next_request_ = 0;
 };
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <type_traits>
 #include <utility>
 
 #include "common/log.h"
@@ -54,7 +55,6 @@ Gateway::Gateway(cluster::ElasticCluster* cluster, GatewayConfig config)
   GFAAS_CHECK(config_.hedge_budget_fraction >= 0.0 &&
               config_.hedge_budget_fraction < 1.0);
   GFAAS_CHECK(config_.hedge_retry_interval > 0);
-  resilient_ = config_.max_retries > 0 || config_.hedge_budget_fraction > 0;
 }
 
 Gateway::~Gateway() = default;
@@ -239,22 +239,25 @@ void Gateway::admit(core::Request request, ResultCallback done,
     tel_->spans->record(id, telemetry::SpanEvent::kAdmit,
                         cluster_->executor().now());
   }
-  // The hook routes back through route_ so retries (same id) and hedges
-  // (fresh id) all land in on_engine_result; the flight keeps a pristine
-  // request copy — hook included — to resubmit from. The request holds
-  // no heap data and the hook captures one pointer (stored inline), so
-  // the copy allocates nothing.
-  request.on_complete = [this](const core::CompletionRecord& record) {
+  // The hook captures the flight id, so every copy of the request —
+  // retries under the same id, hedges under a fresh one — reports back to
+  // this flight. The flight keeps a pristine request copy, hook included,
+  // to resubmit from. The request holds no heap data and the capture fits
+  // std::function's inline buffer, so the copy allocates nothing.
+  const auto hook = [this, id](const core::CompletionRecord& record) {
     serial_.AssertHeld();  // engine completions fire on the worker thread
-    on_engine_result(record);
+    on_engine_result(id, record);
   };
+  static_assert(sizeof(hook) <= 16 &&
+                    std::is_trivially_copyable_v<decltype(hook)>,
+                "the hook must stay inline in std::function");
+  request.on_complete = hook;
   Flight flight;
   flight.request = request;
   flight.done = std::move(done);
   flight.estimate = estimate;
   auto [it, inserted] = flights_.emplace(id, std::move(flight));
   GFAAS_CHECK(inserted) << "duplicate in-flight gateway request id " << id;
-  if (resilient_) route_[id] = id;
   cluster_->engine().submit(std::move(request));
   if (config_.hedge_budget_fraction > 0 &&
       it->second.request.deadline != kSimTimeMax) {
@@ -293,7 +296,7 @@ void Gateway::on_hedge_timer(std::int64_t id) {
   // backpressure. A parked primary, by contrast, cancels for free.
   if (engine.request_executing(req.id)) return;  // dispatched: nothing to win
   if (!engine.request_waiting(req.id)) return;   // failure being handled
-  core::Request hedge = flight.request;  // carries the routing hook
+  core::Request hedge = flight.request;  // its hook reports flight `id`
   hedge.id = RequestId(next_hedge_id_++);
   const std::int64_t hedge_id = hedge.id.value();
   const GpuId gpu = engine.hedge_dispatch(std::move(hedge), req.id);
@@ -307,7 +310,6 @@ void Gateway::on_hedge_timer(std::int64_t id) {
     return;
   }
   flight.hedge_id = hedge_id;
-  route_[hedge_id] = id;
   ++counters_.hedges;
   if (tel_) {
     tel_->hedges->add();
@@ -352,18 +354,8 @@ void Gateway::deliver(ResultCallback&& done, const GatewayResult& result) {
   callbacks_->post([done = std::move(done), result] { done(result); });
 }
 
-void Gateway::on_engine_result(const core::CompletionRecord& record) {
-  std::int64_t id;
-  if (resilient_) {
-    auto route = route_.find(record.id.value());
-    GFAAS_CHECK(route != route_.end())
-        << "engine result for unrouted id " << record.id.value();
-    id = route->second;
-    route_.erase(route);
-  } else {
-    // No retries, no hedges: the engine-side id IS the flight id.
-    id = record.id.value();
-  }
+void Gateway::on_engine_result(std::int64_t id,
+                               const core::CompletionRecord& record) {
   auto it = flights_.find(id);
   GFAAS_CHECK(it != flights_.end()) << "engine result for retired flight " << id;
   Flight& flight = it->second;
@@ -381,7 +373,6 @@ void Gateway::on_engine_result(const core::CompletionRecord& record) {
     if (loser_live) {
       GFAAS_CHECK(cluster_->engine().cancel_request(RequestId(loser)))
           << "hedge loser " << loser << " neither queued nor executing";
-      route_.erase(loser);
       if (!is_hedge) ++counters_.hedges_cancelled;
     }
     core::CompletionRecord normalized = record;
@@ -419,7 +410,6 @@ void Gateway::on_engine_result(const core::CompletionRecord& record) {
                           cluster_->executor().now());
     }
     flight.primary_live = true;
-    route_[id] = id;
     cluster_->engine().submit(flight.request);
     // The hedge timer (if hedging is on and none is pending) keeps
     // covering the retry: re-arm against the remaining budget.

@@ -204,9 +204,9 @@ struct WindowedOutcomes {
 
 class Gateway {
  public:
-  // `cluster` must outlive the gateway. The gateway takes over the
-  // engine's per-request completion routing for everything it submits;
-  // other submitters may still feed the engine directly.
+  // `cluster` must outlive the gateway. Every request the gateway
+  // submits carries a completion hook back to it; other submitters may
+  // still feed the engine directly.
   Gateway(cluster::ElasticCluster* cluster, GatewayConfig config = {});
   ~Gateway();
 
@@ -296,9 +296,8 @@ class Gateway {
   // One admitted request until its callback resolves. The gateway may
   // have up to two engine-side copies racing for it (the primary —
   // possibly a retry reincarnation under the same id — and one hedge
-  // under a fresh id); `route_` maps engine-side ids back here. When
-  // resilience is off (resilient_ == false) routing is the identity,
-  // skipping route_ entirely.
+  // under a fresh id); every copy carries the request's completion hook,
+  // which reports the flight id, so each result finds its flight here.
   struct Flight {
     core::Request request;  // pristine copy for retries and hedges
     ResultCallback done;
@@ -342,7 +341,8 @@ class Gateway {
   // executor when one is attached. Consumes `done`.
   void deliver(ResultCallback&& done, const GatewayResult& result)
       REQUIRES(serial_);
-  void on_engine_result(const core::CompletionRecord& record)
+  // One engine-side copy of flight `id` completed or failed.
+  void on_engine_result(std::int64_t id, const core::CompletionRecord& record)
       REQUIRES(serial_);
   // Resolves the flight's callback with `record` (id already normalized
   // to the caller's), retiring the flight and its pending hedge timer.
@@ -365,9 +365,6 @@ class Gateway {
 
   cluster::ElasticCluster* cluster_;
   GatewayConfig config_;
-  // Retries or hedging enabled: engine-side ids go through route_. Off
-  // (the common serving path), that per-submission cost is skipped.
-  bool resilient_ = false;
   concurrent::CallbackExecutor* callbacks_ = nullptr;
   // Telemetry instrument handles, resolved once at set_telemetry();
   // null when detached (the hot paths then skip every record).
@@ -383,12 +380,10 @@ class Gateway {
   std::size_t in_flight_ GUARDED_BY(serial_) = 0;
   std::deque<PendingRequest> pending_ GUARDED_BY(serial_);
 
-  // Admitted-but-unresolved requests by their original (caller) id, and
-  // the engine-side id -> original id routing for completions. Hedge
-  // duplicates get ids from a disjoint namespace so they can never
-  // collide with client ids. route_ is only populated when resilient_.
+  // Admitted-but-unresolved requests by their original (caller) id.
+  // Hedge duplicates get ids from a disjoint namespace so they can never
+  // collide with client ids.
   FlightMap flights_ GUARDED_BY(serial_);
-  std::unordered_map<std::int64_t, std::int64_t> route_ GUARDED_BY(serial_);
   std::int64_t next_hedge_id_ GUARDED_BY(serial_) = std::int64_t{1} << 40;
 
   GatewayCounters counters_ GUARDED_BY(serial_);

@@ -5,7 +5,6 @@
 #include <unordered_map>
 
 #include "common/log.h"
-#include "metrics/stats.h"
 
 namespace gfaas::shard {
 
@@ -99,67 +98,13 @@ ShardedExperimentResult run_sharded_experiment(
 
   ShardedExperimentResult out;
   out.stats = sharded.replay(workload.requests);
-
-  // From here down this mirrors cluster::run_experiment's aggregation
-  // term for term (same accumulation order, shard-major), which is what
-  // makes the 1-shard output float- and digest-identical to the direct
-  // runner.
-  const std::vector<core::CompletionRecord> completions = sharded.completions();
-  GFAAS_CHECK(completions.size() == workload.requests.size())
-      << completions.size() << " completions for " << workload.requests.size()
-      << " requests";
-  SimTime makespan = 0;
-  for (const auto& record : completions) {
-    makespan = std::max(makespan, record.completed);
-  }
-
-  metrics::StreamingStats latency;
-  metrics::Histogram latency_hist(/*min=*/100.0, /*max=*/1e10);
-  std::int64_t misses = 0;
-  for (const auto& record : completions) {
-    latency.add(sim_to_seconds(record.latency()));
-    latency_hist.add(static_cast<double>(record.latency()));
-    if (!record.cache_hit) ++misses;
-  }
-
-  cluster::ExperimentResult& result = out.result;
-  result.policy = sharded.engine(0).policy().name();
-  result.working_set = workload.registry.size();
-  result.requests = completions.size();
-  result.avg_latency_s = latency.mean();
-  result.latency_variance_s2 = latency.sample_variance();
-  result.p50_latency_s = latency_hist.p50() / 1e6;
-  result.p95_latency_s = latency_hist.p95() / 1e6;
-  result.p99_latency_s = latency_hist.p99() / 1e6;
-  result.miss_ratio =
-      static_cast<double>(misses) / static_cast<double>(completions.size());
-  std::int64_t false_misses = 0;
+  std::vector<cluster::SimCluster*> cells;
   for (std::size_t s = 0; s < sharded.shard_count(); ++s) {
-    false_misses += sharded.engine(s).false_misses();
+    cells.push_back(&sharded.shard(s));
   }
-  result.false_miss_ratio = static_cast<double>(false_misses) /
-                            static_cast<double>(completions.size());
-
-  double util = 0;
-  std::int64_t evictions = 0, loads = 0;
-  std::size_t gpu_count = 0;
-  for (std::size_t s = 0; s < sharded.shard_count(); ++s) {
-    cluster::SimCluster& cell = sharded.shard(s);
-    for (std::size_t g = 0; g < cell.gpu_count(); ++g) {
-      util += cell.gpu(g).sm_utilization(makespan);
-      evictions += cell.gpu(g).counters().evictions;
-      loads += cell.gpu(g).counters().loads;
-    }
-    gpu_count += cell.gpu_count();
-  }
-  result.sm_utilization = util / static_cast<double>(gpu_count);
-  result.evictions = evictions;
-  result.model_loads = loads;
-  result.avg_top_duplicates =
-      sharded.engine(sharded.route(workload.top_model))
-          .average_top_duplicates(makespan);
-  result.makespan_s = sim_to_seconds(makespan);
-  if (completions_out != nullptr) *completions_out = completions;
+  out.result = cluster::aggregate_result(
+      cells, sharded.engine(sharded.route(workload.top_model)), workload,
+      completions_out);
   return out;
 }
 

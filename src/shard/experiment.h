@@ -1,10 +1,9 @@
 // Sharded experiment runner: partitions a fleet config into N per-shard
 // ClusterConfigs along whole-node lines, replays a workload through a
-// ShardedCluster, and aggregates the SAME ExperimentResult metrics as
-// cluster::run_experiment — with identical arithmetic and identical
-// iteration order, so a 1-shard sharded run reproduces the direct run's
-// hexfloat output and completion digest byte-for-byte
-// (bench_seed_digest --sharded=1).
+// ShardedCluster, and aggregates its ExperimentResult with the same
+// cluster::aggregate_result as cluster::run_experiment, shards in order,
+// so a 1-shard sharded run reproduces the direct run's hexfloat output
+// and completion digest byte-for-byte (bench_seed_digest --sharded=1).
 #pragma once
 
 #include <vector>

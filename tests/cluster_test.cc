@@ -345,6 +345,137 @@ TEST(SchedulerEngineTest, PerMinuteSeriesTracksCompletions) {
   EXPECT_DOUBLE_EQ(miss.bucket_sum(1), 0.0);  // warm hit
 }
 
+// Counts one request's completion-hook firings.
+struct HookProbe {
+  int fired = 0;
+  bool failed = false;
+
+  core::Request request(std::int64_t id, std::int64_t model) {
+    core::Request req = make_request(id, model, 0);
+    req.on_complete = [this](const core::CompletionRecord& record) {
+      ++fired;
+      failed = record.failed;
+    };
+    return req;
+  }
+};
+
+TEST(SchedulerEngineTest, CompletionHookFiresOnceOnEveryExit) {
+  const auto one_gpu = [] {
+    return testkit::ClusterBuilder().gpus_per_node(1).build();
+  };
+  {  // Completion.
+    auto cluster = one_gpu();
+    HookProbe probe;
+    cluster->engine().submit(probe.request(0, 0));
+    cluster->simulator().run();
+    EXPECT_EQ(probe.fired, 1);
+    EXPECT_FALSE(probe.failed);
+  }
+  {  // GPU death while executing.
+    auto cluster = one_gpu();
+    HookProbe probe;
+    cluster->engine().submit(probe.request(0, 0));
+    ASSERT_TRUE(cluster->engine().request_executing(RequestId(0)));
+    cluster->kill_gpu(GpuId(0));
+    cluster->simulator().run();
+    EXPECT_EQ(probe.fired, 1);
+    EXPECT_TRUE(probe.failed);
+  }
+  {  // Cancelled while executing, and from the global queue.
+    auto cluster = one_gpu();
+    HookProbe running, waiting;
+    cluster->engine().submit(running.request(0, 0));
+    cluster->engine().submit(waiting.request(1, 1));
+    ASSERT_NE(cluster->engine().global_queue().find(RequestId(1)), nullptr);
+    EXPECT_TRUE(cluster->engine().cancel_request(RequestId(1)));
+    EXPECT_TRUE(cluster->engine().cancel_request(RequestId(0)));
+    cluster->simulator().run();
+    EXPECT_EQ(running.fired, 0);
+    EXPECT_EQ(waiting.fired, 0);
+  }
+  {  // Cancelled from a local queue: the recipe of
+     // FinishTimeEstimateIncludesLocalQueueWork parks request 2 behind the
+     // warm holder's running hit.
+    ClusterConfig config;
+    config.nodes = 1;
+    config.gpus_per_node = 2;
+    config.policy = core::PolicyName::kLalb;
+    models::ModelRegistry registry;
+    models::ModelProfile inception = *models::find_model("inception.v3");
+    inception.id = ModelId(0);
+    ASSERT_TRUE(registry.register_model(inception).ok());
+    SimCluster cluster(config, registry);
+    SchedulerEngine& engine = cluster.engine();
+    HookProbe warm, hit, parked;
+    engine.submit(warm.request(0, 0));
+    cluster.simulator().run();
+    cluster.simulator().schedule_at(sec(10), [&] {
+      engine.submit(hit.request(1, 0));
+      engine.submit(parked.request(2, 0));
+      ASSERT_EQ(engine.global_queue().find(RequestId(2)), nullptr);
+      ASSERT_TRUE(engine.request_waiting(RequestId(2)));
+      EXPECT_TRUE(engine.cancel_request(RequestId(2)));
+    });
+    cluster.simulator().run();
+    EXPECT_EQ(warm.fired, 1);
+    EXPECT_EQ(hit.fired, 1);
+    EXPECT_EQ(parked.fired, 0);
+  }
+  {  // Stolen from the global queue: the hook leaves with the request and
+     // fires once, from the engine it was resubmitted to.
+    auto victim = one_gpu();
+    auto thief = one_gpu();
+    HookProbe running, stolen;
+    victim->engine().submit(running.request(0, 0));
+    victim->engine().submit(stolen.request(1, 1));
+    std::vector<core::Request> taken = victim->engine().steal_from_global(1);
+    ASSERT_EQ(taken.size(), 1u);
+    EXPECT_EQ(taken[0].id, RequestId(1));
+    ASSERT_TRUE(taken[0].on_complete != nullptr);
+    thief->engine().submit(std::move(taken[0]));
+    victim->simulator().run();
+    thief->simulator().run();
+    EXPECT_EQ(running.fired, 1);
+    EXPECT_EQ(stolen.fired, 1);
+    EXPECT_EQ(victim->engine().completions().size(), 1u);
+    EXPECT_EQ(thief->engine().completions().size(), 1u);
+  }
+}
+
+TEST(SchedulerEngineDeathTest, DuplicateExecutingIdDies) {
+  // Two idle GPUs: the first request dispatches at once and leaves the
+  // global queue, so only the executing-entry check can catch the second.
+  auto cluster = testkit::ClusterBuilder().gpus_per_node(2).build();
+  cluster->engine().submit(make_request(7, 0, 0));
+  ASSERT_TRUE(cluster->engine().request_executing(RequestId(7)));
+  EXPECT_DEATH(cluster->engine().submit(make_request(7, 1, 0)),
+               "duplicate in-flight request id 7");
+}
+
+TEST(FaasClusterTest, GpuDeathReportsUnavailable) {
+  ClusterConfig config;
+  config.nodes = 1;
+  config.gpus_per_node = 1;
+  faas::FaasCluster faas_cluster(config, head_registry(1));
+  ASSERT_TRUE(faas_cluster.gateway()
+                  .register_function(
+                      testkit::gpu_function_spec("classify", "squeezenet1.1"))
+                  .ok());
+  int calls = 0;
+  StatusCode code = StatusCode::kOk;
+  faas_cluster.gateway().invoke("classify", {}, [&](StatusOr<faas::InvocationResult> r) {
+    ++calls;
+    code = r.status().code();
+  });
+  // squeezenet1.1 loads for 2.41s, then infers for 1.28s: 3s is mid-inference.
+  faas_cluster.simulator().schedule_at(
+      sec(3), [&] { faas_cluster.sim_cluster().kill_gpu(GpuId(0)); });
+  faas_cluster.run_to_completion();
+  EXPECT_EQ(calls, 1);
+  EXPECT_EQ(code, StatusCode::kUnavailable);
+}
+
 TEST(FaasClusterTest, GatewayEndToEnd) {
   // ClusterBuilder defaults: 1 node x 2 GPUs.
   auto built = testkit::ClusterBuilder().models(2).build_faas();

@@ -349,9 +349,9 @@ TEST(RealTimeClusterTest, DestroyWithoutDrainDropsPendingCompletion) {
   {
     RealTimeCluster cluster(config, testkit::head_registry(1), /*time_scale=*/1.0);
     cluster.executor().post([&] {
-      cluster.engine().set_completion_hook(
-          [&](const core::CompletionRecord&) { ++completions; });
-      cluster.engine().submit(testkit::make_request(0, 0, cluster.executor().now()));
+      core::Request request = testkit::make_request(0, 0, cluster.executor().now());
+      request.on_complete = [&](const core::CompletionRecord&) { ++completions; };
+      cluster.engine().submit(std::move(request));
       dispatched = cluster.gpu(0).is_busy();
       submitted = true;
     });

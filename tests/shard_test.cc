@@ -190,6 +190,34 @@ TEST(ShardedExperimentTest, OneShardMetricsMatchDirectRunner) {
   EXPECT_EQ(direct.makespan_s, sharded.result.makespan_s);
 }
 
+TEST(ShardedExperimentTest, FourShardAggregateSumsEveryCell) {
+  const trace::Workload workload = testkit::make_workload(20, 11);
+  cluster::ClusterConfig config;
+  config.nodes = 4;
+  config.gpus_per_node = 2;
+  ShardedCluster sharded(partition_config(config, 4), workload.registry,
+                         ShardedOptions{});
+  sharded.replay(workload.requests);
+  std::vector<cluster::SimCluster*> cells;
+  std::int64_t loads = 0, evictions = 0;
+  for (std::size_t s = 0; s < sharded.shard_count(); ++s) {
+    cluster::SimCluster& cell = sharded.shard(s);
+    cells.push_back(&cell);
+    for (std::size_t g = 0; g < cell.gpu_count(); ++g) {
+      loads += cell.gpu(g).counters().loads;
+      evictions += cell.gpu(g).counters().evictions;
+    }
+  }
+  ASSERT_EQ(cells.size(), 4u);
+  std::vector<core::CompletionRecord> records;
+  const cluster::ExperimentResult result =
+      cluster::aggregate_result(cells, sharded.engine(0), workload, &records);
+  EXPECT_EQ(result.requests, workload.requests.size());
+  EXPECT_EQ(result.model_loads, loads);
+  EXPECT_EQ(result.evictions, evictions);
+  expect_identical(records, sharded.completions());
+}
+
 // ---------------------------------------------------------------------------
 // Multi-shard determinism: repeat runs and sequential-vs-threaded runs
 // ---------------------------------------------------------------------------
