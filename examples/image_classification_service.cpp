@@ -1,7 +1,9 @@
 // Image classification service: a multi-model serving scenario with REAL
-// computation — every invocation runs an actual forward pass through a
-// scaled-down CNN on synthetic CIFAR/MNIST-like images, end to end
-// through the FaaS Gateway (CPU functions + Watchdog + container pool).
+// computation. Clients submit image batches through the Gateway with
+// Zipf-skewed model popularity; the scheduler places each request on a
+// virtual GPU (simulated load + inference time), and every completed
+// request's result callback runs an actual forward pass through a
+// scaled-down CNN on the synthetic CIFAR-like images it carried.
 //
 // This mirrors the paper's motivating workload: several models deployed
 // as independent functions, invoked by concurrent clients with skewed
@@ -9,94 +11,68 @@
 #include <cstdio>
 #include <map>
 
+#include "cluster/experiment.h"
 #include "common/rng.h"
-#include "datastore/keys.h"
-#include "datastore/kv_store.h"
-#include "faas/gateway.h"
+#include "gateway/gateway.h"
 #include "models/zoo.h"
-#include "sim/simulator.h"
 #include "tensor/dataset.h"
 #include "tensor/model_builder.h"
 
 using namespace gfaas;
 
 int main() {
-  sim::Simulator sim;
-  datastore::KvStore store(&sim);
-  faas::Gateway gateway(&store, &sim, /*gpu_backend=*/nullptr);
-
-  // Deploy four classifier functions, each wrapping a real CNN.
+  // Deploy four classifier models, each backed by a real CNN.
   const char* model_names[] = {"squeezenet1.1", "resnet18", "alexnet", "densenet121"};
-  std::map<std::string, tensor::ModulePtr> nets;
+  models::ModelRegistry registry;
+  std::map<std::int64_t, tensor::ModulePtr> nets;
   for (const char* name : model_names) {
     const auto profile = models::find_model(name);
-    tensor::ModulePtr net = tensor::build_cnn(profile->runtime_config);
-    nets[name] = net;
-    faas::FunctionSpec spec;
-    spec.name = std::string("classify-") + name;
-    spec.dockerfile = "FROM gfaas/runtime\n";
-    spec.handler = [net](const faas::Payload& input) -> StatusOr<faas::Payload> {
-      if (input.shape.size() != 4) {
-        return Status::InvalidArgument("expected NCHW image batch");
-      }
-      tensor::Tensor images(
-          tensor::Shape(input.shape.begin(), input.shape.end()), input.data);
-      const tensor::Tensor probs = net->forward(images);
-      faas::Payload out;
-      out.content_type = "application/x-class-probabilities";
-      out.shape = {probs.dim(0), probs.dim(1)};
-      out.data.assign(probs.data(), probs.data() + probs.numel());
-      return out;
-    };
-    if (auto status = gateway.register_function(spec); !status.ok()) {
-      std::fprintf(stderr, "register: %s\n", status.to_string().c_str());
+    if (!profile.ok() || !registry.register_model(*profile).ok()) {
+      std::fprintf(stderr, "cannot deploy %s\n", name);
       return 1;
     }
+    nets[profile->id.value()] = tensor::build_cnn(profile->runtime_config);
   }
-  std::printf("deployed %zu classifier functions\n", gateway.list_functions().size());
+  std::printf("deployed %zu classifier models\n", registry.size());
 
-  // Simulate clients with Zipf-skewed function popularity.
+  cluster::ClusterConfig config;  // paper testbed: 3 nodes x 4 GPUs
+  cluster::SimCluster cluster(config, registry);
+  gateway::Gateway gateway(&cluster);
+
+  // Clients with Zipf-skewed model popularity, one request every 500ms.
   tensor::SyntheticImageDataset dataset(tensor::DatasetKind::kCifar10Like, 42);
   Rng rng(7);
   ZipfDistribution popularity(4, 1.1);
-  std::map<std::string, int> invocations;
-  std::map<std::string, double> total_latency_ms;
+  int served = 0;
   int correct_shape = 0;
   const int kRequests = 24;
   for (int i = 0; i < kRequests; ++i) {
-    const char* model = model_names[popularity.sample(rng)];
-    const std::string fn = std::string("classify-") + model;
-    const tensor::Batch batch = dataset.make_batch(2);
-    faas::Payload input;
-    input.shape = batch.images.shape();
-    input.data.assign(batch.images.data(),
-                      batch.images.data() + batch.images.numel());
-    auto result = gateway.invoke_sync(fn, input);
-    if (!result.ok()) {
-      std::fprintf(stderr, "%s: %s\n", fn.c_str(),
-                   result.status().to_string().c_str());
-      return 1;
-    }
-    if (result->output.shape == std::vector<std::int64_t>({2, 10})) ++correct_shape;
-    ++invocations[fn];
-    total_latency_ms[fn] += sim_to_millis(result->latency);
+    const ModelId model = registry.all()[popularity.sample(rng)].id;
+    tensor::Batch batch = dataset.make_batch(2);
+    cluster.simulator().schedule_at(msec(500) * i, [&, i, model,
+                                                    images = std::move(batch.images)] {
+      core::Request request;
+      request.id = RequestId(i);
+      request.model = model;
+      request.batch = images.dim(0);
+      gateway.submit(std::move(request), [&, images](const gateway::GatewayResult& result) {
+        if (result.disposition != gateway::Disposition::kCompleted) return;
+        ++served;
+        const tensor::Tensor probs = nets.at(result.record.model.value())->forward(images);
+        if (probs.dim(0) == 2 && probs.dim(1) == 10) ++correct_shape;
+      });
+    });
   }
+  cluster.run_to_completion();
 
-  std::printf("\n%-24s %12s %16s %12s\n", "function", "invocations", "avg latency(ms)",
-              "containers");
-  for (const auto& [fn, count] : invocations) {
-    std::printf("%-24s %12d %16.2f %12zu\n", fn.c_str(), count,
-                total_latency_ms[fn] / count, gateway.containers().warm_count(fn));
+  std::printf("\n%-16s %12s %16s %10s\n", "model", "completed", "avg latency(ms)", "slo met");
+  for (const auto& [model, stats] : gateway.model_stats()) {
+    std::printf("%-16s %12lld %16.2f %9.0f%%\n",
+                registry.get(ModelId(model))->name.c_str(),
+                static_cast<long long>(stats.completed), stats.latency_s.mean() * 1e3,
+                stats.slo_attainment() * 100.0);
   }
   std::printf("\n%d/%d responses had the expected [2, 10] probability shape\n",
               correct_shape, kRequests);
-
-  // The Watchdog recorded per-function metrics in the Datastore.
-  for (const auto& [fn, count] : invocations) {
-    const auto recorded = store.get(datastore::keys::fn_invocations(fn));
-    std::printf("datastore %s = %s\n",
-                datastore::keys::fn_invocations(fn).c_str(),
-                recorded.ok() ? recorded->value.c_str() : "?");
-  }
-  return 0;
+  return served == kRequests && correct_shape == kRequests ? 0 : 1;
 }

@@ -1,14 +1,15 @@
-// Quickstart: deploy and invoke a GPU-enabled ML inference function on a
-// gFaaS cluster in ~40 lines.
+// Quickstart: serve GPU inference requests through the gFaaS Gateway in
+// ~40 lines.
 //
-// What happens under the hood (paper Fig. 2): the Gateway parses the
-// Dockerfile's GPU-enable flag and reroutes the function's model-serving
-// calls to the GPU Manager; the Scheduler (LALB + out-of-order dispatch)
-// places each invocation on one of 12 virtual RTX 2080 GPUs; the Cache
-// Manager keeps the model resident so repeat invocations skip the upload.
+// What happens under the hood (paper Fig. 2): the Gateway stamps each
+// request's arrival and SLO deadline and admits it; the Scheduler (LALB +
+// out-of-order dispatch) places it on one of 12 virtual RTX 2080 GPUs;
+// the Cache Manager keeps the model resident so repeat invocations skip
+// the upload.
 #include <cstdio>
 
-#include "faas/faas_cluster.h"
+#include "cluster/experiment.h"
+#include "gateway/gateway.h"
 #include "models/zoo.h"
 
 using namespace gfaas;
@@ -16,38 +17,40 @@ using namespace gfaas;
 int main() {
   // A 3-node x 4-GPU cluster (the paper's testbed) with LALB+O3
   // scheduling; inference timings follow the Table I profiles.
-  faas::FaasCluster faas(cluster::ClusterConfig{}, models::ModelRegistry::full_catalog());
+  const models::ModelRegistry registry = models::ModelRegistry::full_catalog();
+  cluster::SimCluster cluster(cluster::ClusterConfig{}, registry);
+  gateway::Gateway gateway(&cluster);
 
-  // Register a function. The Dockerfile is all a user writes: the
-  // GPU-enable flag + which model to serve.
-  faas::FunctionSpec spec;
-  spec.name = "classify-image";
-  spec.dockerfile =
-      "FROM gfaas/pytorch-runtime\n"
-      "ENV GPU_ENABLED=1\n"
-      "ENV GFAAS_MODEL=resnet50\n";
-  if (auto status = faas.gateway().register_function(spec); !status.ok()) {
-    std::fprintf(stderr, "register failed: %s\n", status.to_string().c_str());
+  // A function is a model to serve: requests name it by model id.
+  const auto resnet50 = registry.get_by_name("resnet50");
+  if (!resnet50.ok()) {
+    std::fprintf(stderr, "lookup failed: %s\n", resnet50.status().to_string().c_str());
     return 1;
   }
-  std::printf("registered function '%s' (GPU-enabled, model resnet50)\n",
-              spec.name.c_str());
+  std::printf("serving model '%s' through the gateway\n", resnet50->name.c_str());
 
   // Invoke it three times. The first pays the model upload (cold, ~4s);
   // the rest hit the GPU cache (~1.3s).
+  int completed = 0;
   for (int i = 0; i < 3; ++i) {
-    faas.gateway().invoke(
-        "classify-image", {}, [i](StatusOr<faas::InvocationResult> result) {
-          if (!result.ok()) {
-            std::fprintf(stderr, "invoke failed: %s\n",
-                         result.status().to_string().c_str());
-            return;
-          }
-          std::printf("invocation %d: %.2fs on %s (%s)\n", i,
-                      sim_to_seconds(result->latency), result->executed_on.c_str(),
-                      i == 0 ? "cache miss: model uploaded" : "cache hit");
-        });
-    faas.run_to_completion();
+    cluster.simulator().schedule_after(0, [&, i] {
+      core::Request request;
+      request.id = RequestId(i);
+      request.model = resnet50->id;
+      gateway.submit(std::move(request), [&, i](const gateway::GatewayResult& result) {
+        if (result.disposition != gateway::Disposition::kCompleted) {
+          std::fprintf(stderr, "invocation %d: %s\n", i,
+                       gateway::disposition_name(result.disposition));
+          return;
+        }
+        ++completed;
+        std::printf("invocation %d: %.2fs on gpu-%lld (%s)\n", i,
+                    sim_to_seconds(result.record.latency()),
+                    static_cast<long long>(result.record.gpu.value()),
+                    result.record.cache_hit ? "cache hit" : "cache miss: model uploaded");
+      });
+    });
+    cluster.run_to_completion();
   }
-  return 0;
+  return completed == 3 ? 0 : 1;
 }

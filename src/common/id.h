@@ -1,9 +1,9 @@
 // Strongly-typed integer identifiers.
 //
-// GpuId, NodeId, ModelId, RequestId etc. are distinct types so the compiler
-// rejects e.g. passing a model id where a GPU id is expected — cheap
-// insurance in a codebase that juggles four id spaces in every scheduler
-// decision.
+// GpuId, NodeId, ModelId, RequestId, TenantId etc. are distinct types so
+// the compiler rejects e.g. passing a model id where a GPU id is expected —
+// cheap insurance in a codebase that juggles four id spaces in every
+// scheduler decision.
 #pragma once
 
 #include <cstdint>
@@ -34,6 +34,7 @@ struct ModelIdTag {};
 struct RequestIdTag {};
 struct FunctionIdTag {};
 struct ProcessIdTag {};
+struct TenantIdTag {};
 
 using GpuId = TypedId<GpuIdTag>;
 using NodeId = TypedId<NodeIdTag>;
@@ -41,6 +42,7 @@ using ModelId = TypedId<ModelIdTag>;
 using RequestId = TypedId<RequestIdTag>;
 using FunctionId = TypedId<FunctionIdTag>;
 using ProcessId = TypedId<ProcessIdTag>;
+using TenantId = TypedId<TenantIdTag>;
 
 }  // namespace gfaas
 

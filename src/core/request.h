@@ -30,20 +30,27 @@ struct Request {
   SimTime arrival = 0;
   // O3 skip counter (Algorithm 1).
   int visits = 0;
-  // --- serving-layer metadata (src/gateway) ---
-  // Absolute completion deadline; kSimTimeMax = no SLO. The Gateway
-  // stamps arrival + the request's latency SLO here at admission. The
-  // scheduling policies never read it, so deadline-carrying replays stay
-  // bit-identical to the seed engine.
-  SimTime deadline = kSimTimeMax;
   // --- sharded-serving metadata (src/shard) ---
   // Cross-shard steal hops taken so far: 0 = the request runs on the
   // shard its model hashed to; each work-steal rebalance that moves it
   // to another shard's engine increments it. Single-engine runs never
   // touch it, so steal-marker-carrying replays stay bit-identical to
   // the seed engine (the digest folds it into the flags byte, where a
-  // zero adds nothing).
+  // zero adds nothing). Declared next to `visits` so the two share one
+  // 8-byte word: the local queues are deques, whose block holds as many
+  // requests as fit in 512 bytes.
   std::int32_t steal_hops = 0;
+  // --- serving-layer metadata (src/gateway) ---
+  // Absolute completion deadline; kSimTimeMax = no SLO. The Gateway
+  // stamps arrival + the request's latency SLO here at admission. The
+  // scheduling policies never read it, so deadline-carrying replays stay
+  // bit-identical to the seed engine.
+  SimTime deadline = kSimTimeMax;
+  // Submitting tenant (paper §VI). Invalid = anonymous. Only a Gateway
+  // with a TenantManager attached reads it: there an anonymous or
+  // unregistered tenant is shed, and an admitted request holds one of
+  // its tenant's execution slots until its callback resolves.
+  TenantId tenant;
   // Per-request completion hook: the only way a result reaches its
   // submitter. It stays inside the request through the global and local
   // queues (which move requests, never copy them) and across a steal to

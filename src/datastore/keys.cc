@@ -19,12 +19,6 @@ std::string gpu_free_mem(GpuId gpu) {
 std::string model_locations(ModelId model) {
   return "model/" + std::to_string(model.value()) + "/locations";
 }
-std::string fn_latency(const std::string& fn_name) {
-  return "fn/" + fn_name + "/latency";
-}
-std::string fn_invocations(const std::string& fn_name) {
-  return "fn/" + fn_name + "/invocations";
-}
 
 std::string encode_id_list(const std::vector<std::int64_t>& ids) {
   std::string out;

@@ -6,8 +6,6 @@
 //   gpu/<id>/lru             comma-separated model ids, LRU -> MRU
 //   gpu/<id>/free_mem        free GPU memory (bytes)
 //   model/<id>/locations     comma-separated GPU ids caching the model
-//   fn/<name>/latency        last reported invocation latency (µs)
-//   fn/<name>/invocations    cumulative invocation count
 #pragma once
 
 #include <string>
@@ -22,8 +20,6 @@ std::string gpu_finish_time(GpuId gpu);
 std::string gpu_lru(GpuId gpu);
 std::string gpu_free_mem(GpuId gpu);
 std::string model_locations(ModelId model);
-std::string fn_latency(const std::string& fn_name);
-std::string fn_invocations(const std::string& fn_name);
 
 // Encoding helpers for the list-valued keys.
 std::string encode_id_list(const std::vector<std::int64_t>& ids);

@@ -7,6 +7,7 @@
 
 #include "common/log.h"
 #include "concurrent/callback_executor.h"
+#include "gateway/tenancy.h"
 #include "telemetry/telemetry.h"
 
 namespace gfaas::gateway {
@@ -123,6 +124,16 @@ void Gateway::submit_one(core::Request request, ResultCallback done,
   if (tel_) {
     tel_->submitted->add();
     tel_->spans->record(request.id.value(), telemetry::SpanEvent::kSubmit, now);
+  }
+
+  // Tenant admission (§VI): from here on the request holds one of its
+  // tenant's execution slots, released wherever it resolves.
+  if (tenants_ != nullptr) {
+    if (!tenants_->admit(request.tenant, now).ok()) {
+      resolve_locally(request, Disposition::kShed, done, /*tenant_denied=*/true);
+      return;
+    }
+    tenants_->on_dispatch(request.tenant);
   }
 
   // Already stale at the door (a client retransmitted an expired call):
@@ -319,16 +330,21 @@ void Gateway::on_hedge_timer(std::int64_t id) {
 }
 
 void Gateway::resolve_locally(const core::Request& request, Disposition disposition,
-                              ResultCallback& done) {
+                              ResultCallback& done, bool tenant_denied) {
+  const SimTime now = cluster_->executor().now();
+  if (tenants_ != nullptr && !tenant_denied) {
+    tenants_->on_complete(request.tenant, now, /*gpu_time=*/0);
+  }
   ModelServingStats& stats = model_stats_[request.model.value()];
   GatewayResult result;
   result.disposition = disposition;
   if (disposition == Disposition::kShed) {
     ++counters_.shed;
     ++stats.shed;
-    const SimTime now = cluster_->executor().now();
-    window_sheds_.push_back(now);
-    trim_window(now);
+    if (!tenant_denied) {
+      window_sheds_.push_back(now);
+      trim_window(now);
+    }
     if (tel_) {
       tel_->shed->add();
       tel_->spans->record(request.id.value(), telemetry::SpanEvent::kShed, now);
@@ -339,8 +355,7 @@ void Gateway::resolve_locally(const core::Request& request, Disposition disposit
     ++stats.expired;
     if (tel_) {
       tel_->expired->add();
-      tel_->spans->record(request.id.value(), telemetry::SpanEvent::kExpired,
-                          cluster_->executor().now());
+      tel_->spans->record(request.id.value(), telemetry::SpanEvent::kExpired, now);
     }
   }
   deliver(std::move(done), result);
@@ -433,6 +448,10 @@ void Gateway::resolve_flight(FlightMap::iterator it,
   if (flight.hedge_event != 0) cluster_->executor().cancel(flight.hedge_event);
   GFAAS_CHECK(in_flight_ > 0);
   --in_flight_;
+  if (tenants_ != nullptr) {
+    tenants_->on_complete(flight.request.tenant, cluster_->executor().now(),
+                          record.completed - record.dispatched);
+  }
   ModelServingStats& stats = model_stats_[record.model.value()];
   GatewayResult result;
   result.record = record;

@@ -15,6 +15,9 @@
 //     finish-time estimate (memoized between admissions, invalidated by
 //     each one), producing exactly the same shed-vs-queue decisions as
 //     submitting the cells one at a time (bench_seed_digest-guarded);
+//   * optional tenant admission (paper §VI multi-tenancy): with a
+//     TenantManager attached, each submission first passes its tenant's
+//     rate limit, concurrency cap and GPU-time share, or is shed;
 //   * admission is a bounded in-flight window: at most max_in_flight
 //     requests live inside the engine at once. A submission over the
 //     window faces the shed-vs-queue decision: the Gateway estimates the
@@ -71,6 +74,8 @@ class Telemetry;
 }  // namespace gfaas::telemetry
 
 namespace gfaas::gateway {
+
+class TenantManager;
 
 // Final disposition of one submitted request.
 enum class Disposition {
@@ -222,6 +227,21 @@ class Gateway {
   // resolution and the exporter's last tick.
   void set_telemetry(telemetry::Telemetry* telemetry);
 
+  // Attaches tenant admission (paper §VI). Nullable and not owned; the
+  // default (detached) path never reads Request::tenant. Attached, every
+  // submission must carry a registered tenant that passes
+  // TenantManager::admit before the window check, or it resolves kShed
+  // (counted in TenantUsage::rejected). An admitted request holds one of
+  // its tenant's execution slots (on_dispatch) from then until its
+  // callback resolves, whatever the disposition, and releases it exactly
+  // once (on_complete) just before that callback — also when it expires
+  // in the pending queue, and across retries and hedges, which share the
+  // one flight. The release charges the resolving record's GPU time,
+  // completed - dispatched (load plus inference); a request that never
+  // reached a GPU is charged 0. Wire before the first submission;
+  // `manager` must outlive the gateway's last resolution.
+  void set_tenant_manager(TenantManager* manager) { tenants_ = manager; }
+
   // Submits one request for serving. Stamps request.arrival = now and,
   // when the request carries no deadline, deadline = now + default_slo.
   // `done` fires exactly once — possibly synchronously (shed / expired /
@@ -335,8 +355,12 @@ class Gateway {
                                     BatchMemo* memo) const REQUIRES(serial_);
   void admit(core::Request request, ResultCallback done, SimTime estimate = 0)
       REQUIRES(serial_);
+  // Sheds or expires a request the engine never took. A tenant denial
+  // holds no slot to release, and as a quota decision rather than a
+  // capacity signal it stays out of the windowed shed fraction.
   void resolve_locally(const core::Request& request, Disposition disposition,
-                       ResultCallback& done) REQUIRES(serial_);
+                       ResultCallback& done, bool tenant_denied = false)
+      REQUIRES(serial_);
   // Invokes `done` with `result` — inline, or posted to the callback
   // executor when one is attached. Consumes `done`.
   void deliver(ResultCallback&& done, const GatewayResult& result)
@@ -366,6 +390,7 @@ class Gateway {
   cluster::ElasticCluster* cluster_;
   GatewayConfig config_;
   concurrent::CallbackExecutor* callbacks_ = nullptr;
+  TenantManager* tenants_ = nullptr;
   // Telemetry instrument handles, resolved once at set_telemetry();
   // null when detached (the hot paths then skip every record).
   struct TelemetryHandles;

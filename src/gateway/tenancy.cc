@@ -1,10 +1,19 @@
-#include "faas/tenancy.h"
+#include "gateway/tenancy.h"
 
 #include <algorithm>
+#include <string>
 
 #include "common/log.h"
 
-namespace gfaas::faas {
+namespace gfaas::gateway {
+
+namespace {
+
+std::string describe(TenantId tenant) {
+  return "tenant " + std::to_string(tenant.value());
+}
+
+}  // namespace
 
 TokenBucket::TokenBucket(double capacity, double refill_per_sec)
     : capacity_(capacity), refill_per_sec_(refill_per_sec), tokens_(capacity) {
@@ -36,10 +45,10 @@ TenantManager::TenantManager(int total_gpus, SimTime window)
   GFAAS_CHECK(total_gpus > 0 && window > 0);
 }
 
-Status TenantManager::register_tenant(const std::string& tenant, TenantQuota quota) {
-  if (tenant.empty()) return Status::InvalidArgument("tenant name required");
+Status TenantManager::register_tenant(TenantId tenant, TenantQuota quota) {
+  if (!tenant.valid()) return Status::InvalidArgument("valid tenant id required");
   if (tenants_.count(tenant) > 0) {
-    return Status::AlreadyExists("tenant " + tenant + " already registered");
+    return Status::AlreadyExists(describe(tenant) + " already registered");
   }
   if (quota.gpu_time_share <= 0 || quota.gpu_time_share > 1.0) {
     return Status::InvalidArgument("gpu_time_share must be in (0, 1]");
@@ -51,19 +60,19 @@ Status TenantManager::register_tenant(const std::string& tenant, TenantQuota quo
   return Status::Ok();
 }
 
-bool TenantManager::known(const std::string& tenant) const {
+bool TenantManager::known(TenantId tenant) const {
   return tenants_.count(tenant) > 0;
 }
 
-TenantManager::Entry& TenantManager::entry(const std::string& tenant) {
+TenantManager::Entry& TenantManager::entry(TenantId tenant) {
   auto it = tenants_.find(tenant);
-  GFAAS_CHECK(it != tenants_.end()) << "unknown tenant " << tenant;
+  GFAAS_CHECK(it != tenants_.end()) << "unknown tenant " << tenant.value();
   return it->second;
 }
 
-const TenantManager::Entry& TenantManager::entry(const std::string& tenant) const {
+const TenantManager::Entry& TenantManager::entry(TenantId tenant) const {
   auto it = tenants_.find(tenant);
-  GFAAS_CHECK(it != tenants_.end()) << "unknown tenant " << tenant;
+  GFAAS_CHECK(it != tenants_.end()) << "unknown tenant " << tenant.value();
   return it->second;
 }
 
@@ -74,40 +83,37 @@ void TenantManager::roll_window(Entry& e, SimTime now) {
   }
 }
 
-Status TenantManager::admit(const std::string& tenant, SimTime now) {
+Status TenantManager::admit(TenantId tenant, SimTime now) {
   auto it = tenants_.find(tenant);
   if (it == tenants_.end()) {
-    return Status::NotFound("unknown tenant " + tenant);
+    return Status::NotFound("unknown " + describe(tenant));
   }
   Entry& e = it->second;
   roll_window(e, now);
   if (!e.bucket.try_acquire(now)) {
     ++e.usage.rejected;
-    return Status::ResourceExhausted("tenant " + tenant + " rate limited");
+    return Status::ResourceExhausted(describe(tenant) + " rate limited");
   }
   if (e.usage.concurrent_executions >= e.quota.max_concurrent_executions) {
     ++e.usage.rejected;
-    return Status::ResourceExhausted("tenant " + tenant +
-                                     " at concurrent execution cap");
+    return Status::ResourceExhausted(describe(tenant) + " at concurrent execution cap");
   }
   const SimTime allowed = static_cast<SimTime>(
       e.quota.gpu_time_share * static_cast<double>(total_gpus_) *
       static_cast<double>(window_));
   if (e.usage.gpu_time_in_window >= allowed) {
     ++e.usage.rejected;
-    return Status::ResourceExhausted("tenant " + tenant +
-                                     " exceeded GPU time share");
+    return Status::ResourceExhausted(describe(tenant) + " exceeded GPU time share");
   }
   ++e.usage.admitted;
   return Status::Ok();
 }
 
-void TenantManager::on_dispatch(const std::string& tenant) {
+void TenantManager::on_dispatch(TenantId tenant) {
   ++entry(tenant).usage.concurrent_executions;
 }
 
-void TenantManager::on_complete(const std::string& tenant, SimTime now,
-                                SimTime gpu_time) {
+void TenantManager::on_complete(TenantId tenant, SimTime now, SimTime gpu_time) {
   Entry& e = entry(tenant);
   GFAAS_CHECK(e.usage.concurrent_executions > 0);
   --e.usage.concurrent_executions;
@@ -115,23 +121,23 @@ void TenantManager::on_complete(const std::string& tenant, SimTime now,
   e.usage.gpu_time_in_window += gpu_time;
 }
 
-Status TenantManager::charge_memory(const std::string& tenant, Bytes bytes) {
+Status TenantManager::charge_memory(TenantId tenant, Bytes bytes) {
   Entry& e = entry(tenant);
   if (e.quota.memory_budget > 0 &&
       e.usage.resident_memory + bytes > e.quota.memory_budget) {
-    return Status::ResourceExhausted("tenant " + tenant + " memory budget exceeded");
+    return Status::ResourceExhausted(describe(tenant) + " memory budget exceeded");
   }
   e.usage.resident_memory += bytes;
   return Status::Ok();
 }
 
-void TenantManager::release_memory(const std::string& tenant, Bytes bytes) {
+void TenantManager::release_memory(TenantId tenant, Bytes bytes) {
   Entry& e = entry(tenant);
   e.usage.resident_memory = std::max<Bytes>(0, e.usage.resident_memory - bytes);
 }
 
-const TenantUsage& TenantManager::usage(const std::string& tenant) const {
+const TenantUsage& TenantManager::usage(TenantId tenant) const {
   return entry(tenant).usage;
 }
 
-}  // namespace gfaas::faas
+}  // namespace gfaas::gateway

@@ -9,16 +9,20 @@
 //     by a GPU-time share enforced over a sliding accounting window, and
 //     by a resident-memory budget.
 // A token-bucket request rate limit guards the Gateway itself.
+//
+// gateway::Gateway runs the admission check for every submission once a
+// manager is attached (Gateway::set_tenant_manager); the memory budget is
+// bookkeeping for callers that attribute resident models to tenants.
 #pragma once
 
-#include <string>
 #include <unordered_map>
 
 #include "common/bytes.h"
+#include "common/id.h"
 #include "common/status.h"
 #include "common/time.h"
 
-namespace gfaas::faas {
+namespace gfaas::gateway {
 
 // Classic token bucket: capacity tokens, refilled at rate/second.
 class TokenBucket {
@@ -67,22 +71,25 @@ class TenantManager {
   // accounting window for time shares.
   TenantManager(int total_gpus, SimTime window = minutes(1));
 
-  Status register_tenant(const std::string& tenant, TenantQuota quota);
-  bool known(const std::string& tenant) const;
+  Status register_tenant(TenantId tenant, TenantQuota quota);
+  bool known(TenantId tenant) const;
 
   // Admission check at the Gateway: rate limit + concurrency cap +
-  // GPU-time share. Returns kResourceExhausted with a reason when denied.
-  Status admit(const std::string& tenant, SimTime now);
+  // GPU-time share. Returns kNotFound for an unknown (or anonymous)
+  // tenant and kResourceExhausted with a reason when denied.
+  Status admit(TenantId tenant, SimTime now);
 
-  // Execution accounting (called by the scheduling engine / GPU manager).
-  void on_dispatch(const std::string& tenant);
-  void on_complete(const std::string& tenant, SimTime now, SimTime gpu_time);
+  // Execution accounting: the Gateway takes a slot when it admits a
+  // request and releases it, with the GPU time used, when the request's
+  // callback resolves.
+  void on_dispatch(TenantId tenant);
+  void on_complete(TenantId tenant, SimTime now, SimTime gpu_time);
 
   // Memory accounting (model resident / evicted attribution).
-  Status charge_memory(const std::string& tenant, Bytes bytes);
-  void release_memory(const std::string& tenant, Bytes bytes);
+  Status charge_memory(TenantId tenant, Bytes bytes);
+  void release_memory(TenantId tenant, Bytes bytes);
 
-  const TenantUsage& usage(const std::string& tenant) const;
+  const TenantUsage& usage(TenantId tenant) const;
 
  private:
   struct Entry {
@@ -91,13 +98,13 @@ class TenantManager {
     TokenBucket bucket;
     SimTime window_start = 0;
   };
-  Entry& entry(const std::string& tenant);
-  const Entry& entry(const std::string& tenant) const;
+  Entry& entry(TenantId tenant);
+  const Entry& entry(TenantId tenant) const;
   void roll_window(Entry& e, SimTime now);
 
   int total_gpus_;
   SimTime window_;
-  std::unordered_map<std::string, Entry> tenants_;
+  std::unordered_map<TenantId, Entry> tenants_;
 };
 
-}  // namespace gfaas::faas
+}  // namespace gfaas::gateway

@@ -1,11 +1,10 @@
-// Integration tests: the full Fig. 2 pipeline — Gateway -> Scheduler ->
+// Integration tests: the Fig. 2 pipeline below the Gateway — Scheduler ->
 // GPU Manager -> virtual GPU -> Cache Manager -> Datastore — on small
-// simulated clusters, including the faas::FaasCluster end-to-end path.
+// simulated clusters.
 #include <gtest/gtest.h>
 
 #include "cluster/gpu_manager.h"
 #include "datastore/keys.h"
-#include "faas/faas_cluster.h"
 #include "testing/builders.h"
 #include "trace/workload.h"
 
@@ -451,92 +450,6 @@ TEST(SchedulerEngineDeathTest, DuplicateExecutingIdDies) {
   ASSERT_TRUE(cluster->engine().request_executing(RequestId(7)));
   EXPECT_DEATH(cluster->engine().submit(make_request(7, 1, 0)),
                "duplicate in-flight request id 7");
-}
-
-TEST(FaasClusterTest, GpuDeathReportsUnavailable) {
-  ClusterConfig config;
-  config.nodes = 1;
-  config.gpus_per_node = 1;
-  faas::FaasCluster faas_cluster(config, head_registry(1));
-  ASSERT_TRUE(faas_cluster.gateway()
-                  .register_function(
-                      testkit::gpu_function_spec("classify", "squeezenet1.1"))
-                  .ok());
-  int calls = 0;
-  StatusCode code = StatusCode::kOk;
-  faas_cluster.gateway().invoke("classify", {}, [&](StatusOr<faas::InvocationResult> r) {
-    ++calls;
-    code = r.status().code();
-  });
-  // squeezenet1.1 loads for 2.41s, then infers for 1.28s: 3s is mid-inference.
-  faas_cluster.simulator().schedule_at(
-      sec(3), [&] { faas_cluster.sim_cluster().kill_gpu(GpuId(0)); });
-  faas_cluster.run_to_completion();
-  EXPECT_EQ(calls, 1);
-  EXPECT_EQ(code, StatusCode::kUnavailable);
-}
-
-TEST(FaasClusterTest, GatewayEndToEnd) {
-  // ClusterBuilder defaults: 1 node x 2 GPUs.
-  auto built = testkit::ClusterBuilder().models(2).build_faas();
-  faas::FaasCluster& faas_cluster = *built;
-
-  ASSERT_TRUE(faas_cluster.gateway()
-                  .register_function(
-                      testkit::gpu_function_spec("classify", "squeezenet1.1"))
-                  .ok());
-
-  int completions = 0;
-  SimTime first_latency = 0, second_latency = 0;
-  faas_cluster.gateway().invoke("classify", {}, [&](StatusOr<faas::InvocationResult> r) {
-    ASSERT_TRUE(r.ok());
-    first_latency = r->latency;
-    ++completions;
-  });
-  faas_cluster.run_to_completion();
-  // Second call: model now cached -> hit, far lower latency.
-  faas_cluster.gateway().invoke("classify", {}, [&](StatusOr<faas::InvocationResult> r) {
-    ASSERT_TRUE(r.ok());
-    second_latency = r->latency;
-    EXPECT_EQ(r->executed_on.rfind("gpu-", 0), 0u);
-    ++completions;
-  });
-  faas_cluster.run_to_completion();
-
-  EXPECT_EQ(completions, 2);
-  EXPECT_LT(second_latency, first_latency / 2);
-}
-
-TEST(FaasClusterTest, UnknownModelRejectedAtSubmit) {
-  ClusterConfig config;
-  config.nodes = 1;
-  config.gpus_per_node = 1;
-  faas::FaasCluster faas_cluster(config, head_registry(1));
-  ASSERT_TRUE(faas_cluster.gateway()
-                  .register_function(
-                      testkit::gpu_function_spec("ghost", "not-a-model"))
-                  .ok());
-  bool called = false;
-  faas_cluster.gateway().invoke("ghost", {}, [&](StatusOr<faas::InvocationResult> r) {
-    EXPECT_EQ(r.status().code(), StatusCode::kNotFound);
-    called = true;
-  });
-  EXPECT_TRUE(called);
-}
-
-TEST(FaasClusterTest, CpuAndGpuFunctionsCoexist) {
-  ClusterConfig config;
-  config.nodes = 1;
-  config.gpus_per_node = 1;
-  faas::FaasCluster faas_cluster(config, head_registry(1));
-
-  faas::FunctionSpec cpu_spec = testkit::cpu_function_spec(
-      "plain", [](const faas::Payload& p) -> StatusOr<faas::Payload> {
-        return p;
-      });
-  ASSERT_TRUE(faas_cluster.gateway().register_function(cpu_spec).ok());
-  auto result = faas_cluster.gateway().invoke_sync("plain", {});
-  EXPECT_TRUE(result.ok());
 }
 
 }  // namespace

@@ -226,7 +226,6 @@ TEST(KeysTest, CanonicalLayout) {
   EXPECT_EQ(keys::gpu_finish_time(GpuId(7)), "gpu/7/finish_time");
   EXPECT_EQ(keys::gpu_free_mem(GpuId(1)), "gpu/1/free_mem");
   EXPECT_EQ(keys::model_locations(ModelId(9)), "model/9/locations");
-  EXPECT_EQ(keys::fn_latency("resnet50-fn"), "fn/resnet50-fn/latency");
 }
 
 TEST(KeysTest, IdListCodecRoundTrips) {

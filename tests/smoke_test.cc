@@ -1,5 +1,5 @@
-// End-to-end smoke test: the quickstart scenario (register a GPU-enabled
-// function, invoke it repeatedly on the paper's 3x4 cluster) plus one
+// End-to-end smoke test: the quickstart scenario (invoke resnet50
+// repeatedly through the Gateway on the paper's 3x4 cluster) plus one
 // cluster::Experiment run over a standard workload. Guards the full
 // Gateway -> Scheduler -> GPU Manager -> Cache Manager -> Datastore
 // wiring that every example and bench binary depends on.
@@ -8,7 +8,7 @@
 #include <vector>
 
 #include "cluster/experiment.h"
-#include "faas/faas_cluster.h"
+#include "gateway/gateway.h"
 #include "models/zoo.h"
 #include "testing/builders.h"
 #include "testing/matchers.h"
@@ -18,30 +18,33 @@ namespace {
 
 TEST(SmokeTest, QuickstartScenarioCompletes) {
   // The quickstart example, minus stdout: paper testbed (3 nodes x 4
-  // GPUs), resnet50 behind a function.
-  faas::FaasCluster faas(ClusterConfig{}, models::ModelRegistry::full_catalog());
-
-  ASSERT_TRUE(
-      faas.gateway()
-          .register_function(testkit::gpu_function_spec("classify-image", "resnet50"))
-          .ok());
+  // GPUs), resnet50 served through the Gateway.
+  const models::ModelRegistry registry = models::ModelRegistry::full_catalog();
+  SimCluster cluster(ClusterConfig{}, registry);
+  gateway::Gateway gateway(&cluster);
+  const auto resnet50 = registry.get_by_name("resnet50");
+  ASSERT_TRUE(resnet50.ok());
 
   std::vector<SimTime> latencies;
   for (int i = 0; i < 3; ++i) {
-    faas.gateway().invoke("classify-image", {},
-                          [&](StatusOr<faas::InvocationResult> result) {
-                            ASSERT_TRUE(result.ok()) << result.status().to_string();
-                            EXPECT_FALSE(result->executed_on.empty());
-                            latencies.push_back(result->latency);
-                          });
-    faas.run_to_completion();
+    cluster.simulator().schedule_after(0, [&, i] {
+      core::Request request;
+      request.id = RequestId(i);
+      request.model = resnet50->id;
+      gateway.submit(std::move(request), [&](const gateway::GatewayResult& result) {
+        ASSERT_EQ(result.disposition, gateway::Disposition::kCompleted);
+        EXPECT_TRUE(result.record.gpu.valid());
+        latencies.push_back(result.record.latency());
+      });
+    });
+    cluster.run_to_completion();
   }
 
   ASSERT_EQ(latencies.size(), 3u);
   // First invocation pays the model upload; the rest hit the GPU cache.
   EXPECT_GT(latencies[0], latencies[1]);
   EXPECT_GT(latencies[0], latencies[2]);
-  EXPECT_EQ(faas.sim_cluster().engine().completions().size(), 3u);
+  EXPECT_EQ(cluster.engine().completions().size(), 3u);
 }
 
 TEST(SmokeTest, BuilderClusterReplaysSequence) {

@@ -1,7 +1,5 @@
 #include "testing/builders.h"
 
-#include <string>
-
 #include "common/log.h"
 #include "models/zoo.h"
 
@@ -42,24 +40,6 @@ models::ModelRegistry head_registry(int count) {
     GFAAS_CHECK(status.ok()) << "head_registry: " << status.to_string();
   }
   return registry;
-}
-
-faas::FunctionSpec gpu_function_spec(const std::string& name,
-                                     const std::string& model) {
-  faas::FunctionSpec spec;
-  spec.name = name;
-  spec.dockerfile =
-      "FROM gfaas/base\nENV GPU_ENABLED=1\nENV GFAAS_MODEL=" + model + "\n";
-  return spec;
-}
-
-faas::FunctionSpec cpu_function_spec(const std::string& name,
-                                     faas::Handler handler) {
-  faas::FunctionSpec spec;
-  spec.name = name;
-  spec.dockerfile = "FROM gfaas/base\n";
-  spec.handler = std::move(handler);
-  return spec;
 }
 
 trace::Workload make_workload(std::size_t working_set, std::uint64_t seed,
@@ -111,10 +91,6 @@ ClusterBuilder& ClusterBuilder::models(int count) {
 std::unique_ptr<cluster::SimCluster> ClusterBuilder::build() const {
   return std::make_unique<cluster::SimCluster>(config_,
                                                head_registry(model_count_));
-}
-
-std::unique_ptr<faas::FaasCluster> ClusterBuilder::build_faas() const {
-  return std::make_unique<faas::FaasCluster>(config_, head_registry(model_count_));
 }
 
 }  // namespace gfaas::testkit

@@ -9,7 +9,6 @@
 #include <vector>
 
 #include "cluster/experiment.h"
-#include "faas/faas_cluster.h"
 #include "trace/workload.h"
 
 namespace gfaas::testkit {
@@ -29,14 +28,6 @@ std::vector<core::Request> make_request_sequence(std::int64_t count,
 // Registry holding the first `count` Table I models (squeezenet1.1,
 // resnet18, resnet34, ...).
 models::ModelRegistry head_registry(int count);
-
-// GPU-enabled FunctionSpec whose Dockerfile routes inference to `model`.
-faas::FunctionSpec gpu_function_spec(const std::string& name,
-                                     const std::string& model);
-
-// Plain CPU FunctionSpec running `handler` in its container.
-faas::FunctionSpec cpu_function_spec(const std::string& name,
-                                     faas::Handler handler = nullptr);
 
 // Deterministic standard workload over a synthesized Azure trace.
 // CHECK-fails on config errors so tests receive a value directly.
@@ -61,7 +52,6 @@ class ClusterBuilder {
   const cluster::ClusterConfig& config() const { return config_; }
 
   std::unique_ptr<cluster::SimCluster> build() const;
-  std::unique_ptr<faas::FaasCluster> build_faas() const;
 
  private:
   cluster::ClusterConfig config_;
