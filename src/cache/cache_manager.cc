@@ -13,7 +13,7 @@ GpuCacheState::GpuCacheState(GpuId gpu, Bytes capacity, PolicyKind policy)
 }
 
 bool GpuCacheState::contains(ModelId model) const {
-  return sizes_.count(model.value()) > 0;
+  return resident_.count(model.value()) > 0;
 }
 
 Status GpuCacheState::insert(ModelId model, Bytes size) {
@@ -28,7 +28,7 @@ Status GpuCacheState::insert(ModelId model, Bytes size) {
         "model " + std::to_string(model.value()) + " (" + format_bytes(size) +
         ") exceeds free space " + format_bytes(free()));
   }
-  sizes_[model.value()] = size;
+  resident_[model.value()].size = size;
   used_ += size;
   policy_->on_insert(model);
   return Status::Ok();
@@ -43,32 +43,36 @@ Status GpuCacheState::touch(ModelId model) {
 }
 
 Status GpuCacheState::remove(ModelId model) {
-  auto it = sizes_.find(model.value());
-  if (it == sizes_.end()) {
+  auto it = resident_.find(model.value());
+  if (it == resident_.end()) {
     return Status::NotFound("model " + std::to_string(model.value()) + " not cached");
   }
-  if (pinned(model)) {
+  if (it->second.pins > 0) {
     return Status::FailedPrecondition("model " + std::to_string(model.value()) +
                                       " is pinned");
   }
-  used_ -= it->second;
-  sizes_.erase(it);
+  used_ -= it->second.size;
+  resident_.erase(it);
   policy_->on_remove(model);
   return Status::Ok();
 }
 
-void GpuCacheState::pin(ModelId model) { ++pin_counts_[model.value()]; }
-
-void GpuCacheState::unpin(ModelId model) {
-  auto it = pin_counts_.find(model.value());
-  GFAAS_CHECK(it != pin_counts_.end() && it->second > 0)
-      << "unpin without pin for model " << model.value();
-  if (--it->second == 0) pin_counts_.erase(it);
+void GpuCacheState::pin(ModelId model) {
+  auto it = resident_.find(model.value());
+  GFAAS_CHECK(it != resident_.end()) << "pin of uncached model " << model.value();
+  if (it->second.pins++ == 0) ++pinned_models_;
 }
 
-bool GpuCacheState::pinned(ModelId model) const {
-  auto it = pin_counts_.find(model.value());
-  return it != pin_counts_.end() && it->second > 0;
+void GpuCacheState::unpin(ModelId model) {
+  auto it = resident_.find(model.value());
+  GFAAS_CHECK(it != resident_.end() && it->second.pins > 0)
+      << "unpin without pin for model " << model.value();
+  if (--it->second.pins == 0) --pinned_models_;
+}
+
+int GpuCacheState::pins(ModelId model) const {
+  auto it = resident_.find(model.value());
+  return it == resident_.end() ? 0 : it->second.pins;
 }
 
 StatusOr<std::vector<ModelId>> GpuCacheState::plan_eviction(Bytes needed) const {
@@ -87,14 +91,14 @@ StatusOr<std::vector<ModelId>> GpuCacheState::plan_eviction(Bytes needed) const 
 }
 
 Bytes GpuCacheState::size_of(ModelId model) const {
-  auto it = sizes_.find(model.value());
-  return it == sizes_.end() ? 0 : it->second;
+  auto it = resident_.find(model.value());
+  return it == resident_.end() ? 0 : it->second.size;
 }
 
 std::vector<ModelId> GpuCacheState::models() const {
   std::vector<ModelId> out;
-  out.reserve(sizes_.size());
-  for (const auto& [id, size] : sizes_) out.push_back(ModelId(id));
+  out.reserve(resident_.size());
+  for (const auto& [id, entry] : resident_) out.push_back(ModelId(id));
   std::sort(out.begin(), out.end());
   return out;
 }

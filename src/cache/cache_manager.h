@@ -50,7 +50,7 @@ class GpuCacheState {
   Bytes free() const { return capacity_ - used_; }
 
   bool contains(ModelId model) const;
-  std::size_t model_count() const { return sizes_.size(); }
+  std::size_t model_count() const { return resident_.size(); }
   // Replacement order, evict-first first.
   std::vector<ModelId> eviction_order() const { return policy_->eviction_order(); }
 
@@ -58,10 +58,13 @@ class GpuCacheState {
   Status touch(ModelId model);
   Status remove(ModelId model);
 
+  // Pins nest; only resident models can be pinned. The count lives in the
+  // model's resident entry, so pinning allocates nothing.
   void pin(ModelId model);
   void unpin(ModelId model);
-  bool pinned(ModelId model) const;
-  bool any_pinned() const { return !pin_counts_.empty(); }
+  int pins(ModelId model) const;  // 0 when not resident
+  bool pinned(ModelId model) const { return pins(model) > 0; }
+  bool any_pinned() const { return pinned_models_ > 0; }
 
   // Resident models in ascending id order (drain/fence enumeration).
   std::vector<ModelId> models() const;
@@ -83,8 +86,13 @@ class GpuCacheState {
   Bytes used_ = 0;
   bool fenced_ = false;
   std::unique_ptr<EvictionPolicy> policy_;
-  std::unordered_map<std::int64_t, Bytes> sizes_;      // model id -> bytes
-  std::unordered_map<std::int64_t, int> pin_counts_;   // model id -> pins
+  struct Resident {
+    Bytes size = 0;
+    int pins = 0;
+  };
+  std::unordered_map<std::int64_t, Resident> resident_;  // by model id
+  // Resident models with pins > 0.
+  std::size_t pinned_models_ = 0;
 };
 
 class CacheManager {

@@ -4,20 +4,32 @@
 
 namespace gfaas::cluster {
 
-void ClusterStateIndex::enter_sets(const PerGpu& s, GpuId gpu) {
-  if (!s.idle || s.fenced) return;
-  GFAAS_CHECK(idle_.emplace(s.dispatches, gpu.value()).second);
-  if (s.local_pending > 0) {
-    GFAAS_CHECK(serviceable_.emplace(s.dispatches, gpu.value()).second);
+void ClusterStateIndex::enter(OrderedSet& set, OrderedSet::node_type& parked,
+                              std::int64_t dispatches, GpuId gpu) {
+  if (parked.empty()) {
+    GFAAS_CHECK(set.emplace(dispatches, gpu.value()).second);
+    return;
   }
+  parked.value() = {dispatches, gpu.value()};
+  GFAAS_CHECK(set.insert(std::move(parked)).inserted);
 }
 
-void ClusterStateIndex::leave_sets(const PerGpu& s, GpuId gpu) {
+void ClusterStateIndex::leave(OrderedSet& set, OrderedSet::node_type& parked,
+                              std::int64_t dispatches, GpuId gpu) {
+  parked = set.extract({dispatches, gpu.value()});
+  GFAAS_CHECK(!parked.empty());
+}
+
+void ClusterStateIndex::enter_sets(PerGpu& s, GpuId gpu) {
   if (!s.idle || s.fenced) return;
-  GFAAS_CHECK(idle_.erase({s.dispatches, gpu.value()}) == 1);
-  if (s.local_pending > 0) {
-    GFAAS_CHECK(serviceable_.erase({s.dispatches, gpu.value()}) == 1);
-  }
+  enter(idle_, s.idle_node, s.dispatches, gpu);
+  if (s.local_pending > 0) enter(serviceable_, s.serviceable_node, s.dispatches, gpu);
+}
+
+void ClusterStateIndex::leave_sets(PerGpu& s, GpuId gpu) {
+  if (!s.idle || s.fenced) return;
+  leave(idle_, s.idle_node, s.dispatches, gpu);
+  if (s.local_pending > 0) leave(serviceable_, s.serviceable_node, s.dispatches, gpu);
 }
 
 void ClusterStateIndex::add_gpu(GpuId gpu) {
@@ -89,7 +101,7 @@ void ClusterStateIndex::add_local_work(GpuId gpu, SimTime delta) {
 void ClusterStateIndex::add_local_request(GpuId gpu) {
   PerGpu& s = state(gpu);
   if (++s.local_pending == 1 && s.idle && !s.fenced) {
-    GFAAS_CHECK(serviceable_.emplace(s.dispatches, gpu.value()).second);
+    enter(serviceable_, s.serviceable_node, s.dispatches, gpu);
   }
 }
 
@@ -98,7 +110,7 @@ void ClusterStateIndex::pop_local_request(GpuId gpu) {
   GFAAS_CHECK(s.local_pending > 0)
       << "local-queue count underflow on gpu " << gpu.value();
   if (--s.local_pending == 0 && s.idle && !s.fenced) {
-    GFAAS_CHECK(serviceable_.erase({s.dispatches, gpu.value()}) == 1);
+    leave(serviceable_, s.serviceable_node, s.dispatches, gpu);
   }
 }
 

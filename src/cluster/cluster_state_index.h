@@ -19,6 +19,11 @@
 //     integer microseconds, so the running local-work sum is exact (no
 //     float drift against a per-invocation re-sum).
 //
+// A GPU leaving an ordered set parks the set node in its per-GPU entry,
+// and re-entering re-keys and re-inserts that node (C++17 extract/insert),
+// so busy/idle transitions and dispatch re-keying allocate nothing once
+// every GPU has been idle once.
+//
 // Membership is dynamic (elastic fleets, src/autoscale): GPUs join with
 // add_gpu, leave through fence -> remove_gpu. A fenced GPU keeps its
 // physical idle/busy state but is excluded from both ordered sets, so the
@@ -121,15 +126,6 @@ class ClusterStateIndex {
   std::vector<GpuId> busy_gpus() const;
 
  private:
-  struct PerGpu {
-    bool registered = false;
-    bool idle = true;
-    bool fenced = false;
-    std::int64_t dispatches = 0;
-    SimTime committed_finish = 0;
-    SimTime local_work = 0;
-    std::int64_t local_pending = 0;
-  };
   // (dispatches, id) ordered most-dispatched first, then id ascending.
   struct IdleOrder {
     bool operator()(const std::pair<std::int64_t, std::int64_t>& a,
@@ -139,6 +135,18 @@ class ClusterStateIndex {
     }
   };
   using OrderedSet = std::set<std::pair<std::int64_t, std::int64_t>, IdleOrder>;
+  struct PerGpu {
+    bool registered = false;
+    bool idle = true;
+    bool fenced = false;
+    std::int64_t dispatches = 0;
+    SimTime committed_finish = 0;
+    SimTime local_work = 0;
+    std::int64_t local_pending = 0;
+    // The GPU's set nodes while it is out of idle_ / serviceable_.
+    OrderedSet::node_type idle_node;
+    OrderedSet::node_type serviceable_node;
+  };
 
   // Checked per-GPU lookup; inline, as every O(1) query goes through it.
   const PerGpu& state(GpuId gpu) const {
@@ -151,8 +159,14 @@ class ClusterStateIndex {
     return const_cast<PerGpu&>(static_cast<const ClusterStateIndex*>(this)->state(gpu));
   }
   // Inserts/erases the GPU in the ordered sets according to its flags.
-  void enter_sets(const PerGpu& s, GpuId gpu);
-  void leave_sets(const PerGpu& s, GpuId gpu);
+  void enter_sets(PerGpu& s, GpuId gpu);
+  void leave_sets(PerGpu& s, GpuId gpu);
+  // Inserts the GPU's key into the set, reusing its parked node.
+  static void enter(OrderedSet& set, OrderedSet::node_type& parked,
+                    std::int64_t dispatches, GpuId gpu);
+  // Removes the GPU's key from the set, parking its node.
+  static void leave(OrderedSet& set, OrderedSet::node_type& parked,
+                    std::int64_t dispatches, GpuId gpu);
 
   std::vector<PerGpu> gpus_;  // indexed by GpuId value
   // Idle, unfenced GPUs in dispatch-frequency order.

@@ -8,6 +8,9 @@
 
 namespace gfaas::cluster {
 
+using SlotIndex = core::RequestTable::Index;
+constexpr SlotIndex kNoSlot = core::RequestTable::kNone;
+
 // Instrument pointers resolved once at set_telemetry(); every hot-path
 // record is then one null check plus wait-free atomic bumps.
 struct SchedulerEngine::TelemetryHandles {
@@ -28,7 +31,8 @@ SchedulerEngine::SchedulerEngine(sim::Executor* executor, cache::CacheManager* c
       cache_(cache),
       oracle_(oracle),
       policy_(std::move(policy)),
-      local_queues_(0) {
+      global_queue_(table_),
+      local_queues_(table_, 0) {
   GFAAS_CHECK(executor_ && cache_ && oracle_ && policy_);
   GFAAS_CHECK(!managers.empty());
   for (GpuManager* manager : managers) join(manager);
@@ -178,36 +182,42 @@ SimTime SchedulerEngine::infer_time(ModelId model, std::int64_t batch) const {
 void SchedulerEngine::dispatch_from_global(RequestId request, GpuId gpu,
                                            bool false_miss) {
   serial_.AssertHeld();
-  auto req = global_queue_.take(request);
-  GFAAS_CHECK(req.ok()) << req.status().to_string();
+  const SlotIndex slot = global_queue_.unlink(request);
   if (false_miss) ++false_misses_;
-  start_execution(std::move(req).value(), gpu, false_miss, /*via_local_queue=*/false);
+  start_execution(slot, gpu, false_miss, /*via_local_queue=*/false);
 }
 
 void SchedulerEngine::dispatch_from_local(GpuId gpu) {
   serial_.AssertHeld();
-  auto req = local_queues_.pop_head(gpu);
-  GFAAS_CHECK(req.has_value()) << "local queue of gpu " << gpu.value() << " empty";
-  index_.add_local_work(gpu, -infer_time(req->model, req->batch));
-  index_.pop_local_request(gpu);
-  // Drop the pin taken at move time; execution re-pins for its duration.
-  GFAAS_CHECK(cache_->unpin(gpu, req->model).ok());
-  start_execution(std::move(*req), gpu, /*false_miss=*/false, /*via_local_queue=*/true);
+  const SlotIndex slot = local_queues_.head_slot(gpu);
+  GFAAS_CHECK(slot != kNoSlot) << "local queue of gpu " << gpu.value() << " empty";
+  // Drops the pin taken at move time; execution re-pins for its duration.
+  unpark(slot);
+  start_execution(slot, gpu, /*false_miss=*/false, /*via_local_queue=*/true);
 }
 
 void SchedulerEngine::move_to_local(RequestId request, GpuId gpu) {
   serial_.AssertHeld();
-  auto req = global_queue_.take(request);
-  GFAAS_CHECK(req.ok()) << req.status().to_string();
+  const SlotIndex slot = global_queue_.unlink(request);
+  const core::Request& req = table_[slot].request;
   // Pin so the model cannot be evicted while the request waits; the local
   // queue would otherwise lose its guaranteed hit.
-  GFAAS_CHECK(cache_->pin(gpu, req->model).ok()) << "move to gpu without cached model";
-  index_.add_local_work(gpu, infer_time(req->model, req->batch));
+  GFAAS_CHECK(cache_->pin(gpu, req.model).ok()) << "move to gpu without cached model";
+  index_.add_local_work(gpu, infer_time(req.model, req.batch));
   index_.add_local_request(gpu);
-  local_queues_.push(gpu, std::move(req).value());
+  local_queues_.link(gpu, slot);
 }
 
-void SchedulerEngine::start_execution(core::Request request, GpuId gpu, bool false_miss,
+void SchedulerEngine::unpark(SlotIndex slot) {
+  const GpuId gpu = table_[slot].gpu;
+  const core::Request& req = table_[slot].request;
+  local_queues_.unlink(slot);
+  index_.add_local_work(gpu, -infer_time(req.model, req.batch));
+  index_.pop_local_request(gpu);
+  GFAAS_CHECK(cache_->unpin(gpu, req.model).ok());
+}
+
+void SchedulerEngine::start_execution(SlotIndex slot, GpuId gpu, bool false_miss,
                                       bool via_local_queue) {
   // Transition the index before execute(): under the wall-clock executor
   // the completion callback can fire as soon as execute() schedules it,
@@ -218,14 +228,12 @@ void SchedulerEngine::start_execution(core::Request request, GpuId gpu, bool fal
   index_.mark_busy(gpu);
   index_.record_dispatch(gpu);
   ++in_flight_;
-  // The hook leaves the request here; the GPU Manager only reads it.
-  const bool inserted =
-      executing_
-          .emplace(request.id.value(),
-                   Executing{gpu, std::move(request.on_complete)})
-          .second;
-  GFAAS_CHECK(inserted) << "duplicate in-flight request id "
-                        << request.id.value();
+  // The request, hook included, stays in its slot while it runs; the GPU
+  // Manager only reads it during execute().
+  core::RequestTable::Slot& s = table_[slot];
+  s.place = core::Place::kExecuting;
+  s.gpu = gpu;
+  const core::Request& request = s.request;
   if (tel_) {
     tel_->dispatches->add();
     tel_->spans->record(
@@ -247,13 +255,7 @@ void SchedulerEngine::start_execution(core::Request request, GpuId gpu, bool fal
 }
 
 void SchedulerEngine::on_completion(const core::CompletionRecord& record) {
-  GFAAS_CHECK(in_flight_ > 0);
-  --in_flight_;
-  // Taken out before the hook fires: the hook may resubmit under the same
-  // id (a Gateway retry) or admit follow-up work.
-  const auto done = executing_.extract(record.id.value());
-  GFAAS_CHECK(!done.empty()) << "completion of unknown request "
-                             << record.id.value();
+  const core::CompletionHook hook = retire(record.id);
   // The GPU Manager retired the inference before invoking us, so the GPU
   // is idle again as of this event.
   index_.mark_idle(record.gpu);
@@ -273,7 +275,7 @@ void SchedulerEngine::on_completion(const core::CompletionRecord& record) {
     tel_->spans->record(record.id.value(), telemetry::SpanEvent::kExecute,
                         record.completed, gpu, record.cache_hit ? 1 : 0);
   }
-  if (done.mapped().hook) done.mapped().hook(record);
+  if (hook) hook(record);
   update_duplicates_meter();
   // A draining GPU is invisible to the policy, so the engine serves out
   // its local queue directly — those requests pinned its cached models and
@@ -282,6 +284,17 @@ void SchedulerEngine::on_completion(const core::CompletionRecord& record) {
     dispatch_from_local(record.gpu);
   }
   run_policy();
+}
+
+core::CompletionHook SchedulerEngine::retire(RequestId id) {
+  // Freed before the hook fires: the hook may resubmit under the same id
+  // (a Gateway retry) or admit follow-up work.
+  const SlotIndex slot = table_.find(id);
+  GFAAS_CHECK(slot != kNoSlot && table_[slot].place == core::Place::kExecuting)
+      << "completion of unknown request " << id.value();
+  GFAAS_CHECK(in_flight_ > 0);
+  --in_flight_;
+  return table_.release(slot).on_complete;
 }
 
 void SchedulerEngine::kill_gpu(GpuId gpu) {
@@ -299,23 +312,19 @@ void SchedulerEngine::kill_gpu(GpuId gpu) {
   if (!index_.is_idle(gpu)) {
     auto aborted = manager_for(gpu).abort(gpu);
     GFAAS_CHECK(aborted.ok()) << aborted.status().to_string();
-    GFAAS_CHECK(in_flight_ > 0);
-    --in_flight_;
-    const auto failed = executing_.extract(aborted->id.value());
-    GFAAS_CHECK(!failed.empty());
+    const core::CompletionHook hook = retire(aborted->id);
     index_.mark_idle(gpu);
     failures_.push_back(*aborted);
     if (tel_) tel_->failures->add();
-    if (failed.mapped().hook) failed.mapped().hook(*aborted);
+    if (hook) hook(*aborted);
   }
   // Local-queue requests pinned this GPU's cached models; give the pins
   // back and let them rejoin the global queue (ids, deadlines and hooks
   // intact) so the policy re-places them on surviving GPUs.
-  while (auto req = local_queues_.pop_head(gpu)) {
-    index_.add_local_work(gpu, -infer_time(req->model, req->batch));
-    index_.pop_local_request(gpu);
-    GFAAS_CHECK(cache_->unpin(gpu, req->model).ok());
-    global_queue_.push(std::move(*req));
+  for (auto slot = local_queues_.head_slot(gpu); slot != kNoSlot;
+       slot = local_queues_.head_slot(gpu)) {
+    unpark(slot);
+    global_queue_.link(slot);
   }
   GFAAS_CHECK(drained(gpu));
   index_.remove_gpu(gpu);
@@ -327,36 +336,29 @@ void SchedulerEngine::kill_gpu(GpuId gpu) {
 bool SchedulerEngine::cancel_request(RequestId id) {
   serial_.AssertHeld();
   GFAAS_CHECK(id.valid());
-  // (1) Waiting in the global queue: drop it before any GPU commits.
-  if (global_queue_.find(id) != nullptr) {
-    GFAAS_CHECK(global_queue_.take(id).ok());
-    return true;
-  }
-  // (2) Parked in a local queue: undo move_to_local — give back the pin
-  // and the work/pending aggregates the move charged to the GPU.
-  for (std::size_t i = 0; i < index_.gpu_count(); ++i) {
-    const GpuId gpu(static_cast<std::int64_t>(i));
-    if (!index_.is_registered(gpu) || local_queues_.empty(gpu)) continue;
-    if (auto req = local_queues_.remove(gpu, id)) {
-      index_.add_local_work(gpu, -infer_time(req->model, req->batch));
-      index_.pop_local_request(gpu);
-      GFAAS_CHECK(cache_->unpin(gpu, req->model).ok());
+  const SlotIndex slot = table_.find(id);
+  if (slot == kNoSlot) return false;
+  const GpuId gpu = table_[slot].gpu;
+  switch (table_[slot].place) {
+    case core::Place::kGlobal:  // (1) drop it before any GPU commits
+      global_queue_.unlink(id);
+      table_.release(slot);
       return true;
-    }
+    case core::Place::kLocal:  // (2) undo move_to_local
+      unpark(slot);
+      table_.release(slot);
+      return true;
+    default:
+      break;
   }
   // (3) Executing: abort through the GPU Manager. Unlike kill_gpu the GPU
   // survives — it goes back to the idle set and can take waiting work
   // immediately. The aborted record is discarded (the winner's completion
   // is the result); only the wasted GPU-time is kept for the hedging
   // overhead metric.
-  auto it = executing_.find(id.value());
-  if (it == executing_.end()) return false;
-  const GpuId gpu = it->second.gpu;
   auto aborted = manager_for(gpu).abort(gpu);
   GFAAS_CHECK(aborted.ok()) << aborted.status().to_string();
-  GFAAS_CHECK(in_flight_ > 0);
-  --in_flight_;
-  executing_.erase(it);
+  retire(id);  // the hook is dropped unfired
   index_.mark_idle(gpu);
   cancelled_execution_time_ += aborted->completed - aborted->dispatched;
   ++cancellations_;
@@ -407,15 +409,8 @@ std::vector<core::Request> SchedulerEngine::steal_from_global(
 
 bool SchedulerEngine::request_waiting(RequestId id) const {
   serial_.AssertHeld();
-  if (global_queue_.find(id) != nullptr) return true;
-  for (std::size_t i = 0; i < index_.gpu_count(); ++i) {
-    const GpuId gpu(static_cast<std::int64_t>(i));
-    if (!index_.is_registered(gpu)) continue;
-    for (const core::Request& req : local_queues_.queued(gpu)) {
-      if (req.id == id) return true;
-    }
-  }
-  return false;
+  const core::Place place = table_.place_of(id);
+  return place == core::Place::kGlobal || place == core::Place::kLocal;
 }
 
 GpuId SchedulerEngine::hedge_dispatch(core::Request request, RequestId primary) {
@@ -453,31 +448,58 @@ GpuId SchedulerEngine::hedge_dispatch(core::Request request, RequestId primary) 
   const auto overdue_by = [this](GpuId gpu) {
     return std::max<SimTime>(0, now() - index_.committed_finish(gpu));
   };
-  const auto ex = executing_.find(primary.value());
-  if (ex != executing_.end()) {
-    effective = overdue_by(ex->second.gpu);
-  } else if (global_queue_.find(primary) == nullptr) {
-    for (std::size_t i = 0; i < index_.gpu_count() && effective == kSimTimeMax;
-         ++i) {
-      const GpuId gpu(static_cast<std::int64_t>(i));
-      if (!index_.is_registered(gpu) || local_queues_.empty(gpu)) continue;
-      SimTime work = 0;
-      for (const core::Request& req : local_queues_.queued(gpu)) {
-        if (req.id == primary) {
-          effective = work + overdue_by(gpu);
-          break;
-        }
-        work += infer_time(req.model, req.batch);
-      }
+  const SlotIndex p = table_.find(primary);
+  // Not executing, not global, not parked: the caller raced a terminal
+  // transition; decline and let it re-check.
+  if (p == kNoSlot) return GpuId();
+  const GpuId primary_gpu = table_[p].gpu;
+  if (table_[p].place == core::Place::kExecuting) {
+    effective = overdue_by(primary_gpu);
+  } else if (table_[p].place == core::Place::kLocal) {
+    SimTime work = 0;
+    for (auto i = local_queues_.head_slot(primary_gpu); i != p; i = table_[i].next) {
+      work += infer_time(table_[i].request.model, table_[i].request.batch);
     }
-    // Not executing, not global, not parked: the caller raced a terminal
-    // transition; decline and let it re-check.
-    if (effective == kSimTimeMax) return GpuId();
+    effective = work + overdue_by(primary_gpu);
   }
   if (effective <= hedge_eta) return GpuId();
-  start_execution(std::move(request), target, /*false_miss=*/false,
+  start_execution(table_.insert(std::move(request)), target, /*false_miss=*/false,
                   /*via_local_queue=*/false);
   return target;
+}
+
+void SchedulerEngine::audit() const {
+  serial_.AssertHeld();
+  const auto placed = table_.audit();
+  // Walks stop past the table's size, so a cycle fails the length check.
+  std::size_t global = 0;
+  for (auto it = global_queue_.begin();
+       it != global_queue_.end() && global <= table_.size(); ++it) {
+    ++global;
+  }
+  GFAAS_CHECK(global == global_queue_.size() &&
+              global == placed[static_cast<std::size_t>(core::Place::kGlobal)])
+      << "global list holds " << global << " of " << global_queue_.size();
+  std::size_t local = 0;
+  for (std::size_t g = 0; g < index_.gpu_count(); ++g) {
+    const GpuId gpu(static_cast<std::int64_t>(g));
+    std::size_t parked = 0;
+    for (auto i = local_queues_.head_slot(gpu); i != kNoSlot && parked <= table_.size();
+         i = table_[i].next) {
+      GFAAS_CHECK(table_[i].place == core::Place::kLocal && table_[i].gpu == gpu);
+      ++parked;
+    }
+    const std::int64_t pending =
+        index_.is_registered(gpu) ? index_.local_pending(gpu) : 0;
+    GFAAS_CHECK(parked == local_queues_.size(gpu) &&
+                static_cast<std::int64_t>(parked) == pending)
+        << "local list of gpu " << g << " holds " << parked << ", index says " << pending;
+    local += parked;
+  }
+  GFAAS_CHECK(local == local_queues_.total_pending() &&
+              local == placed[static_cast<std::size_t>(core::Place::kLocal)]);
+  GFAAS_CHECK(placed[static_cast<std::size_t>(core::Place::kExecuting)] == in_flight_)
+      << "executing slots differ from in_flight " << in_flight_;
 }
 
 void SchedulerEngine::update_duplicates_meter() {

@@ -1,22 +1,29 @@
-// Scheduling engine: owns the global/local queues and the policy, and
-// implements the paper's Scheduler component (Fig. 3).
+// Scheduling engine: owns the request table, the global/local queues over
+// it and the policy, and implements the paper's Scheduler component
+// (Fig. 3).
 //
 // Event flow: the Gateway (src/gateway) submits requests -> global queue
 // -> the policy is invoked ("at least one request waiting and at least
 // one GPU idle", §IV-A) -> policy actions are applied synchronously
 // (dispatch via the owning GPU Manager, or move to a local queue) -> on
 // every GPU completion the engine re-invokes the policy and fires the
-// request's own completion hook (core::Request::on_complete), which rode
-// inside the request through the queues and sat in its executing_ entry
-// while it ran. The engine is
-// also the core::SchedulingContext the policies program against,
-// providing finish-time estimates built from the GPU Managers' committed
-// finish times plus local-queue work (§IV-A).
+// request's own completion hook (core::Request::on_complete).
+//
+// Every request the engine owns — queued globally, parked in a local
+// queue, or executing — sits in one slot of a core::RequestTable from
+// submit to completion: the queues relink the slot, dispatch marks it
+// executing on its GPU, and completion frees it before the hook fires.
+// One id -> slot index answers cancel, hedge and "where is it" lookups in
+// O(1), and the slots and index nodes are recycled, so a request that
+// hits the cache costs the engine no allocation.
+//
+// The engine is also the core::SchedulingContext the policies program
+// against, providing finish-time estimates built from the GPU Managers'
+// committed finish times plus local-queue work (§IV-A).
 #pragma once
 
 #include <functional>
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "cache/cache_manager.h"
@@ -119,7 +126,7 @@ class SchedulerEngine final : public core::SchedulingContext {
   // Whether the request is currently executing on some GPU.
   bool request_executing(RequestId id) const {
     serial_.AssertHeld();
-    return executing_.count(id.value()) > 0;
+    return table_.place_of(id) == core::Place::kExecuting;
   }
   // Dispatches a hedge duplicate directly onto an idle schedulable GPU,
   // bypassing the queues: prefers an idle holder of the model (a warm
@@ -181,6 +188,13 @@ class SchedulerEngine final : public core::SchedulingContext {
     serial_.AssertHeld();
     return failures_;
   }
+  // Recomputes the request table from scratch and CHECKs it against the
+  // maintained state: the global list's length is its size(), every id
+  // index entry names a live slot with that id, each GPU's local list
+  // length is the cluster index's local_pending() and they sum to
+  // total_pending(), and the executing slots number in_flight().
+  void audit() const;
+
   std::size_t pending() const {
     serial_.AssertHeld();
     return global_queue_.size() + local_queues_.total_pending() + in_flight_;
@@ -295,9 +309,16 @@ class SchedulerEngine final : public core::SchedulingContext {
   // Registers the manager's GPUs, checking their ids extend the fleet.
   void join(GpuManager* manager) REQUIRES(serial_);
   void run_policy() REQUIRES(serial_);
-  void start_execution(core::Request request, GpuId gpu, bool false_miss,
+  // Marks the slot executing on the GPU and starts it there.
+  void start_execution(core::RequestTable::Index slot, GpuId gpu, bool false_miss,
                        bool via_local_queue) REQUIRES(serial_);
+  // Takes a slot out of its local queue, undoing what move_to_local charged
+  // the GPU: the queued-work aggregate, the pending count and the pin.
+  void unpark(core::RequestTable::Index slot) REQUIRES(serial_);
   void on_completion(const core::CompletionRecord& record) REQUIRES(serial_);
+  // Retires an executing request: frees its slot, drops it from
+  // in_flight() and hands back its completion hook.
+  core::CompletionHook retire(RequestId id) REQUIRES(serial_);
   void update_duplicates_meter() REQUIRES(serial_);
 
   // Telemetry instrument handles, resolved once at set_telemetry();
@@ -319,6 +340,8 @@ class SchedulerEngine final : public core::SchedulingContext {
   // thread-safety analysis.
   common::ExecutorAffinity serial_;
 
+  // Every request the engine owns; the two queues are lists over it.
+  core::RequestTable table_ GUARDED_BY(serial_);
   core::GlobalQueue global_queue_ GUARDED_BY(serial_);
   core::LocalQueues local_queues_ GUARDED_BY(serial_);
   // Idle/busy sets, dispatch frequencies, committed finish times and
@@ -335,15 +358,6 @@ class SchedulerEngine final : public core::SchedulingContext {
 
   std::vector<core::CompletionRecord> completions_ GUARDED_BY(serial_);
   std::vector<core::CompletionRecord> failures_ GUARDED_BY(serial_);
-  // Each executing request by id: the GPU it runs on, so cancel_request()
-  // finds its target without a fleet scan, and its completion hook, moved
-  // out of the request at dispatch and fired once on completion or
-  // kill_gpu. Maintained at dispatch/completion/abort.
-  struct Executing {
-    GpuId gpu;
-    core::CompletionHook hook;
-  };
-  std::unordered_map<std::int64_t, Executing> executing_ GUARDED_BY(serial_);
   SimTime cancelled_execution_time_ GUARDED_BY(serial_) = 0;
   std::int64_t cancellations_ GUARDED_BY(serial_) = 0;
   ModelId tracked_model_;

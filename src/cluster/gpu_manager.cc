@@ -108,8 +108,7 @@ StatusOr<SimTime> GpuManager::execute(const core::Request& request, GpuId gpu,
     // already running; GPU Manager forwards the input" (§III-C).
     GFAAS_CHECK(cache_->record_access(gpu, model).ok());
     GFAAS_CHECK(cache_->pin(gpu, model).ok());
-    const auto proc = device.find_process(model);
-    if (proc.has_value()) {
+    if (const gpu::GpuProcess* proc = device.find_process(model)) {
       GFAAS_CHECK(proc->loaded) << "mid-load process on a dispatchable gpu";
       auto end = device.begin_inference(now, proc->id, real_infer, request.batch);
       if (!end.ok()) return end.status();
@@ -134,10 +133,10 @@ StatusOr<SimTime> GpuManager::execute(const core::Request& request, GpuId gpu,
     auto victims = cache_->plan_eviction(gpu, profile->occupation);
     if (!victims.ok()) return victims.status();
     for (ModelId victim : *victims) {
-      const auto victim_proc = device.find_process(victim);
+      const gpu::GpuProcess* victim_proc = device.find_process(victim);
       // A victim can lack a process if a mid-load abort kept its entry
       // alive for waiters that were later cancelled.
-      if (victim_proc.has_value()) {
+      if (victim_proc != nullptr) {
         GFAAS_CHECK(device.kill_process(victim_proc->id).ok());
       }
       GFAAS_CHECK(cache_->record_eviction(gpu, victim).ok());
@@ -228,8 +227,8 @@ StatusOr<core::CompletionRecord> GpuManager::abort(GpuId gpu) {
   // kill-during-load (the cache must not mirror a phantom location while
   // the GPU is torn down) and for a cancelled hedge loser, where the GPU
   // lives on and must stay dispatchable.
-  const auto proc = device.find_process(model);
-  if (proc.has_value() && !proc->loaded) {
+  const gpu::GpuProcess* proc = device.find_process(model);
+  if (proc != nullptr && !proc->loaded) {
     GFAAS_CHECK(device.kill_process(proc->id).ok());
     if (cache_->state(gpu).pinned(model)) {
       // Queued requests for this model still hold pins: keep the entry

@@ -4,84 +4,137 @@
 
 namespace gfaas::core {
 
-void GlobalQueue::push(Request request) {
+RequestTable::Index RequestTable::insert(Request request) {
+  const std::int64_t id = request.id.value();
   GFAAS_CHECK(request.id.valid());
-  GFAAS_CHECK(by_id_.count(request.id.value()) == 0)
-      << "request " << request.id.value() << " already queued";
-  // Arrival order is push order; the engine pushes in event-time order.
-  queue_.push_back(std::move(request));
-  auto it = std::prev(queue_.end());
-  by_id_[it->id.value()] = it;
+  const Index live = find(request.id);
+  GFAAS_CHECK(live == kNone)
+      << (slots_[live].place == Place::kExecuting ? "duplicate in-flight request id "
+                                                  : "already queued: request ")
+      << id;
+  Index slot = free_;
+  if (slot == kNone) {
+    slot = static_cast<Index>(slots_.size());
+    GFAAS_CHECK(slot != kNone) << "request table full";
+    slots_.emplace_back();
+    index_.emplace(id, slot);
+  } else {
+    free_ = slots_[slot].next;
+    IdIndex::node_type node = std::move(spare_nodes_.back());
+    spare_nodes_.pop_back();
+    node.key() = id;
+    node.mapped() = slot;
+    index_.insert(std::move(node));
+  }
+  Slot& s = slots_[slot];
+  s.request = std::move(request);
+  s.prev = s.next = kNone;
+  return slot;
 }
 
-const Request* GlobalQueue::head() const {
-  return queue_.empty() ? nullptr : &queue_.front();
+Request RequestTable::release(Index slot) {
+  Slot& s = slots_[slot];
+  GFAAS_CHECK(s.place != Place::kFree) << "release of a free slot";
+  spare_nodes_.push_back(index_.extract(s.request.id.value()));
+  s.place = Place::kFree;
+  s.next = free_;
+  free_ = slot;
+  return std::move(s.request);
+}
+
+void RequestTable::link(List& list, Index slot, Place place, GpuId gpu) {
+  Slot& s = slots_[slot];
+  s.place = place;
+  s.gpu = gpu;
+  s.prev = list.tail;
+  s.next = kNone;
+  (list.tail == kNone ? list.head : slots_[list.tail].next) = slot;
+  list.tail = slot;
+  ++list.size;
+}
+
+void RequestTable::unlink(List& list, Index slot) {
+  Slot& s = slots_[slot];
+  (s.prev == kNone ? list.head : slots_[s.prev].next) = s.next;
+  (s.next == kNone ? list.tail : slots_[s.next].prev) = s.prev;
+  s.prev = s.next = kNone;
+  --list.size;
+}
+
+std::array<std::size_t, 4> RequestTable::audit() const {
+  std::array<std::size_t, 4> placed{};
+  for (const auto& [id, slot] : index_) {
+    GFAAS_CHECK(slot < slots_.size() && slots_[slot].place != Place::kFree &&
+                slots_[slot].request.id.value() == id)
+        << "id index entry " << id << " names a stale slot";
+    ++placed[static_cast<std::size_t>(slots_[slot].place)];
+  }
+  std::size_t free = 0;
+  for (Index slot = free_; slot != kNone && free <= slots_.size();
+       slot = slots_[slot].next) {
+    GFAAS_CHECK(slots_[slot].place == Place::kFree) << "live slot on the free list";
+    ++free;
+  }
+  GFAAS_CHECK(free + index_.size() == slots_.size() && free == spare_nodes_.size())
+      << "request table leaks slots";
+  return placed;
+}
+
+GlobalQueue::Index GlobalQueue::slot_of(RequestId id) const {
+  const Index slot = table_.find(id);
+  return slot != RequestTable::kNone && table_[slot].place == Place::kGlobal
+             ? slot
+             : RequestTable::kNone;
 }
 
 const Request* GlobalQueue::find(RequestId id) const {
-  auto it = by_id_.find(id.value());
-  return it == by_id_.end() ? nullptr : &*it->second;
+  const Index slot = slot_of(id);
+  return slot == RequestTable::kNone ? nullptr : &table_[slot].request;
 }
 
 int GlobalQueue::bump_visits(RequestId id) {
-  auto it = by_id_.find(id.value());
-  GFAAS_CHECK(it != by_id_.end()) << "bump_visits on unqueued request " << id.value();
-  return ++it->second->visits;
+  const Index slot = slot_of(id);
+  GFAAS_CHECK(slot != RequestTable::kNone)
+      << "bump_visits on unqueued request " << id.value();
+  return ++table_[slot].request.visits;
+}
+
+GlobalQueue::Index GlobalQueue::unlink(RequestId id) {
+  const Index slot = slot_of(id);
+  GFAAS_CHECK(slot != RequestTable::kNone) << "request " << id.value() << " not queued";
+  table_.unlink(list_, slot);
+  return slot;
 }
 
 StatusOr<Request> GlobalQueue::take(RequestId id) {
-  auto it = by_id_.find(id.value());
-  if (it == by_id_.end()) {
+  if (slot_of(id) == RequestTable::kNone) {
     return Status::NotFound("request " + std::to_string(id.value()) + " not queued");
   }
-  Request out = std::move(*it->second);
-  queue_.erase(it->second);
-  by_id_.erase(it);
-  return out;
+  return table_.release(unlink(id));
 }
 
-void LocalQueues::push(GpuId gpu, Request request) {
+const RequestTable::List& LocalQueues::list(GpuId gpu) const {
   const auto index = static_cast<std::size_t>(gpu.value());
-  GFAAS_CHECK(index < queues_.size()) << "unknown gpu " << gpu.value();
-  queues_[index].push_back(std::move(request));
+  GFAAS_CHECK(index < lists_.size()) << "unknown gpu " << gpu.value();
+  return lists_[index];
+}
+
+void LocalQueues::link(GpuId gpu, Index slot) {
+  table_.link(list(gpu), slot, Place::kLocal, gpu);
   ++total_;
 }
 
-std::optional<Request> LocalQueues::pop_head(GpuId gpu) {
-  const auto index = static_cast<std::size_t>(gpu.value());
-  GFAAS_CHECK(index < queues_.size());
-  if (queues_[index].empty()) return std::nullopt;
-  Request out = std::move(queues_[index].front());
-  queues_[index].pop_front();
+void LocalQueues::unlink(Index slot) {
+  GFAAS_CHECK(table_[slot].place == Place::kLocal) << "slot not in a local queue";
+  table_.unlink(list(table_[slot].gpu), slot);
   --total_;
-  return out;
 }
 
-std::optional<Request> LocalQueues::remove(GpuId gpu, RequestId id) {
-  const auto index = static_cast<std::size_t>(gpu.value());
-  GFAAS_CHECK(index < queues_.size());
-  auto& queue = queues_[index];
-  for (auto it = queue.begin(); it != queue.end(); ++it) {
-    if (it->id == id) {
-      Request out = std::move(*it);
-      queue.erase(it);
-      --total_;
-      return out;
-    }
-  }
-  return std::nullopt;
-}
-
-std::size_t LocalQueues::size(GpuId gpu) const {
-  const auto index = static_cast<std::size_t>(gpu.value());
-  GFAAS_CHECK(index < queues_.size());
-  return queues_[index].size();
-}
-
-const std::deque<Request>& LocalQueues::queued(GpuId gpu) const {
-  const auto index = static_cast<std::size_t>(gpu.value());
-  GFAAS_CHECK(index < queues_.size());
-  return queues_[index];
+std::optional<Request> LocalQueues::pop_head(GpuId gpu) {
+  const Index slot = head_slot(gpu);
+  if (slot == RequestTable::kNone) return std::nullopt;
+  unlink(slot);
+  return table_.release(slot);
 }
 
 }  // namespace gfaas::core

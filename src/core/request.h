@@ -37,8 +37,7 @@ struct Request {
   // touch it, so steal-marker-carrying replays stay bit-identical to
   // the seed engine (the digest folds it into the flags byte, where a
   // zero adds nothing). Declared next to `visits` so the two share one
-  // 8-byte word: the local queues are deques, whose block holds as many
-  // requests as fit in 512 bytes.
+  // 8-byte word, keeping the engine's request-table slots small.
   std::int32_t steal_hops = 0;
   // --- serving-layer metadata (src/gateway) ---
   // Absolute completion deadline; kSimTimeMax = no SLO. The Gateway
@@ -52,11 +51,11 @@ struct Request {
   // its tenant's execution slots until its callback resolves.
   TenantId tenant;
   // Per-request completion hook: the only way a result reaches its
-  // submitter. It stays inside the request through the global and local
-  // queues (which move requests, never copy them) and across a steal to
-  // another engine; at dispatch the engine moves it into the request's
-  // executing entry, where it fires once on completion or GPU death.
-  // Cancelling the request drops it unfired.
+  // submitter. It stays inside the request in the engine's request-table
+  // slot from submit through the global and local queues to execution
+  // (the queues relink slots, never copy requests), and leaves with the
+  // request on a steal to another engine. It fires once, on completion or
+  // GPU death; cancelling the request drops it unfired.
   CompletionHook on_complete;
 };
 

@@ -90,10 +90,8 @@ Status TenantManager::admit(TenantId tenant, SimTime now) {
   }
   Entry& e = it->second;
   roll_window(e, now);
-  if (!e.bucket.try_acquire(now)) {
-    ++e.usage.rejected;
-    return Status::ResourceExhausted(describe(tenant) + " rate limited");
-  }
+  // The rate-limit token is taken last: a request the cap or the share
+  // denies must not drain the bucket.
   if (e.usage.concurrent_executions >= e.quota.max_concurrent_executions) {
     ++e.usage.rejected;
     return Status::ResourceExhausted(describe(tenant) + " at concurrent execution cap");
@@ -104,6 +102,10 @@ Status TenantManager::admit(TenantId tenant, SimTime now) {
   if (e.usage.gpu_time_in_window >= allowed) {
     ++e.usage.rejected;
     return Status::ResourceExhausted(describe(tenant) + " exceeded GPU time share");
+  }
+  if (!e.bucket.try_acquire(now)) {
+    ++e.usage.rejected;
+    return Status::ResourceExhausted(describe(tenant) + " rate limited");
   }
   ++e.usage.admitted;
   return Status::Ok();

@@ -38,11 +38,11 @@ Status VirtualGpu::kill_process(ProcessId process) {
   return Status::Ok();
 }
 
-std::optional<GpuProcess> VirtualGpu::find_process(ModelId model) const {
+const GpuProcess* VirtualGpu::find_process(ModelId model) const {
   for (const auto& [pid, proc] : processes_) {
-    if (proc.model == model) return proc;
+    if (proc.model == model) return &proc;
   }
-  return std::nullopt;
+  return nullptr;
 }
 
 std::vector<GpuProcess> VirtualGpu::processes() const {

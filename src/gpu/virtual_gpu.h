@@ -11,7 +11,6 @@
 // kernel runs (§V-C).
 #pragma once
 
-#include <optional>
 #include <unordered_map>
 #include <vector>
 
@@ -62,8 +61,9 @@ class VirtualGpu {
   // Manager kills the process associated with the evicted model").
   Status kill_process(ProcessId process);
 
-  std::optional<GpuProcess> find_process(ModelId model) const;
-  bool has_model(ModelId model) const { return find_process(model).has_value(); }
+  // The model's process (nullptr if none); valid until it is killed.
+  const GpuProcess* find_process(ModelId model) const;
+  bool has_model(ModelId model) const { return find_process(model) != nullptr; }
   std::vector<GpuProcess> processes() const;
   std::size_t process_count() const { return processes_.size(); }
 

@@ -239,6 +239,7 @@ std::uint64_t chaos_run_digest(std::uint64_t chaos_seed) {
   injector.arm();
   cluster->run_to_completion();
   scaler.finalize();
+  cluster->engine().audit();
 
   EXPECT_EQ(client.completed(), client.submitted());
   EXPECT_EQ(cluster->engine().pending(), 0u);

@@ -312,6 +312,68 @@ TEST(SchedulerEngineTest, FinishTimeEstimateIncludesLocalQueueWork) {
   EXPECT_EQ(via_local, 2);
 }
 
+TEST(SchedulerEngineTest, CancelMidLocalQueueRestoresAggregates) {
+  // inception.v3 with a 20 s re-upload, so three hits park behind the warm
+  // holder's running hit (waits of 1.63, 3.26 and 4.89 s). Cancelling the
+  // middle one must leave the GPU exactly as if it had never been
+  // submitted: same queue-ahead work, counts and pins, and the other two
+  // still run in arrival order.
+  struct Outcome {
+    SimTime finish = 0;
+    std::size_t local = 0;
+    std::size_t total = 0;
+    int pins = 0;
+    std::vector<std::int64_t> local_order;
+  };
+  const auto run = [](bool submit_middle) {
+    ClusterConfig config;
+    config.nodes = 1;
+    config.gpus_per_node = 2;
+    config.policy = core::PolicyName::kLalb;
+    models::ModelRegistry registry;
+    models::ModelProfile inception = *models::find_model("inception.v3");
+    inception.id = ModelId(0);
+    inception.load_time = sec(20);
+    EXPECT_TRUE(registry.register_model(inception).ok());
+    SimCluster cluster(config, registry);
+    SchedulerEngine& engine = cluster.engine();
+    engine.submit(make_request(0, 0, 0));
+    cluster.simulator().run();
+    const GpuId hot = engine.completions().at(0).gpu;
+    Outcome out;
+    cluster.simulator().schedule_at(sec(30), [&] {
+      for (std::int64_t id = 1; id <= 4; ++id) {
+        if (id != 3 || submit_middle) engine.submit(make_request(id, 0, sec(30)));
+      }
+      if (submit_middle) {
+        EXPECT_EQ(engine.local_queues().size(hot), 3u);
+        EXPECT_TRUE(engine.cancel_request(RequestId(3)));
+      }
+      engine.audit();
+      out.finish = engine.estimated_finish_time(hot);
+      out.local = engine.local_queues().size(hot);
+      out.total = engine.local_queues().total_pending();
+      out.pins = cluster.cache().state(hot).pins(ModelId(0));
+    });
+    cluster.simulator().run();
+    engine.audit();
+    for (const auto& record : engine.completions()) {
+      if (record.via_local_queue) out.local_order.push_back(record.id.value());
+    }
+    return out;
+  };
+  const Outcome cancelled = run(/*submit_middle=*/true);
+  const Outcome control = run(/*submit_middle=*/false);
+  EXPECT_EQ(cancelled.local, 2u);
+  EXPECT_EQ(cancelled.pins, 3);  // the running hit + two parked
+  EXPECT_EQ(cancelled.local_order, (std::vector<std::int64_t>{2, 4}));
+  EXPECT_EQ(cancelled.finish, control.finish);
+  EXPECT_EQ(cancelled.local, control.local);
+  EXPECT_EQ(cancelled.total, control.total);
+  EXPECT_EQ(cancelled.pins, control.pins);
+  EXPECT_EQ(cancelled.local_order, control.local_order);
+}
+
 TEST(SchedulerEngineTest, IdleGpusSortedByDispatchFrequency) {
   ClusterConfig config;
   config.nodes = 1;

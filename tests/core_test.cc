@@ -109,25 +109,29 @@ TEST(GlobalQueueTest, IteratorMatchesSnapshotUnderRandomOps) {
 }
 
 TEST(LocalQueuesTest, FifoPerGpu) {
-  LocalQueues lq(2);
+  RequestTable table;
+  LocalQueues lq(table, 2);
   lq.push(GpuId(0), make_request(1, 0, 10));
   lq.push(GpuId(0), make_request(2, 0, 20));
   lq.push(GpuId(1), make_request(3, 1, 30));
   EXPECT_EQ(lq.size(GpuId(0)), 2u);
   EXPECT_EQ(lq.total_pending(), 3u);
-  EXPECT_EQ(lq.queued(GpuId(0)).front().id, RequestId(1));
+  EXPECT_EQ(table[lq.head_slot(GpuId(0))].request.id, RequestId(1));
   auto popped = lq.pop_head(GpuId(0));
   ASSERT_TRUE(popped.has_value());
   EXPECT_EQ(popped->id, RequestId(1));
-  EXPECT_EQ(lq.queued(GpuId(0)).size(), 1u);
+  EXPECT_EQ(table[lq.head_slot(GpuId(0))].request.id, RequestId(2));
+  EXPECT_EQ(lq.size(GpuId(0)), 1u);
   EXPECT_FALSE(lq.pop_head(GpuId(1)).has_value() == false);
 }
 
 TEST(LocalQueuesTest, TotalPendingTracksEveryMutation) {
   // total_pending() is a maintained counter; it must equal the sum of the
-  // per-GPU sizes through push, pop_head and remove (hit or miss).
+  // per-GPU sizes through push, pop_head and a mid-queue unlink (a cancel,
+  // hit or miss), over a table shared the way the engine shares it.
   Rng rng(0x10ca1);
-  LocalQueues lq(4);
+  RequestTable table;
+  LocalQueues lq(table, 4);
   std::int64_t next_id = 1;
   const auto sum_of_sizes = [&lq] {
     std::size_t total = 0;
@@ -143,9 +147,14 @@ TEST(LocalQueuesTest, TotalPendingTracksEveryMutation) {
       lq.pop_head(gpu);
     } else {
       const auto id = rng.next_below(static_cast<std::uint64_t>(next_id));
-      lq.remove(gpu, RequestId(1 + static_cast<std::int64_t>(id)));
+      const auto slot = table.find(RequestId(1 + static_cast<std::int64_t>(id)));
+      if (slot != RequestTable::kNone) {
+        lq.unlink(slot);
+        table.release(slot);
+      }
     }
     ASSERT_EQ(lq.total_pending(), sum_of_sizes()) << "op " << op;
+    ASSERT_EQ(table.size(), lq.total_pending()) << "op " << op;
   }
   EXPECT_GT(lq.total_pending(), 0u);
 }

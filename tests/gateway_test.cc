@@ -788,6 +788,7 @@ TEST(GatewayHedgeTest, ExactlyOnceUnderRandomizedChaosSweep) {
         }
         if (registered.size() <= 1) return;  // never go extinct
         cluster->kill_gpu(registered[rng->next_below(registered.size())]);
+        cluster->engine().audit();
         ++kills;
       });
     }
@@ -808,6 +809,7 @@ TEST(GatewayHedgeTest, ExactlyOnceUnderRandomizedChaosSweep) {
     EXPECT_EQ(gateway.in_flight(), 0u) << "seed " << seed;
     EXPECT_EQ(gateway.pending(), 0u) << "seed " << seed;
     EXPECT_EQ(cluster->engine().pending(), 0u) << "seed " << seed;
+    cluster->engine().audit();
     for (std::int64_t i = 0; i < gpu_count; ++i) {
       if (!cluster->engine().is_registered(GpuId(i))) continue;
       EXPECT_FALSE(cluster->cache().state(GpuId(i)).any_pinned())

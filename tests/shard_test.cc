@@ -275,6 +275,9 @@ TEST(ShardedClusterTest, StealDispositionConservationAcrossSeeds) {
       const ShardedReplayStats stats = sharded.replay(workload.requests);
       if (steal_enabled) total_steals += stats.steals;
       expect_exactly_once(sharded, workload.requests.size());
+      for (std::size_t i = 0; i < sharded.shard_count(); ++i) {
+        sharded.shard(i).engine().audit();
+      }
       std::set<std::int64_t> ids;
       for (const auto& r : sharded.completions()) ids.insert(r.id.value());
       for (const auto& r : sharded.failures()) ids.insert(r.id.value());

@@ -101,6 +101,24 @@ TEST(TenantManagerTest, ConcurrencyCapEnforced) {
   EXPECT_TRUE(manager.admit(kT, sec(1)).ok());
 }
 
+TEST(TenantManagerTest, CapDenialSpendsNoRateToken) {
+  // Burst 2 at 1 token/s: the cap-denied second admit must leave a token
+  // behind, so half a second of refill is enough for the next one.
+  TenantManager manager(12);
+  TenantQuota quota;
+  quota.requests_per_sec = 1.0;
+  quota.burst = 2.0;
+  quota.max_concurrent_executions = 1;
+  ASSERT_TRUE(manager.register_tenant(kT, quota).ok());
+  ASSERT_TRUE(manager.admit(kT, 0).ok());
+  manager.on_dispatch(kT);
+  EXPECT_EQ(manager.admit(kT, 0).code(), StatusCode::kResourceExhausted);
+  manager.on_complete(kT, msec(500), msec(500));
+  EXPECT_TRUE(manager.admit(kT, msec(500)).ok());
+  EXPECT_EQ(manager.usage(kT).admitted, 2);
+  EXPECT_EQ(manager.usage(kT).rejected, 1);
+}
+
 TEST(TenantManagerTest, GpuTimeShareEnforcedOverWindow) {
   // Paper: "limiting the GPU time share ... that a tenant can use".
   TenantManager manager(/*total_gpus=*/2, /*window=*/sec(10));
