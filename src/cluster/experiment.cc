@@ -31,7 +31,7 @@ SimTime SimCluster::replay(const std::vector<core::Request>& requests) {
 SimTime SimCluster::replay(const std::vector<core::Request>& requests,
                            const std::function<void(core::Request)>& submit) {
   for (const core::Request& req : requests) {
-    simulator().schedule_at(req.arrival, [&submit, req]() { submit(req); });
+    simulator().schedule_at(req.arrival, [&submit, &req]() { submit(req); });
   }
   return finish_replay();
 }

@@ -129,7 +129,7 @@ void Gateway::submit_one(core::Request request, ResultCallback done,
   // Tenant admission (§VI): from here on the request holds one of its
   // tenant's execution slots, released wherever it resolves.
   if (tenants_ != nullptr) {
-    if (!tenants_->admit(request.tenant, now).ok()) {
+    if (tenants_->admit(request.tenant, now) != Admission::kAdmitted) {
       resolve_locally(request, Disposition::kShed, done, /*tenant_denied=*/true);
       return;
     }

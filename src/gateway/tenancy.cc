@@ -83,32 +83,27 @@ void TenantManager::roll_window(Entry& e, SimTime now) {
   }
 }
 
-Status TenantManager::admit(TenantId tenant, SimTime now) {
+Admission TenantManager::admit(TenantId tenant, SimTime now) {
   auto it = tenants_.find(tenant);
-  if (it == tenants_.end()) {
-    return Status::NotFound("unknown " + describe(tenant));
-  }
+  if (it == tenants_.end()) return Admission::kUnknownTenant;
   Entry& e = it->second;
   roll_window(e, now);
+  auto deny = [&e](Admission reason) {
+    ++e.usage.rejected;
+    return reason;
+  };
   // The rate-limit token is taken last: a request the cap or the share
   // denies must not drain the bucket.
   if (e.usage.concurrent_executions >= e.quota.max_concurrent_executions) {
-    ++e.usage.rejected;
-    return Status::ResourceExhausted(describe(tenant) + " at concurrent execution cap");
+    return deny(Admission::kConcurrencyCap);
   }
   const SimTime allowed = static_cast<SimTime>(
       e.quota.gpu_time_share * static_cast<double>(total_gpus_) *
       static_cast<double>(window_));
-  if (e.usage.gpu_time_in_window >= allowed) {
-    ++e.usage.rejected;
-    return Status::ResourceExhausted(describe(tenant) + " exceeded GPU time share");
-  }
-  if (!e.bucket.try_acquire(now)) {
-    ++e.usage.rejected;
-    return Status::ResourceExhausted(describe(tenant) + " rate limited");
-  }
+  if (e.usage.gpu_time_in_window >= allowed) return deny(Admission::kGpuTimeShare);
+  if (!e.bucket.try_acquire(now)) return deny(Admission::kRateLimited);
   ++e.usage.admitted;
-  return Status::Ok();
+  return Admission::kAdmitted;
 }
 
 void TenantManager::on_dispatch(TenantId tenant) {

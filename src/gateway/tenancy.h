@@ -64,6 +64,16 @@ struct TenantUsage {
   Bytes resident_memory = 0;
 };
 
+// Outcome of TenantManager::admit: admitted, or the first check that
+// denied the request. Plain data, so a denial costs no allocation.
+enum class Admission {
+  kAdmitted,
+  kUnknownTenant,
+  kConcurrencyCap,
+  kGpuTimeShare,
+  kRateLimited,
+};
+
 class TenantManager {
  public:
   // `total_gpus` scales the GPU-time share: a share of s over a window W
@@ -74,10 +84,10 @@ class TenantManager {
   Status register_tenant(TenantId tenant, TenantQuota quota);
   bool known(TenantId tenant) const;
 
-  // Admission check at the Gateway: rate limit + concurrency cap +
-  // GPU-time share. Returns kNotFound for an unknown (or anonymous)
-  // tenant and kResourceExhausted with a reason when denied.
-  Status admit(TenantId tenant, SimTime now);
+  // Admission check at the Gateway: concurrency cap, then GPU-time
+  // share, then rate limit. Returns kUnknownTenant for an unknown (or
+  // anonymous) tenant and the denying check otherwise.
+  Admission admit(TenantId tenant, SimTime now);
 
   // Execution accounting: the Gateway takes a slot when it admits a
   // request and releases it, with the GPU time used, when the request's

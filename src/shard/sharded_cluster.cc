@@ -145,8 +145,11 @@ void ShardedCluster::inject_arrivals(const std::vector<core::Request>& requests,
         router_.route(src.model, static_cast<std::uint64_t>(src.id.value()));
     cluster::SimCluster* cell = shards_[target].get();
     cluster::SchedulerEngine* engine = &cell->engine();
+    // Capturing the request by address keeps the closure inside
+    // std::function's inline buffer. It stays valid: every arrival
+    // injected here runs before this epoch's run_shards_until returns.
     cell->simulator().schedule_arrival_at(
-        src.arrival, [engine, req = src]() mutable { engine->submit(std::move(req)); });
+        src.arrival, [engine, req = &src]() { engine->submit(*req); });
     ++next;
   }
 }

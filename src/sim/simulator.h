@@ -46,6 +46,15 @@ class Executor : public Clock {
   }
 };
 
+// The event queue is two containers with one order. An event scheduled no
+// earlier, by (time, lane, seq), than the newest entry of a sorted run is
+// appended to that run; any other event goes on a binary heap. The next
+// event is the earlier of the run's head and the heap's front. A replay
+// that schedules its sorted arrival trace upfront thus pays O(1) per
+// arrival, and the heap holds only the out-of-order work (loads,
+// completions, timers) scheduled while the run plays. The run is cleared
+// when it drains, and its consumed prefix is dropped once the head passes
+// half its length, so a run that never drains stays bounded.
 class Simulator final : public Executor {
  public:
   Simulator() = default;
@@ -76,7 +85,7 @@ class Simulator final : public Executor {
 
   // Cancels a pending event; returns false if it already ran, was already
   // cancelled, or never existed. O(1): the callback is released at once
-  // and its heap entry is dropped lazily when it surfaces.
+  // and its entry is dropped lazily when it surfaces.
   bool cancel(std::uint64_t event_id) override;
 
   // Runs until the event queue is empty. Returns the number of events run.
@@ -93,6 +102,13 @@ class Simulator final : public Executor {
   std::size_t pending_events() const { return slots_.size() - free_slots_.size(); }
   std::uint64_t events_executed() const { return executed_; }
 
+  // Recomputes the queue's invariants from scratch and CHECK-fails on the
+  // first broken one: the live entries in the heap and the run equal
+  // pending_events(), every occupied slot has exactly one current entry,
+  // the heap is a heap and the run is sorted from its head. For tests;
+  // O(pending + slots).
+  void audit() const;
+
  private:
   // Same-time ordering is (lane, seq): the arrival lane first, then
   // insertion order. Everything scheduled through the Executor interface
@@ -104,7 +120,7 @@ class Simulator final : public Executor {
   std::uint64_t schedule_keyed(SimTime when, std::uint64_t lane_bit,
                                std::function<void()> fn);
 
-  // A heap entry is plain data; the callback lives in slots_[slot]. The
+  // An entry is plain data; the callback lives in slots_[slot]. The
   // entry is current only while the slot's generation still equals `gen`:
   // running or cancelling an event bumps the generation and frees the
   // slot, which turns the entry (and every id handed out for it) stale.
@@ -132,15 +148,27 @@ class Simulator final : public Executor {
   }
   // Frees the slot and bumps its generation.
   void release(std::uint32_t slot);
-  // Pops stale entries off the heap so heap_.front(), when it exists, is
-  // always a live event.
+  bool stale(const Entry& e) const { return slots_[e.slot].gen != e.gen; }
+  // Consumes the run's head: clears the run once it drains and drops the
+  // consumed prefix once the head passes half the run.
+  void advance_run();
+  // Drops stale entries off the front of the heap and of the run, so
+  // each front, when it exists, is a live event.
   void settle_head();
+  // After settle_head(): whether the run's head precedes the heap's
+  // front, and the next event to run (nullptr when none is pending).
+  bool run_is_next() const;
+  const Entry* next_entry() const;
   bool pop_and_run();
 
   SimTime now_ = 0;
   std::uint64_t next_seq_ = 0;
   std::uint64_t executed_ = 0;
-  // Binary min-heap under Later, kept with std::push_heap/pop_heap.
+  // The sorted run (entries before run_head_ are consumed) and the binary
+  // min-heap under Later, kept with std::push_heap/pop_heap; see the
+  // class comment.
+  std::vector<Entry> run_;
+  std::size_t run_head_ = 0;
   std::vector<Entry> heap_;
   std::vector<Slot> slots_;
   std::vector<std::uint32_t> free_slots_;

@@ -5,6 +5,9 @@
 // engine and its request table, the cluster-state index, the cache
 // manager, the GPU manager and the simulator. The stack runs without the
 // datastore mirror (null KvStore), which still allocates on every request.
+// Two narrower contracts ride along: the simulator's sorted run stays
+// bounded when it never drains, and tenant admission denies without
+// allocating.
 //
 // This binary replaces the global operator new with a counter that only
 // counts inside the measured window.
@@ -19,6 +22,7 @@
 #include "cluster/engine.h"
 #include "cluster/gpu_manager.h"
 #include "core/scheduler.h"
+#include "gateway/tenancy.h"
 #include "gpu/gpu_spec.h"
 #include "gpu/pcie.h"
 #include "gpu/virtual_gpu.h"
@@ -134,6 +138,55 @@ TEST(AllocContractTest, CacheHitRequestsAllocateNothingOnceWarm) {
   EXPECT_EQ(engine.latency_series().bucket_count(), 1u);
   EXPECT_EQ(allocs, 0u) << "allocations on the warm cache-hit request path";
   engine.audit();
+}
+
+// Reschedules itself 1000 ns ahead. A plain pointer, so std::function
+// stores it inline.
+struct Tick {
+  sim::Simulator* sim;
+  void operator()() const { sim->schedule_after(1000, Tick{sim}); }
+};
+
+TEST(AllocContractTest, SimulatorRunThatNeverDrainsAllocatesNothingOnceWarm) {
+  // 100 staggered chains: every event appends behind the run's tail, so
+  // the run never drains and only compaction keeps it from growing.
+  sim::Simulator sim;
+  for (SimTime t = 0; t < 1000; t += 10) sim.schedule_at(t, Tick{&sim});
+  for (int i = 0; i < 10000; ++i) ASSERT_TRUE(sim.step());
+
+  g_allocs.store(0);
+  g_counting.store(true);
+  for (int i = 0; i < 10000; ++i) sim.step();
+  g_counting.store(false);
+  EXPECT_EQ(g_allocs.load(), 0u) << "allocations while the run never drains";
+  EXPECT_EQ(sim.pending_events(), 100u);
+  sim.audit();
+}
+
+TEST(AllocContractTest, TenantDenialsAllocateNothing) {
+  const TenantId capped(1), limited(2), ghost(3);
+  gateway::TenantManager tenants(/*total_gpus=*/4);
+  gateway::TenantQuota cap_quota;
+  cap_quota.max_concurrent_executions = 1;
+  ASSERT_TRUE(tenants.register_tenant(capped, cap_quota).ok());
+  gateway::TenantQuota rate_quota;
+  rate_quota.requests_per_sec = 1;
+  rate_quota.burst = 1;
+  ASSERT_TRUE(tenants.register_tenant(limited, rate_quota).ok());
+  ASSERT_EQ(tenants.admit(capped, 0), gateway::Admission::kAdmitted);
+  tenants.on_dispatch(capped);
+  ASSERT_EQ(tenants.admit(limited, 0), gateway::Admission::kAdmitted);
+
+  g_allocs.store(0);
+  g_counting.store(true);
+  int denied = 0;
+  for (int i = 0; i < 1000; ++i) {
+    const TenantId tenant = i % 3 == 0 ? capped : i % 3 == 1 ? limited : ghost;
+    if (tenants.admit(tenant, 0) != gateway::Admission::kAdmitted) ++denied;
+  }
+  g_counting.store(false);
+  EXPECT_EQ(denied, 1000);
+  EXPECT_EQ(g_allocs.load(), 0u) << "allocations on tenant denials";
 }
 
 }  // namespace

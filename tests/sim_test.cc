@@ -1,11 +1,13 @@
 // Unit tests for the discrete-event simulator: ordering, FIFO tie-breaks,
-// cancellation, run_until semantics, nested scheduling, determinism.
+// cancellation, run_until semantics, nested scheduling, determinism, and
+// the split between the sorted run and the heap.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
 #include <iterator>
 #include <map>
+#include <tuple>
 #include <vector>
 
 #include "common/rng.h"
@@ -281,9 +283,11 @@ TEST(SimulatorTest, PendingEventsExactUnderRandomScheduleCancelRun) {
       }
     }
     ASSERT_EQ(sim.pending_events(), live.size()) << "op " << op;
+    sim.audit();
   }
   sim.run();
   EXPECT_EQ(sim.pending_events(), 0u);
+  sim.audit();
 }
 
 TEST(SimulatorTest, ArrivalLaneWinsSameTimeTies) {
@@ -299,6 +303,135 @@ TEST(SimulatorTest, ArrivalLaneWinsSameTimeTies) {
   sim.schedule_arrival_at(20, [&] { order.push_back(5); });
   sim.run();
   EXPECT_EQ(order, (std::vector<int>{0, 2, 4, 1, 3, 5}));
+}
+
+TEST(SimulatorTest, SameTimeTieBetweenRunAndHeapFollowsSequence) {
+  // A and C tie at 10 with A on the run, scheduled first; G and H tie at
+  // 20 with G on the heap, scheduled first. Sequence decides both ties,
+  // whichever container holds the earlier entry.
+  Simulator sim;
+  std::vector<char> order;
+  sim.schedule_at(10, [&] { order.push_back('A'); });                 // run
+  const auto f = sim.schedule_at(30, [&] { order.push_back('F'); });  // run tail
+  sim.schedule_at(20, [&] { order.push_back('G'); });  // behind the tail: heap
+  sim.schedule_at(10, [&] { order.push_back('C'); });  // heap, ties with A
+  ASSERT_TRUE(sim.cancel(f));
+  sim.audit();
+  EXPECT_EQ(sim.run_until(10), 2u);
+  EXPECT_EQ(order, (std::vector<char>{'A', 'C'}));
+  // The cancelled tail was dropped and the run drained, so H starts a
+  // new run while G still waits on the heap.
+  sim.schedule_at(20, [&] { order.push_back('H'); });
+  sim.audit();
+  EXPECT_EQ(sim.run(), 2u);
+  EXPECT_EQ(order, (std::vector<char>{'A', 'C', 'G', 'H'}));
+  sim.audit();
+}
+
+TEST(SimulatorTest, ArrivalBehindDefaultLaneTailRunsFirst) {
+  // An arrival-lane event at the run tail's time sorts before that
+  // default-lane tail, so it goes to the heap and still runs first.
+  Simulator sim;
+  std::vector<int> order;
+  sim.schedule_at(10, [&] { order.push_back(2); });          // run tail
+  sim.schedule_arrival_at(10, [&] { order.push_back(0); });  // heap
+  sim.schedule_arrival_at(10, [&] { order.push_back(1); });  // heap, FIFO
+  sim.schedule_arrival_at(20, [&] { order.push_back(3); });  // run
+  sim.schedule_at(20, [&] { order.push_back(4); });          // run
+  sim.audit();
+  EXPECT_EQ(sim.run(), 5u);
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4}));
+}
+
+TEST(SimulatorTest, ExecutionOrderMatchesSortedReferenceUnderRandomOps) {
+  // Reference model: the live events keyed by (time, lane, seq), the seq
+  // counted here in schedule order. Every callback checks that it is the
+  // model's minimum when it runs. The ops mix in-order and out-of-order
+  // schedules on both lanes, cancels of the earliest event, the newest
+  // in-order event and random events, run_until deadlines between the
+  // two earliest times, and callbacks that post() at now.
+  using Key = std::tuple<SimTime, int, std::uint64_t>;  // arrival lane = 0
+  Rng rng(0x0e0e);
+  Simulator sim;
+  std::map<Key, std::uint64_t> live;  // key -> event id
+  std::uint64_t seq = 0;
+  std::size_t ran = 0;
+  SimTime newest = 0;  // latest time scheduled in order
+  std::uint64_t newest_id = 0;
+  auto add = [&](SimTime when, bool arrival, bool posts) {
+    const Key key{when, arrival ? 0 : 1, seq++};
+    auto fn = [&, key, posts] {
+      ASSERT_FALSE(live.empty());
+      EXPECT_EQ(live.begin()->first, key) << "ran out of order";
+      EXPECT_EQ(sim.now(), std::get<0>(key));
+      live.erase(key);
+      ++ran;
+      if (posts) {
+        const Key next{sim.now(), 1, seq++};
+        live[next] = sim.post([&, next] {
+          EXPECT_EQ(live.begin()->first, next) << "posted event out of order";
+          live.erase(next);
+          ++ran;
+        });
+      }
+    };
+    const std::uint64_t id =
+        arrival ? sim.schedule_arrival_at(when, fn) : sim.schedule_at(when, fn);
+    live[key] = id;
+    return id;
+  };
+  for (int op = 0; op < 4000; ++op) {
+    const std::uint64_t dice = rng.next_below(20);
+    const bool posts = rng.next_below(4) == 0;
+    if (dice < 6) {  // in order: no earlier than anything scheduled so far
+      newest = std::max(newest, sim.now()) + static_cast<SimTime>(rng.next_below(3));
+      newest_id = add(newest, rng.next_below(4) == 0, posts);
+    } else if (dice < 10) {  // out of order: anywhere from now on
+      add(sim.now() + static_cast<SimTime>(rng.next_below(20)),
+          rng.next_below(3) == 0, posts);
+    } else if (dice < 11 && !live.empty()) {  // the earliest event
+      ASSERT_TRUE(sim.cancel(live.begin()->second)) << "op " << op;
+      live.erase(live.begin());
+    } else if (dice < 12) {  // the newest in-order event, if still live
+      auto it = std::find_if(live.begin(), live.end(),
+                             [&](const auto& e) { return e.second == newest_id; });
+      EXPECT_EQ(sim.cancel(newest_id), it != live.end()) << "op " << op;
+      if (it != live.end()) live.erase(it);
+    } else if (dice < 13 && !live.empty()) {  // any event
+      auto it = live.begin();
+      std::advance(it, static_cast<std::ptrdiff_t>(rng.next_below(live.size())));
+      ASSERT_TRUE(sim.cancel(it->second)) << "op " << op;
+      live.erase(it);
+    } else if (dice < 17) {
+      // A deadline between the two earliest distinct times (or a little
+      // past the only one), so one head runs and the other waits.
+      SimTime deadline = sim.now() + static_cast<SimTime>(rng.next_below(5));
+      if (!live.empty()) {
+        const SimTime first = std::get<0>(live.begin()->first);
+        auto later = std::find_if(live.begin(), live.end(), [first](const auto& e) {
+          return std::get<0>(e.first) > first;
+        });
+        const SimTime gap = later == live.end() ? 3 : std::get<0>(later->first) - first;
+        deadline = first + static_cast<SimTime>(rng.next_below(
+                               static_cast<std::uint64_t>(gap)));
+      }
+      const SimTime before = sim.now();
+      sim.run_until(deadline);
+      EXPECT_EQ(sim.now(), std::max(before, deadline));
+      if (!live.empty()) {
+        EXPECT_GT(std::get<0>(live.begin()->first), deadline) << "op " << op;
+      }
+    } else {
+      sim.step();
+    }
+    ASSERT_FALSE(HasFailure()) << "op " << op;
+    ASSERT_EQ(sim.pending_events(), live.size()) << "op " << op;
+    sim.audit();
+  }
+  sim.run();
+  EXPECT_TRUE(live.empty());
+  EXPECT_EQ(ran, sim.events_executed());
+  sim.audit();
 }
 
 }  // namespace

@@ -66,7 +66,7 @@ TEST(TenantManagerTest, RegistrationValidation) {
 
 TEST(TenantManagerTest, UnknownTenantRejected) {
   TenantManager manager(12);
-  EXPECT_EQ(manager.admit(kGhost, 0).code(), StatusCode::kNotFound);
+  EXPECT_EQ(manager.admit(kGhost, 0), Admission::kUnknownTenant);
 }
 
 TEST(TenantManagerTest, RateLimitRejectsBurstOverflow) {
@@ -76,10 +76,10 @@ TEST(TenantManagerTest, RateLimitRejectsBurstOverflow) {
   quota.burst = 2.0;
   quota.max_concurrent_executions = 100;
   ASSERT_TRUE(manager.register_tenant(kT, quota).ok());
-  EXPECT_TRUE(manager.admit(kT, 0).ok());
-  EXPECT_TRUE(manager.admit(kT, 0).ok());
-  EXPECT_EQ(manager.admit(kT, 0).code(), StatusCode::kResourceExhausted);
-  EXPECT_TRUE(manager.admit(kT, sec(2)).ok());  // refilled
+  EXPECT_EQ(manager.admit(kT, 0), Admission::kAdmitted);
+  EXPECT_EQ(manager.admit(kT, 0), Admission::kAdmitted);
+  EXPECT_EQ(manager.admit(kT, 0), Admission::kRateLimited);
+  EXPECT_EQ(manager.admit(kT, sec(2)), Admission::kAdmitted);  // refilled
   EXPECT_EQ(manager.usage(kT).admitted, 3);
   EXPECT_EQ(manager.usage(kT).rejected, 1);
 }
@@ -92,13 +92,13 @@ TEST(TenantManagerTest, ConcurrencyCapEnforced) {
   quota.requests_per_sec = 1000;
   quota.burst = 1000;
   ASSERT_TRUE(manager.register_tenant(kT, quota).ok());
-  ASSERT_TRUE(manager.admit(kT, 0).ok());
+  ASSERT_EQ(manager.admit(kT, 0), Admission::kAdmitted);
   manager.on_dispatch(kT);
-  ASSERT_TRUE(manager.admit(kT, 0).ok());
+  ASSERT_EQ(manager.admit(kT, 0), Admission::kAdmitted);
   manager.on_dispatch(kT);
-  EXPECT_EQ(manager.admit(kT, 0).code(), StatusCode::kResourceExhausted);
+  EXPECT_EQ(manager.admit(kT, 0), Admission::kConcurrencyCap);
   manager.on_complete(kT, sec(1), sec(1));
-  EXPECT_TRUE(manager.admit(kT, sec(1)).ok());
+  EXPECT_EQ(manager.admit(kT, sec(1)), Admission::kAdmitted);
 }
 
 TEST(TenantManagerTest, CapDenialSpendsNoRateToken) {
@@ -110,11 +110,11 @@ TEST(TenantManagerTest, CapDenialSpendsNoRateToken) {
   quota.burst = 2.0;
   quota.max_concurrent_executions = 1;
   ASSERT_TRUE(manager.register_tenant(kT, quota).ok());
-  ASSERT_TRUE(manager.admit(kT, 0).ok());
+  ASSERT_EQ(manager.admit(kT, 0), Admission::kAdmitted);
   manager.on_dispatch(kT);
-  EXPECT_EQ(manager.admit(kT, 0).code(), StatusCode::kResourceExhausted);
+  EXPECT_EQ(manager.admit(kT, 0), Admission::kConcurrencyCap);
   manager.on_complete(kT, msec(500), msec(500));
-  EXPECT_TRUE(manager.admit(kT, msec(500)).ok());
+  EXPECT_EQ(manager.admit(kT, msec(500)), Admission::kAdmitted);
   EXPECT_EQ(manager.usage(kT).admitted, 2);
   EXPECT_EQ(manager.usage(kT).rejected, 1);
 }
@@ -129,12 +129,12 @@ TEST(TenantManagerTest, GpuTimeShareEnforcedOverWindow) {
   quota.max_concurrent_executions = 100;
   ASSERT_TRUE(manager.register_tenant(kGreedy, quota).ok());
 
-  ASSERT_TRUE(manager.admit(kGreedy, sec(1)).ok());
+  ASSERT_EQ(manager.admit(kGreedy, sec(1)), Admission::kAdmitted);
   manager.on_dispatch(kGreedy);
   manager.on_complete(kGreedy, sec(2), sec(6));  // consumed 6s > 5s allowed
-  EXPECT_EQ(manager.admit(kGreedy, sec(3)).code(), StatusCode::kResourceExhausted);
+  EXPECT_EQ(manager.admit(kGreedy, sec(3)), Admission::kGpuTimeShare);
   // Window rolls: usage resets.
-  EXPECT_TRUE(manager.admit(kGreedy, sec(12)).ok());
+  EXPECT_EQ(manager.admit(kGreedy, sec(12)), Admission::kAdmitted);
   EXPECT_EQ(manager.usage(kGreedy).gpu_time_in_window, 0);
 }
 
@@ -164,10 +164,10 @@ TEST(TenantManagerTest, TenantsAreIsolated) {
   tight.burst = 1;
   ASSERT_TRUE(manager.register_tenant(kTight, tight).ok());
   ASSERT_TRUE(manager.register_tenant(kRoomy, {}).ok());
-  ASSERT_TRUE(manager.admit(kTight, 0).ok());
-  EXPECT_FALSE(manager.admit(kTight, 0).ok());
+  ASSERT_EQ(manager.admit(kTight, 0), Admission::kAdmitted);
+  EXPECT_EQ(manager.admit(kTight, 0), Admission::kRateLimited);
   // The other tenant is unaffected by tight's exhaustion.
-  EXPECT_TRUE(manager.admit(kRoomy, 0).ok());
+  EXPECT_EQ(manager.admit(kRoomy, 0), Admission::kAdmitted);
 }
 
 // ---------------------------------------------------------------------------
