@@ -23,13 +23,13 @@ void ClusterStateIndex::leave(OrderedSet& set, OrderedSet::node_type& parked,
 void ClusterStateIndex::enter_sets(PerGpu& s, GpuId gpu) {
   if (!s.idle || s.fenced) return;
   enter(idle_, s.idle_node, s.dispatches, gpu);
-  if (s.local_pending > 0) enter(serviceable_, s.serviceable_node, s.dispatches, gpu);
+  if (s.local_work > 0) enter(serviceable_, s.serviceable_node, s.dispatches, gpu);
 }
 
 void ClusterStateIndex::leave_sets(PerGpu& s, GpuId gpu) {
   if (!s.idle || s.fenced) return;
   leave(idle_, s.idle_node, s.dispatches, gpu);
-  if (s.local_pending > 0) leave(serviceable_, s.serviceable_node, s.dispatches, gpu);
+  if (s.local_work > 0) leave(serviceable_, s.serviceable_node, s.dispatches, gpu);
 }
 
 void ClusterStateIndex::add_gpu(GpuId gpu) {
@@ -61,7 +61,7 @@ void ClusterStateIndex::unfence(GpuId gpu) {
 void ClusterStateIndex::remove_gpu(GpuId gpu) {
   PerGpu& s = state(gpu);
   GFAAS_CHECK(s.fenced) << "gpu " << gpu.value() << " must be fenced before removal";
-  GFAAS_CHECK(s.idle && s.local_pending == 0 && s.local_work == 0)
+  GFAAS_CHECK(s.idle && s.local_work == 0)
       << "gpu " << gpu.value() << " removed before draining";
   s.registered = false;
 }
@@ -92,25 +92,17 @@ void ClusterStateIndex::set_committed_finish(GpuId gpu, SimTime finish) {
 }
 
 void ClusterStateIndex::add_local_work(GpuId gpu, SimTime delta) {
+  GFAAS_CHECK(delta != 0) << "zero local-queue work on gpu " << gpu.value();
   PerGpu& s = state(gpu);
+  const bool had_work = s.local_work > 0;
   s.local_work += delta;
   GFAAS_CHECK(s.local_work >= 0)
       << "negative local-queue work aggregate on gpu " << gpu.value();
-}
-
-void ClusterStateIndex::add_local_request(GpuId gpu) {
-  PerGpu& s = state(gpu);
-  if (++s.local_pending == 1 && s.idle && !s.fenced) {
-    enter(serviceable_, s.serviceable_node, s.dispatches, gpu);
-  }
-}
-
-void ClusterStateIndex::pop_local_request(GpuId gpu) {
-  PerGpu& s = state(gpu);
-  GFAAS_CHECK(s.local_pending > 0)
-      << "local-queue count underflow on gpu " << gpu.value();
-  if (--s.local_pending == 0 && s.idle && !s.fenced) {
+  if (had_work == (s.local_work > 0) || !s.idle || s.fenced) return;
+  if (had_work) {
     leave(serviceable_, s.serviceable_node, s.dispatches, gpu);
+  } else {
+    enter(serviceable_, s.serviceable_node, s.dispatches, gpu);
   }
 }
 
@@ -134,6 +126,29 @@ std::vector<GpuId> ClusterStateIndex::busy_gpus() const {
     }
   }
   return out;
+}
+
+void ClusterStateIndex::audit() const {
+  std::size_t schedulable = 0, idle = 0, serviceable = 0;
+  for (std::size_t id = 0; id < gpus_.size(); ++id) {
+    const PerGpu& s = gpus_[id];
+    if (!s.registered || s.fenced) continue;
+    ++schedulable;
+    if (!s.idle) continue;
+    const auto key = std::make_pair(s.dispatches, static_cast<std::int64_t>(id));
+    GFAAS_CHECK(idle_.count(key) == 1) << "idle gpu " << id << " missing from idle set";
+    ++idle;
+    if (s.local_work > 0) {
+      GFAAS_CHECK(serviceable_.count(key) == 1)
+          << "gpu " << id << " with local work missing from serviceable set";
+      ++serviceable;
+    }
+  }
+  GFAAS_CHECK(idle == idle_.size()) << "idle set has " << idle_.size() << " of " << idle;
+  GFAAS_CHECK(serviceable == serviceable_.size())
+      << "serviceable set has " << serviceable_.size() << " of " << serviceable;
+  GFAAS_CHECK(schedulable == schedulable_count_)
+      << "schedulable count " << schedulable_count_ << ", recount " << schedulable;
 }
 
 }  // namespace gfaas::cluster

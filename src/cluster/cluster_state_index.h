@@ -12,7 +12,11 @@
 //     enumerate, O(log #gpus) to maintain;
 //   * idle GPUs with pending local-queue work, in the same order: the
 //     serve-local head of Algorithm 1 (lines 2-5) as an O(1) lookup
-//     instead of an idle-set scan per dispatch;
+//     instead of an idle-set scan per dispatch. "Pending work" is keyed
+//     on local_work > 0, not on a request count: every parked request
+//     adds its inference time, which the latency model never predicts
+//     below 1 µs, so the aggregate is positive exactly when the local
+//     queue is non-empty (add_local_work rejects a zero delta);
 //   * busy GPUs in id order: O(#busy) to enumerate;
 //   * per-GPU committed finish time + local-queue work aggregate: the two
 //     integer terms of estimated_finish_time(), O(1) to read. SimTime is
@@ -77,11 +81,9 @@ class ClusterStateIndex {
   void record_dispatch(GpuId gpu);
   void set_committed_finish(GpuId gpu, SimTime finish);
   // Adjusts the local-queue work aggregate (positive on push, negative on
-  // pop of the corresponding request's inference time).
+  // pop of the corresponding request's inference time; never zero). The
+  // GPU is serviceable while the aggregate is positive.
   void add_local_work(GpuId gpu, SimTime delta);
-  // Tracks the local-queue request count behind first_idle_with_local_work.
-  void add_local_request(GpuId gpu);
-  void pop_local_request(GpuId gpu);
 
   // --- O(1) lookups ---
   bool is_idle(GpuId gpu) const { return state(gpu).idle; }
@@ -93,7 +95,6 @@ class ClusterStateIndex {
   std::int64_t dispatch_count(GpuId gpu) const { return state(gpu).dispatches; }
   SimTime committed_finish(GpuId gpu) const { return state(gpu).committed_finish; }
   SimTime local_work(GpuId gpu) const { return state(gpu).local_work; }
-  std::int64_t local_pending(GpuId gpu) const { return state(gpu).local_pending; }
 
   // First GPU in idle order that is unfenced and has local-queue work
   // (invalid id if none): the serve-local target of Algorithm 1.
@@ -125,6 +126,11 @@ class ClusterStateIndex {
   // maintained on every dispatch/completion transition.
   std::vector<GpuId> busy_gpus() const;
 
+  // Recomputes the idle and serviceable sets and the schedulable count
+  // from the per-GPU flags and local_work, and CHECKs them against the
+  // maintained ones.
+  void audit() const;
+
  private:
   // (dispatches, id) ordered most-dispatched first, then id ascending.
   struct IdleOrder {
@@ -142,7 +148,6 @@ class ClusterStateIndex {
     std::int64_t dispatches = 0;
     SimTime committed_finish = 0;
     SimTime local_work = 0;
-    std::int64_t local_pending = 0;
     // The GPU's set nodes while it is out of idle_ / serviceable_.
     OrderedSet::node_type idle_node;
     OrderedSet::node_type serviceable_node;
@@ -171,7 +176,7 @@ class ClusterStateIndex {
   std::vector<PerGpu> gpus_;  // indexed by GpuId value
   // Idle, unfenced GPUs in dispatch-frequency order.
   OrderedSet idle_;
-  // Subset of idle_ with local_pending > 0, same order.
+  // Subset of idle_ with local_work > 0, same order.
   OrderedSet serviceable_;
   std::size_t schedulable_count_ = 0;
 };

@@ -86,7 +86,7 @@ void SchedulerEngine::set_telemetry(telemetry::Telemetry* telemetry) {
         ->set(static_cast<double>(global_queue_.size()));
     reg.gauge(names.queue_local)
         ->set(static_cast<double>(local_queues_.total_pending()));
-    reg.gauge(names.in_flight)->set(static_cast<double>(in_flight_));
+    reg.gauge(names.in_flight)->set(static_cast<double>(in_flight()));
     reg.gauge(names.gpus_idle)->set(static_cast<double>(idle_gpu_count()));
     reg.gauge(names.gpus_schedulable)
         ->set(static_cast<double>(schedulable_gpu_count()));
@@ -136,7 +136,7 @@ void SchedulerEngine::fence_gpu(GpuId gpu) {
   // If the GPU is sitting idle over a non-empty local queue (fenced
   // between policy invocations), start the drain now; completions chain
   // the rest in on_completion().
-  if (index_.is_idle(gpu) && index_.local_pending(gpu) > 0) {
+  if (index_.is_idle(gpu) && !local_queues_.empty(gpu)) {
     dispatch_from_local(gpu);
   }
 }
@@ -204,7 +204,6 @@ void SchedulerEngine::move_to_local(RequestId request, GpuId gpu) {
   // queue would otherwise lose its guaranteed hit.
   GFAAS_CHECK(cache_->pin(gpu, req.model).ok()) << "move to gpu without cached model";
   index_.add_local_work(gpu, infer_time(req.model, req.batch));
-  index_.add_local_request(gpu);
   local_queues_.link(gpu, slot);
 }
 
@@ -213,7 +212,6 @@ void SchedulerEngine::unpark(SlotIndex slot) {
   const core::Request& req = table_[slot].request;
   local_queues_.unlink(slot);
   index_.add_local_work(gpu, -infer_time(req.model, req.batch));
-  index_.pop_local_request(gpu);
   GFAAS_CHECK(cache_->unpin(gpu, req.model).ok());
 }
 
@@ -227,7 +225,6 @@ void SchedulerEngine::start_execution(SlotIndex slot, GpuId gpu, bool false_miss
   // spares record_dispatch() re-keying the GPU in the idle set.
   index_.mark_busy(gpu);
   index_.record_dispatch(gpu);
-  ++in_flight_;
   // The request, hook included, stays in its slot while it runs; the GPU
   // Manager only reads it during execute().
   core::RequestTable::Slot& s = table_[slot];
@@ -260,8 +257,6 @@ void SchedulerEngine::on_completion(const core::CompletionRecord& record) {
   // is idle again as of this event.
   index_.mark_idle(record.gpu);
   completions_.push_back(record);
-  latency_series_.add(record.completed, sim_to_seconds(record.latency()));
-  if (!record.cache_hit) miss_series_.count(record.completed);
   if (tel_) {
     tel_->completions->add();
     tel_->execution_time_us->add(record.completed - record.dispatched);
@@ -280,7 +275,7 @@ void SchedulerEngine::on_completion(const core::CompletionRecord& record) {
   // A draining GPU is invisible to the policy, so the engine serves out
   // its local queue directly — those requests pinned its cached models and
   // must finish here.
-  if (index_.is_fenced(record.gpu) && index_.local_pending(record.gpu) > 0) {
+  if (index_.is_fenced(record.gpu) && !local_queues_.empty(record.gpu)) {
     dispatch_from_local(record.gpu);
   }
   run_policy();
@@ -292,8 +287,6 @@ core::CompletionHook SchedulerEngine::retire(RequestId id) {
   const SlotIndex slot = table_.find(id);
   GFAAS_CHECK(slot != kNoSlot && table_[slot].place == core::Place::kExecuting)
       << "completion of unknown request " << id.value();
-  GFAAS_CHECK(in_flight_ > 0);
-  --in_flight_;
   return table_.release(slot).on_complete;
 }
 
@@ -370,7 +363,7 @@ bool SchedulerEngine::cancel_request(RequestId id) {
   update_duplicates_meter();
   // Same serve-next chain as a completion: a draining GPU works through
   // its local queue, everyone else goes back to the policy.
-  if (index_.is_fenced(gpu) && index_.local_pending(gpu) > 0) {
+  if (index_.is_fenced(gpu) && !local_queues_.empty(gpu)) {
     dispatch_from_local(gpu);
   }
   run_policy();
@@ -484,22 +477,41 @@ void SchedulerEngine::audit() const {
   for (std::size_t g = 0; g < index_.gpu_count(); ++g) {
     const GpuId gpu(static_cast<std::int64_t>(g));
     std::size_t parked = 0;
+    SimTime work = 0;
     for (auto i = local_queues_.head_slot(gpu); i != kNoSlot && parked <= table_.size();
          i = table_[i].next) {
       GFAAS_CHECK(table_[i].place == core::Place::kLocal && table_[i].gpu == gpu);
+      work += infer_time(table_[i].request.model, table_[i].request.batch);
       ++parked;
     }
-    const std::int64_t pending =
-        index_.is_registered(gpu) ? index_.local_pending(gpu) : 0;
-    GFAAS_CHECK(parked == local_queues_.size(gpu) &&
-                static_cast<std::int64_t>(parked) == pending)
-        << "local list of gpu " << g << " holds " << parked << ", index says " << pending;
+    GFAAS_CHECK(parked == local_queues_.size(gpu))
+        << "local list of gpu " << g << " holds " << parked << " of "
+        << local_queues_.size(gpu);
+    const SimTime indexed = index_.is_registered(gpu) ? index_.local_work(gpu) : 0;
+    GFAAS_CHECK(work == indexed)
+        << "local list of gpu " << g << " holds " << work << " us of work, index says "
+        << indexed;
     local += parked;
   }
   GFAAS_CHECK(local == local_queues_.total_pending() &&
               local == placed[static_cast<std::size_t>(core::Place::kLocal)]);
-  GFAAS_CHECK(placed[static_cast<std::size_t>(core::Place::kExecuting)] == in_flight_)
-      << "executing slots differ from in_flight " << in_flight_;
+  // Each executing slot runs on its own busy GPU, and every busy GPU runs one.
+  std::vector<bool> running(index_.gpu_count(), false);
+  std::size_t executing = 0;
+  for (SlotIndex i = 0; i < table_.slot_count(); ++i) {
+    if (table_[i].place != core::Place::kExecuting) continue;
+    const GpuId gpu = table_[i].gpu;
+    const auto g = static_cast<std::size_t>(gpu.value());
+    GFAAS_CHECK(index_.is_registered(gpu) && !index_.is_idle(gpu) && !running[g])
+        << "request " << table_[i].request.id.value() << " executes on gpu " << g
+        << ", which is not its own busy gpu";
+    running[g] = true;
+    ++executing;
+  }
+  GFAAS_CHECK(executing == placed[static_cast<std::size_t>(core::Place::kExecuting)] &&
+              executing == index_.busy_gpus().size())
+      << executing << " executing slots, " << index_.busy_gpus().size() << " busy gpus";
+  index_.audit();
 }
 
 void SchedulerEngine::update_duplicates_meter() {

@@ -33,7 +33,6 @@
 #include "core/queues.h"
 #include "core/scheduler.h"
 #include "metrics/stats.h"
-#include "metrics/timeline.h"
 
 namespace gfaas::telemetry {
 class Telemetry;
@@ -97,8 +96,7 @@ class SchedulerEngine final : public core::SchedulingContext {
   // Whether a fenced GPU has finished all committed work and can be removed.
   bool drained(GpuId gpu) const {
     serial_.AssertHeld();
-    return index_.is_fenced(gpu) && index_.is_idle(gpu) &&
-           index_.local_pending(gpu) == 0;
+    return index_.is_fenced(gpu) && index_.is_idle(gpu) && local_queues_.empty(gpu);
   }
   // GPUs the policy may currently target (registered and not fenced).
   std::size_t schedulable_gpu_count() const {
@@ -191,17 +189,21 @@ class SchedulerEngine final : public core::SchedulingContext {
   // Recomputes the request table from scratch and CHECKs it against the
   // maintained state: the global list's length is its size(), every id
   // index entry names a live slot with that id, each GPU's local list
-  // length is the cluster index's local_pending() and they sum to
-  // total_pending(), and the executing slots number in_flight().
+  // length is its size() and they sum to total_pending(), each GPU's
+  // local_work is the inference time of its local list, and every
+  // executing slot runs on its own busy GPU, one per registered busy GPU.
+  // Also audits the cluster index (ClusterStateIndex::audit).
   void audit() const;
 
+  // Requests the engine holds: queued globally, parked locally or
+  // executing (hedge duplicates included).
   std::size_t pending() const {
     serial_.AssertHeld();
-    return global_queue_.size() + local_queues_.total_pending() + in_flight_;
+    return table_.size();
   }
   std::size_t in_flight() const {
     serial_.AssertHeld();
-    return in_flight_;
+    return table_.size() - global_queue_.size() - local_queues_.total_pending();
   }
   std::int64_t false_misses() const {
     serial_.AssertHeld();
@@ -212,17 +214,6 @@ class SchedulerEngine final : public core::SchedulingContext {
     return duplicates_meter_.average(now);
   }
   const core::SchedulingPolicy& policy() const { return *policy_; }
-
-  // Per-minute evolution of the run: completion latency samples (seconds)
-  // and miss counts, bucketed by completion time.
-  const metrics::TimeSeries& latency_series() const {
-    serial_.AssertHeld();
-    return latency_series_;
-  }
-  const metrics::TimeSeries& miss_series() const {
-    serial_.AssertHeld();
-    return miss_series_;
-  }
 
   // Policy-invocation cost counters (bench_cluster_scale): number of times
   // the policy actually ran, cumulative wall-clock spent inside it, and the
@@ -313,11 +304,11 @@ class SchedulerEngine final : public core::SchedulingContext {
   void start_execution(core::RequestTable::Index slot, GpuId gpu, bool false_miss,
                        bool via_local_queue) REQUIRES(serial_);
   // Takes a slot out of its local queue, undoing what move_to_local charged
-  // the GPU: the queued-work aggregate, the pending count and the pin.
+  // the GPU: the queued-work aggregate and the pin.
   void unpark(core::RequestTable::Index slot) REQUIRES(serial_);
   void on_completion(const core::CompletionRecord& record) REQUIRES(serial_);
-  // Retires an executing request: frees its slot, drops it from
-  // in_flight() and hands back its completion hook.
+  // Retires an executing request: frees its slot and hands back its
+  // completion hook.
   core::CompletionHook retire(RequestId id) REQUIRES(serial_);
   void update_duplicates_meter() REQUIRES(serial_);
 
@@ -348,7 +339,6 @@ class SchedulerEngine final : public core::SchedulingContext {
   // local-queue work aggregates, maintained incrementally at dispatch,
   // completion and local-queue push/pop.
   ClusterStateIndex index_ GUARDED_BY(serial_);
-  std::size_t in_flight_ GUARDED_BY(serial_) = 0;
   bool policy_running_ GUARDED_BY(serial_) = false;
   std::int64_t false_misses_ GUARDED_BY(serial_) = 0;
   std::uint64_t policy_invocations_ GUARDED_BY(serial_) = 0;
@@ -362,8 +352,6 @@ class SchedulerEngine final : public core::SchedulingContext {
   std::int64_t cancellations_ GUARDED_BY(serial_) = 0;
   ModelId tracked_model_;
   metrics::TimeWeightedAverage duplicates_meter_ GUARDED_BY(serial_);
-  metrics::TimeSeries latency_series_ GUARDED_BY(serial_){minutes(1)};
-  metrics::TimeSeries miss_series_ GUARDED_BY(serial_){minutes(1)};
 };
 
 }  // namespace gfaas::cluster

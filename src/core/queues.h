@@ -82,6 +82,8 @@ class RequestTable {
   const Slot& operator[](Index slot) const { return slots_[slot]; }
   // Requests held.
   std::size_t size() const { return index_.size(); }
+  // Slots ever allocated, free ones included: slot indexes run below it.
+  std::size_t slot_count() const { return slots_.size(); }
 
   // Appends the slot to the list, placing it there.
   void link(List& list, Index slot, Place place, GpuId gpu = GpuId());

@@ -89,7 +89,7 @@ void Gateway::set_telemetry(telemetry::Telemetry* telemetry) {
   // lazily as models first complete).
   telemetry->add_probe([this](telemetry::MetricRegistry& reg) {
     serial_.AssertHeld();  // probes run on the executor worker thread
-    reg.gauge("gateway.in_flight")->set(static_cast<double>(in_flight_));
+    reg.gauge("gateway.in_flight")->set(static_cast<double>(flights_.size()));
     reg.gauge("gateway.pending")->set(static_cast<double>(pending_.size()));
     for (const auto& [model, stats] : model_stats_) {
       reg.gauge("gateway.model." + std::to_string(model) + ".slo_attainment")
@@ -148,7 +148,7 @@ void Gateway::submit_one(core::Request request, ResultCallback done,
     resolve_locally(request, Disposition::kShed, done);
     return;
   }
-  if (in_flight_ < config_.max_in_flight) {
+  if (flights_.size() < config_.max_in_flight) {
     // Admission mutates the engine (global queue, dispatch state): any
     // memoized fleet scan from earlier in the batch is stale now.
     if (memo != nullptr) memo->valid = false;
@@ -243,7 +243,6 @@ SimTime Gateway::estimated_completion_impl(const core::Request& request,
 void Gateway::admit(core::Request request, ResultCallback done,
                     SimTime estimate) {
   ++counters_.admitted;
-  ++in_flight_;
   const std::int64_t id = request.id.value();
   if (tel_) {
     tel_->admitted->add();
@@ -446,8 +445,6 @@ void Gateway::resolve_flight(FlightMap::iterator it,
   Flight flight = std::move(it->second);
   flights_.erase(it);
   if (flight.hedge_event != 0) cluster_->executor().cancel(flight.hedge_event);
-  GFAAS_CHECK(in_flight_ > 0);
-  --in_flight_;
   if (tenants_ != nullptr) {
     tenants_->on_complete(flight.request.tenant, cluster_->executor().now(),
                           record.completed - record.dispatched);
@@ -511,7 +508,7 @@ void Gateway::resolve_flight(FlightMap::iterator it,
 }
 
 void Gateway::drain_pending() {
-  while (in_flight_ < config_.max_in_flight && !pending_.empty()) {
+  while (flights_.size() < config_.max_in_flight && !pending_.empty()) {
     PendingRequest next = std::move(pending_.front());
     pending_.pop_front();
     if (next.request.deadline <= cluster_->executor().now()) {
@@ -557,6 +554,17 @@ WindowedOutcomes Gateway::windowed_outcomes() const {
     out.p99_latency = latencies[metrics::nearest_rank(latencies.size(), 0.99)];
   }
   return out;
+}
+
+void Gateway::audit() const {
+  serial_.AssertHeld();
+  const GatewayCounters& c = counters_;
+  const std::int64_t resolved = c.completed + c.shed + c.expired + c.failed;
+  const auto live = static_cast<std::int64_t>(flights_.size() + pending_.size());
+  GFAAS_CHECK(c.submitted == resolved + live)
+      << c.submitted << " submitted, " << resolved << " resolved, " << live << " live";
+  GFAAS_CHECK(flights_.size() <= config_.max_in_flight)
+      << flights_.size() << " flights over a window of " << config_.max_in_flight;
 }
 
 }  // namespace gfaas::gateway

@@ -278,7 +278,7 @@ class Gateway {
   // edge that lets the driving thread read results when a run ends).
   std::size_t in_flight() const {
     serial_.AssertHeld();
-    return in_flight_;
+    return flights_.size();
   }
   std::size_t pending() const {
     serial_.AssertHeld();
@@ -297,6 +297,10 @@ class Gateway {
   }
   // Trailing-window outcome record (the SLO-aware scaling signal).
   WindowedOutcomes windowed_outcomes() const;
+  // CHECKs request conservation — every submission is completed, shed,
+  // expired, failed, in flight or pending — and the window bound
+  // in_flight() <= max_in_flight.
+  void audit() const;
 
  private:
   // Seam for tests/negative_compile: the probe reads guarded members
@@ -402,7 +406,6 @@ class Gateway {
   // capability, dynamically via the asserts at each entry point.
   common::ExecutorAffinity serial_;
 
-  std::size_t in_flight_ GUARDED_BY(serial_) = 0;
   std::deque<PendingRequest> pending_ GUARDED_BY(serial_);
 
   // Admitted-but-unresolved requests by their original (caller) id.

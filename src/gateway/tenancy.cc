@@ -7,14 +7,6 @@
 
 namespace gfaas::gateway {
 
-namespace {
-
-std::string describe(TenantId tenant) {
-  return "tenant " + std::to_string(tenant.value());
-}
-
-}  // namespace
-
 TokenBucket::TokenBucket(double capacity, double refill_per_sec)
     : capacity_(capacity), refill_per_sec_(refill_per_sec), tokens_(capacity) {
   GFAAS_CHECK(capacity > 0 && refill_per_sec > 0);
@@ -48,7 +40,8 @@ TenantManager::TenantManager(int total_gpus, SimTime window)
 Status TenantManager::register_tenant(TenantId tenant, TenantQuota quota) {
   if (!tenant.valid()) return Status::InvalidArgument("valid tenant id required");
   if (tenants_.count(tenant) > 0) {
-    return Status::AlreadyExists(describe(tenant) + " already registered");
+    return Status::AlreadyExists("tenant " + std::to_string(tenant.value()) +
+                                 " already registered");
   }
   if (quota.gpu_time_share <= 0 || quota.gpu_time_share > 1.0) {
     return Status::InvalidArgument("gpu_time_share must be in (0, 1]");
@@ -116,21 +109,6 @@ void TenantManager::on_complete(TenantId tenant, SimTime now, SimTime gpu_time) 
   --e.usage.concurrent_executions;
   roll_window(e, now);
   e.usage.gpu_time_in_window += gpu_time;
-}
-
-Status TenantManager::charge_memory(TenantId tenant, Bytes bytes) {
-  Entry& e = entry(tenant);
-  if (e.quota.memory_budget > 0 &&
-      e.usage.resident_memory + bytes > e.quota.memory_budget) {
-    return Status::ResourceExhausted(describe(tenant) + " memory budget exceeded");
-  }
-  e.usage.resident_memory += bytes;
-  return Status::Ok();
-}
-
-void TenantManager::release_memory(TenantId tenant, Bytes bytes) {
-  Entry& e = entry(tenant);
-  e.usage.resident_memory = std::max<Bytes>(0, e.usage.resident_memory - bytes);
 }
 
 const TenantUsage& TenantManager::usage(TenantId tenant) const {

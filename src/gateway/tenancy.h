@@ -1,23 +1,22 @@
 // Multi-tenancy isolation (paper §VI "Multi-tenancy and Security").
 //
-// The paper's two isolation mechanisms, implemented:
+// The paper's two isolation mechanisms:
 //   * "limiting the number of GPU processes that each tenant can use" —
 //     a bad actor flooding inference requests is capped at a concurrent
 //     GPU-process budget;
 //   * "limiting the GPU time share and memory space share that a tenant
 //     can use" — a bad actor gaming locality to monopolize GPUs is capped
-//     by a GPU-time share enforced over a sliding accounting window, and
-//     by a resident-memory budget.
+//     by a GPU-time share enforced over a sliding accounting window. The
+//     memory-space share is not modelled: no cache or GPU code attributes
+//     resident models to tenants (ROADMAP "Deferred", QoS work).
 // A token-bucket request rate limit guards the Gateway itself.
 //
 // gateway::Gateway runs the admission check for every submission once a
-// manager is attached (Gateway::set_tenant_manager); the memory budget is
-// bookkeeping for callers that attribute resident models to tenants.
+// manager is attached (Gateway::set_tenant_manager).
 #pragma once
 
 #include <unordered_map>
 
-#include "common/bytes.h"
 #include "common/id.h"
 #include "common/status.h"
 #include "common/time.h"
@@ -51,8 +50,6 @@ struct TenantQuota {
   // Fraction of total GPU time the tenant may consume over the
   // accounting window (1.0 = unlimited).
   double gpu_time_share = 1.0;
-  // Resident model memory budget across the cluster (0 = unlimited).
-  Bytes memory_budget = 0;
 };
 
 struct TenantUsage {
@@ -61,7 +58,6 @@ struct TenantUsage {
   std::int64_t rejected = 0;
   // GPU time consumed in the current accounting window.
   SimTime gpu_time_in_window = 0;
-  Bytes resident_memory = 0;
 };
 
 // Outcome of TenantManager::admit: admitted, or the first check that
@@ -94,10 +90,6 @@ class TenantManager {
   // callback resolves.
   void on_dispatch(TenantId tenant);
   void on_complete(TenantId tenant, SimTime now, SimTime gpu_time);
-
-  // Memory accounting (model resident / evicted attribution).
-  Status charge_memory(TenantId tenant, Bytes bytes);
-  void release_memory(TenantId tenant, Bytes bytes);
 
   const TenantUsage& usage(TenantId tenant) const;
 

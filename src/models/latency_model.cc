@@ -66,7 +66,7 @@ StatusOr<BatchLatencyModel> BatchLatencyModel::fit(
 SimTime BatchLatencyModel::predict(std::int64_t batch) const {
   GFAAS_CHECK(batch >= 1);
   const double t = fit_.predict(static_cast<double>(batch));
-  return t > 0 ? static_cast<SimTime>(t + 0.5) : SimTime{1};
+  return t > 0.5 ? static_cast<SimTime>(t + 0.5) : SimTime{1};
 }
 
 StatusOr<LoadTimeModel> LoadTimeModel::fit(const std::vector<ModelProfile>& profiles) {

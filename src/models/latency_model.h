@@ -48,6 +48,8 @@ class BatchLatencyModel {
   static StatusOr<BatchLatencyModel> fit(const std::vector<std::int64_t>& batches,
                                          const std::vector<SimTime>& latencies);
 
+  // Rounded to whole µs and never below 1 µs: the cluster index reads
+  // positive local-queue work as "a request is parked".
   SimTime predict(std::int64_t batch) const;
   const LinearFit& fit_params() const { return fit_; }
 

@@ -77,8 +77,7 @@ namespace {
 
 TEST(AllocContractTest, CacheHitRequestsAllocateNothingOnceWarm) {
   constexpr std::size_t kWindow = 1000;
-  // One model with a 1 ms inference, so the whole run stays inside the
-  // first minute of the engine's per-minute series.
+  // One model with a 1 ms inference.
   models::ModelRegistry registry;
   models::ModelProfile profile = *models::find_model("squeezenet1.1");
   profile.id = ModelId(0);
@@ -135,7 +134,6 @@ TEST(AllocContractTest, CacheHitRequestsAllocateNothingOnceWarm) {
     if (record.via_local_queue) ++via_local;
   }
   EXPECT_EQ(via_local, kWindow / 2);
-  EXPECT_EQ(engine.latency_series().bucket_count(), 1u);
   EXPECT_EQ(allocs, 0u) << "allocations on the warm cache-hit request path";
   engine.audit();
 }

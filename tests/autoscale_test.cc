@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <deque>
 #include <memory>
 #include <set>
 #include <vector>
@@ -81,8 +82,8 @@ TEST(ClusterStateIndexTest, ServiceableTracksIdleLocalWorkInFrequencyOrder) {
 
   // gpu2 is hottest (2 dispatches), gpu1 has 1, gpu0 none.
   for (GpuId gpu : {GpuId(2), GpuId(2), GpuId(1)}) index.record_dispatch(gpu);
-  index.add_local_request(GpuId(1));
-  index.add_local_request(GpuId(2));
+  index.add_local_work(GpuId(1), msec(5));
+  index.add_local_work(GpuId(2), msec(7));
   EXPECT_EQ(index.first_idle_with_local_work(), GpuId(2));  // most dispatched
 
   index.mark_busy(GpuId(2));  // busy GPUs are not serviceable
@@ -91,10 +92,13 @@ TEST(ClusterStateIndexTest, ServiceableTracksIdleLocalWorkInFrequencyOrder) {
   EXPECT_FALSE(index.first_idle_with_local_work().valid());
   index.unfence(GpuId(1));
   EXPECT_EQ(index.first_idle_with_local_work(), GpuId(1));
-  index.pop_local_request(GpuId(1));
+  index.add_local_work(GpuId(1), -msec(5));
   EXPECT_FALSE(index.first_idle_with_local_work().valid());
   index.mark_idle(GpuId(2));
   EXPECT_EQ(index.first_idle_with_local_work(), GpuId(2));
+  index.audit();
+  // Every parked request adds positive work, so a zero delta is a bug.
+  EXPECT_DEATH(index.add_local_work(GpuId(0), 0), "zero");
 }
 
 // Randomized add/fence/unfence/busy/idle/dispatch/local-queue churn,
@@ -102,7 +106,8 @@ TEST(ClusterStateIndexTest, ServiceableTracksIdleLocalWorkInFrequencyOrder) {
 TEST(ClusterStateIndexTest, RandomizedMembershipMatchesFullRescan) {
   struct Naive {
     bool registered = false, idle = true, fenced = false;
-    std::int64_t dispatches = 0, local_pending = 0;
+    std::int64_t dispatches = 0;
+    std::deque<SimTime> parked;  // inference time of each local request
   };
   ClusterStateIndex index;
   std::vector<Naive> naive;
@@ -126,7 +131,7 @@ TEST(ClusterStateIndexTest, RandomizedMembershipMatchesFullRescan) {
     std::int64_t best_dispatches = -1;
     for (std::size_t i = 0; i < naive.size(); ++i) {
       const Naive& n = naive[i];
-      if (!n.registered || !n.idle || n.fenced || n.local_pending == 0) continue;
+      if (!n.registered || !n.idle || n.fenced || n.parked.empty()) continue;
       if (n.dispatches > best_dispatches) {  // strict >: lowest id wins ties
         best_dispatches = n.dispatches;
         best = GpuId(static_cast<std::int64_t>(i));
@@ -158,7 +163,7 @@ TEST(ClusterStateIndexTest, RandomizedMembershipMatchesFullRescan) {
       Naive& n = naive[static_cast<std::size_t>(g)];
       if (n.registered && n.fenced) {
         // Half the time retire a drained GPU, half the time abort the drain.
-        if (n.idle && n.local_pending == 0 && rng.next_below(2) == 0) {
+        if (n.idle && n.parked.empty() && rng.next_below(2) == 0) {
           index.remove_gpu(GpuId(g));
           n.registered = false;
         } else {
@@ -191,20 +196,29 @@ TEST(ClusterStateIndexTest, RandomizedMembershipMatchesFullRescan) {
       const std::int64_t g = pick();
       Naive& n = naive[static_cast<std::size_t>(g)];
       if (n.registered) {
-        index.add_local_request(GpuId(g));
-        ++n.local_pending;
+        const auto work = static_cast<SimTime>(1 + rng.next_below(100));
+        index.add_local_work(GpuId(g), work);
+        n.parked.push_back(work);
       }
     } else {
       const std::int64_t g = pick();
       Naive& n = naive[static_cast<std::size_t>(g)];
-      if (n.registered && n.local_pending > 0) {
-        index.pop_local_request(GpuId(g));
-        --n.local_pending;
+      if (n.registered && !n.parked.empty()) {
+        index.add_local_work(GpuId(g), -n.parked.front());
+        n.parked.pop_front();
       }
     }
     ASSERT_EQ(index.idle_gpus(), naive_idle_order()) << "step " << step;
     ASSERT_EQ(index.first_idle_with_local_work(), naive_first_serviceable())
         << "step " << step;
+    for (std::size_t i = 0; i < naive.size(); ++i) {
+      if (!naive[i].registered) continue;
+      SimTime work = 0;
+      for (const SimTime w : naive[i].parked) work += w;
+      ASSERT_EQ(index.local_work(GpuId(static_cast<std::int64_t>(i))), work)
+          << "step " << step << " gpu " << i;
+    }
+    index.audit();
   }
 }
 

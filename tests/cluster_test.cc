@@ -390,22 +390,6 @@ TEST(SchedulerEngineTest, IdleGpusSortedByDispatchFrequency) {
   EXPECT_EQ(idle.front(), hot);  // most-used first
 }
 
-TEST(SchedulerEngineTest, PerMinuteSeriesTracksCompletions) {
-  ClusterConfig config;
-  config.nodes = 1;
-  config.gpus_per_node = 2;
-  SimCluster cluster(config, head_registry(2));
-  cluster.replay({make_request(0, 0, 0), make_request(1, 1, sec(5)),
-                  make_request(2, 0, minutes(1) + sec(5))});
-  const auto& lat = cluster.engine().latency_series();
-  const auto& miss = cluster.engine().miss_series();
-  ASSERT_EQ(lat.bucket_count(), 2u);
-  EXPECT_EQ(lat.bucket_samples(0), 2);  // two finish in minute 0
-  EXPECT_EQ(lat.bucket_samples(1), 1);
-  EXPECT_DOUBLE_EQ(miss.bucket_sum(0), 2.0);  // both cold
-  EXPECT_DOUBLE_EQ(miss.bucket_sum(1), 0.0);  // warm hit
-}
-
 // Counts one request's completion-hook firings.
 struct HookProbe {
   int fired = 0;

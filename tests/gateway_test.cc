@@ -572,11 +572,14 @@ TEST(GatewayRetryTest, RetryDuringBurstKeepsWindowInvariants) {
     }
     EXPECT_EQ(gateway.in_flight(), 2u);
     EXPECT_EQ(gateway.pending(), 4u);
+    gateway.audit();
   });
   cluster->simulator().schedule_at(msec(2000), [&] {
     const auto busy = cluster->engine().busy_gpus();
     ASSERT_FALSE(busy.empty());
     cluster->kill_gpu(busy[0]);
+    cluster->engine().audit();
+    gateway.audit();
   });
   cluster->run_to_completion();
 
@@ -597,6 +600,8 @@ TEST(GatewayRetryTest, RetryDuringBurstKeepsWindowInvariants) {
   EXPECT_EQ(gateway.in_flight(), 0u);
   EXPECT_EQ(gateway.pending(), 0u);
   EXPECT_EQ(cluster->engine().pending(), 0u);
+  cluster->engine().audit();
+  gateway.audit();
 }
 
 // ---------------------------------------------------------------------------
@@ -789,6 +794,7 @@ TEST(GatewayHedgeTest, ExactlyOnceUnderRandomizedChaosSweep) {
         if (registered.size() <= 1) return;  // never go extinct
         cluster->kill_gpu(registered[rng->next_below(registered.size())]);
         cluster->engine().audit();
+        gateway.audit();
         ++kills;
       });
     }
@@ -810,6 +816,7 @@ TEST(GatewayHedgeTest, ExactlyOnceUnderRandomizedChaosSweep) {
     EXPECT_EQ(gateway.pending(), 0u) << "seed " << seed;
     EXPECT_EQ(cluster->engine().pending(), 0u) << "seed " << seed;
     cluster->engine().audit();
+    gateway.audit();
     for (std::int64_t i = 0; i < gpu_count; ++i) {
       if (!cluster->engine().is_registered(GpuId(i))) continue;
       EXPECT_FALSE(cluster->cache().state(GpuId(i)).any_pinned())

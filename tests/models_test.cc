@@ -153,6 +153,14 @@ TEST(BatchLatencyModelTest, FitFromProfiledPoints) {
   EXPECT_NEAR(model->fit_params().r_squared, 1.0, 1e-9);
 }
 
+TEST(BatchLatencyModelTest, NeverPredictsBelowOneMicrosecond) {
+  // t = 0.25 * (batch - 1): batch 2 predicts 0.25 µs, which must not
+  // round down to 0 (a parked request always adds local-queue work).
+  auto model = BatchLatencyModel::fit({1, 5}, {0, 1});
+  ASSERT_TRUE(model.ok());
+  for (std::int64_t b : {1, 2, 3}) EXPECT_EQ(model->predict(b), 1) << "batch " << b;
+}
+
 TEST(LoadTimeModelTest, FitAcrossCatalogMatchesTable1Scale) {
   auto model = LoadTimeModel::fit(table1_catalog());
   ASSERT_TRUE(model.ok());

@@ -1,7 +1,7 @@
 // Negative-compile probe for the Gateway's serving-state contract: reading
 // a member GUARDED_BY(serial_) without the executor-affinity capability
 // must fail thread-safety analysis. Reverting the GUARDED_BY on
-// Gateway::in_flight_ (or the friend seam) makes this file compile — and
+// Gateway::flights_ (or the friend seam) makes this file compile — and
 // the WILL_FAIL ctest entry catch it.
 #include <cstddef>
 
@@ -11,9 +11,9 @@ namespace gfaas::gateway {
 
 class ThreadSafetyProbe {
  public:
-  // BUG: reads Gateway::in_flight_ without serial_.AssertHeld().
+  // BUG: reads Gateway::flights_ without serial_.AssertHeld().
   static std::size_t unguarded_in_flight(const Gateway& gateway) {
-    return gateway.in_flight_;
+    return gateway.flights_.size();
   }
 };
 

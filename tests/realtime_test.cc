@@ -12,7 +12,6 @@
 #include "cluster/engine.h"
 #include "cluster/realtime.h"
 #include "cluster/realtime_cluster.h"
-#include "metrics/timeline.h"
 #include "models/zoo.h"
 #include "testing/builders.h"
 
@@ -359,34 +358,6 @@ TEST(RealTimeClusterTest, DestroyWithoutDrainDropsPendingCompletion) {
   }
   EXPECT_TRUE(dispatched);
   EXPECT_EQ(completions.load(), 0);
-}
-
-TEST(TimeSeriesTest, BucketsByTime) {
-  metrics::TimeSeries series(minutes(1));
-  series.add(sec(10), 2.0);
-  series.add(sec(50), 4.0);
-  series.add(minutes(1) + sec(5), 10.0);
-  EXPECT_EQ(series.bucket_count(), 2u);
-  EXPECT_DOUBLE_EQ(series.bucket_mean(0), 3.0);
-  EXPECT_DOUBLE_EQ(series.bucket_sum(1), 10.0);
-  EXPECT_EQ(series.bucket_samples(0), 2);
-  EXPECT_EQ(series.bucket_samples(5), 0);  // out of range -> empty
-}
-
-TEST(TimeSeriesTest, CountAccumulates) {
-  metrics::TimeSeries series(sec(1));
-  series.count(msec(100));
-  series.count(msec(200));
-  series.count(msec(900), 3.0);
-  EXPECT_DOUBLE_EQ(series.bucket_sum(0), 5.0);
-}
-
-TEST(TimeSeriesTest, CsvHasHeaderAndRows) {
-  metrics::TimeSeries series(sec(1));
-  series.add(msec(500), 7.0);
-  const std::string csv = series.to_csv();
-  EXPECT_NE(csv.find("bucket,start_s,samples,sum,mean"), std::string::npos);
-  EXPECT_NE(csv.find("0,0,1,7,7"), std::string::npos);
 }
 
 }  // namespace

@@ -1,7 +1,7 @@
 // Tests for multi-tenancy isolation (§VI): token-bucket rate limiting,
-// concurrent execution caps, GPU-time share enforcement over the sliding
-// window, and memory budgets — on the TenantManager alone and as the
-// tenant admission stage of the live gateway::Gateway.
+// concurrent execution caps and GPU-time share enforcement over the
+// sliding window — on the TenantManager alone and as the tenant admission
+// stage of the live gateway::Gateway.
 #include <gtest/gtest.h>
 
 #include <vector>
@@ -136,25 +136,6 @@ TEST(TenantManagerTest, GpuTimeShareEnforcedOverWindow) {
   // Window rolls: usage resets.
   EXPECT_EQ(manager.admit(kGreedy, sec(12)), Admission::kAdmitted);
   EXPECT_EQ(manager.usage(kGreedy).gpu_time_in_window, 0);
-}
-
-TEST(TenantManagerTest, MemoryBudget) {
-  TenantManager manager(12);
-  TenantQuota quota;
-  quota.memory_budget = MB(4000);
-  ASSERT_TRUE(manager.register_tenant(kT, quota).ok());
-  EXPECT_TRUE(manager.charge_memory(kT, MB(3000)).ok());
-  EXPECT_EQ(manager.charge_memory(kT, MB(2000)).code(),
-            StatusCode::kResourceExhausted);
-  manager.release_memory(kT, MB(3000));
-  EXPECT_TRUE(manager.charge_memory(kT, MB(2000)).ok());
-  EXPECT_EQ(manager.usage(kT).resident_memory, MB(2000));
-}
-
-TEST(TenantManagerTest, UnlimitedMemoryWhenBudgetZero) {
-  TenantManager manager(12);
-  ASSERT_TRUE(manager.register_tenant(kT, {}).ok());
-  EXPECT_TRUE(manager.charge_memory(kT, GiB(100)).ok());
 }
 
 TEST(TenantManagerTest, TenantsAreIsolated) {
