@@ -120,11 +120,7 @@ std::vector<GpuId> ClusterStateIndex::idle_gpus() const {
 
 std::vector<GpuId> ClusterStateIndex::busy_gpus() const {
   std::vector<GpuId> out;
-  for (std::size_t id = 0; id < gpus_.size(); ++id) {
-    if (gpus_[id].registered && !gpus_[id].idle) {
-      out.push_back(GpuId(static_cast<std::int64_t>(id)));
-    }
-  }
+  for_each_busy([&out](GpuId gpu) { out.push_back(gpu); });
   return out;
 }
 

@@ -122,8 +122,18 @@ class ClusterStateIndex {
   std::vector<GpuId> idle_gpus() const;
   // Registered busy GPUs in ascending id order. Derived from the per-GPU
   // flags in O(#gpus): since Algorithm 2 moved onto the cache location
-  // index this is a cold diagnostic path, not worth an ordered set
-  // maintained on every dispatch/completion transition.
+  // index this is a cold path (the Gateway's full-window estimate,
+  // diagnostics), not worth an ordered set maintained on every
+  // dispatch/completion transition. for_each_busy calls `visit(GpuId)`
+  // for each of them without allocating.
+  template <typename Visit>
+  void for_each_busy(Visit&& visit) const {
+    for (std::size_t id = 0; id < gpus_.size(); ++id) {
+      if (gpus_[id].registered && !gpus_[id].idle) {
+        visit(GpuId(static_cast<std::int64_t>(id)));
+      }
+    }
+  }
   std::vector<GpuId> busy_gpus() const;
 
   // Recomputes the idle and serviceable sets and the schedulable count

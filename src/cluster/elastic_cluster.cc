@@ -45,8 +45,8 @@ ElasticCluster::ElasticCluster(std::unique_ptr<sim::Executor> executor,
       node_gpus.push_back(gpus_.back().get());
     }
     managers_.push_back(std::make_unique<GpuManager>(
-        NodeId(node), executor_.get(), store_.get(), cache_.get(), registry_.get(),
-        oracle_.get(), node_gpus));
+        NodeId(node), executor_.get(), cache_.get(), registry_.get(), oracle_.get(),
+        node_gpus));
     manager_ptrs.push_back(managers_.back().get());
   }
 
@@ -68,9 +68,8 @@ GpuId ElasticCluster::add_gpu(const gpu::GpuSpec& spec) {
   gpus_.push_back(std::make_unique<gpu::VirtualGpu>(id, spec, links_.back().get()));
   cache_->add_gpu(id, gpus_.back()->memory_capacity());
   managers_.push_back(std::make_unique<GpuManager>(
-      NodeId(static_cast<std::int64_t>(managers_.size())), executor_.get(), store_.get(),
-      cache_.get(), registry_.get(), oracle_.get(),
-      std::vector<gpu::VirtualGpu*>{gpus_.back().get()}));
+      NodeId(static_cast<std::int64_t>(managers_.size())), executor_.get(), cache_.get(),
+      registry_.get(), oracle_.get(), std::vector<gpu::VirtualGpu*>{gpus_.back().get()}));
   engine_->add_node(managers_.back().get());
   return id;
 }

@@ -24,6 +24,7 @@
 
 #include <functional>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "cache/cache_manager.h"
@@ -237,7 +238,7 @@ class SchedulerEngine final : public core::SchedulingContext {
   }
 
   // Copies of the idle set (frequency order) and busy set (id order) for
-  // tests, the Gateway and the autoscaler; the policies walk the index.
+  // tests and the autoscaler; the policies walk the index.
   std::vector<GpuId> idle_gpus() const {
     serial_.AssertHeld();
     return index_.idle_gpus();
@@ -245,6 +246,12 @@ class SchedulerEngine final : public core::SchedulingContext {
   std::vector<GpuId> busy_gpus() const {
     serial_.AssertHeld();
     return index_.busy_gpus();
+  }
+  // Calls `visit(GpuId)` for each busy GPU in id order, allocation-free.
+  template <typename Visit>
+  void for_each_busy_gpu(Visit&& visit) const {
+    serial_.AssertHeld();
+    index_.for_each_busy(std::forward<Visit>(visit));
   }
 
   // --- core::SchedulingContext ---

@@ -4,17 +4,15 @@
 #include <cmath>
 
 #include "common/log.h"
-#include "datastore/keys.h"
 
 namespace gfaas::cluster {
 
-GpuManager::GpuManager(NodeId node, sim::Executor* executor, datastore::KvStore* store,
-                       cache::CacheManager* cache, const models::ModelRegistry* registry,
+GpuManager::GpuManager(NodeId node, sim::Executor* executor, cache::CacheManager* cache,
+                       const models::ModelRegistry* registry,
                        const models::LatencyOracle* oracle,
                        std::vector<gpu::VirtualGpu*> gpus)
     : node_(node),
       executor_(executor),
-      store_(store),
       cache_(cache),
       registry_(registry),
       oracle_(oracle) {
@@ -57,14 +55,6 @@ void GpuManager::set_slowdown(GpuId gpu, double factor) {
   slot(gpu).slowdown = factor;
 }
 
-void GpuManager::publish_status(GpuId gpu, bool busy, SimTime finish_time) {
-  if (store_ == nullptr) return;
-  store_->put(datastore::keys::gpu_status(gpu), busy ? "busy" : "idle");
-  store_->put(datastore::keys::gpu_finish_time(gpu), std::to_string(finish_time));
-  store_->put(datastore::keys::gpu_free_mem(gpu),
-              std::to_string(slot(gpu).device->free_memory()));
-}
-
 StatusOr<SimTime> GpuManager::execute(const core::Request& request, GpuId gpu,
                                       bool false_miss, bool via_local_queue,
                                       CompletionCallback done) {
@@ -80,7 +70,7 @@ StatusOr<SimTime> GpuManager::execute(const core::Request& request, GpuId gpu,
   auto infer_time = oracle_->infer_time(model, request.batch);
   if (!infer_time.ok()) return infer_time.status();
   // A degraded GPU runs at the stretched timings but execute() returns
-  // (and publishes) the healthy estimate — the scheduler must not know,
+  // the healthy estimate — the scheduler must not know,
   // that is what makes the degradation gray.
   const SimTime real_infer = stretched(*infer_time, s.slowdown);
 
@@ -112,12 +102,10 @@ StatusOr<SimTime> GpuManager::execute(const core::Request& request, GpuId gpu,
       GFAAS_CHECK(proc->loaded) << "mid-load process on a dispatchable gpu";
       auto end = device.begin_inference(now, proc->id, real_infer, request.batch);
       if (!end.ok()) return end.status();
-      const SimTime believed_end = *end - (real_infer - *infer_time);
-      publish_status(gpu, /*busy=*/true, believed_end);
       s.process = proc->id;
       s.finish = *end;
       schedule_completion(gpu);
-      return believed_end;
+      return *end - (real_infer - *infer_time);
     }
     // Resident model without a backing process: a mid-load abort killed
     // the upload while queued requests kept the entry pinned (see
@@ -155,18 +143,14 @@ StatusOr<SimTime> GpuManager::execute(const core::Request& request, GpuId gpu,
   auto load_end = device.begin_load(now, *pid, real_load);
   if (!load_end.ok()) return load_end.status();
 
-  // Published/returned estimate backs out the gray stretch; link-queueing
-  // delays (visible to everyone) stay in.
-  const SimTime expected_finish =
-      *load_end - (real_load - *load_time) + *infer_time;
-  publish_status(gpu, /*busy=*/true, expected_finish);
-
   s.process = *pid;
   s.finish = *load_end;
   s.pending_event = executor_->schedule_after(
       std::max<SimTime>(0, s.finish - executor_->now()),
       [this, gpu] { finish_load(gpu); });
-  return expected_finish;
+  // The returned estimate backs out the gray stretch; link-queueing
+  // delays (visible to everyone) stay in.
+  return *load_end - (real_load - *load_time) + *infer_time;
 }
 
 void GpuManager::finish_load(GpuId gpu) {
@@ -194,7 +178,6 @@ void GpuManager::finish_inference(GpuId gpu) {
   GFAAS_CHECK(s.device->finish_inference(s.finish, s.process).ok());
   GFAAS_CHECK(cache_->unpin(gpu, s.record.model).ok());
   s.record.completed = s.finish;
-  publish_status(gpu, /*busy=*/false, s.finish);
   // The engine's completion handling may immediately start the next
   // request on this GPU, which refills the slot: hand over copies.
   const core::CompletionRecord record = s.record;
@@ -241,7 +224,6 @@ StatusOr<core::CompletionRecord> GpuManager::abort(GpuId gpu) {
   core::CompletionRecord record = s.record;
   record.completed = executor_->now();
   record.failed = true;
-  publish_status(gpu, /*busy=*/false, record.completed);
   return record;
 }
 

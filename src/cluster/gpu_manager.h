@@ -5,9 +5,10 @@
 // Manager: on a hit it forwards the input to the existing GPU process; on
 // a miss it asks for a victim list, kills the victims' processes, starts
 // a new process and uploads the model, then runs the inference. It
-// enforces one request per GPU at a time and publishes busy/idle status
-// and estimated finish times to the Datastore. Per-request latency flows
-// back to the engine in the completion record.
+// enforces one request per GPU at a time. The paper's managers publish
+// GPU status to etcd for the scheduler; here execute() returns the
+// estimated finish time to the engine directly, and per-request latency
+// flows back in the completion record.
 //
 // All per-GPU execution state lives in one slot per managed GPU: the
 // device, its gray-degradation factor, and the one in-flight execution
@@ -23,7 +24,6 @@
 #include "cluster/config.h"
 #include "common/id.h"
 #include "core/request.h"
-#include "datastore/kv_store.h"
 #include "gpu/virtual_gpu.h"
 #include "models/latency_model.h"
 #include "models/zoo.h"
@@ -38,9 +38,8 @@ using CompletionCallback = std::function<void(const core::CompletionRecord&)>;
 class GpuManager {
  public:
   // `gpus` must carry dense, ascending ids (one node's GPUs).
-  GpuManager(NodeId node, sim::Executor* executor, datastore::KvStore* store,
-             cache::CacheManager* cache, const models::ModelRegistry* registry,
-             const models::LatencyOracle* oracle,
+  GpuManager(NodeId node, sim::Executor* executor, cache::CacheManager* cache,
+             const models::ModelRegistry* registry, const models::LatencyOracle* oracle,
              std::vector<gpu::VirtualGpu*> gpus);
 
   NodeId node() const { return node_; }
@@ -98,11 +97,9 @@ class GpuManager {
   void finish_inference(GpuId gpu);
   // Schedules the completion event at the slot's `finish`.
   void schedule_completion(GpuId gpu);
-  void publish_status(GpuId gpu, bool busy, SimTime finish_time);
 
   NodeId node_;
   sim::Executor* executor_;
-  datastore::KvStore* store_;
   cache::CacheManager* cache_;
   const models::ModelRegistry* registry_;
   const models::LatencyOracle* oracle_;

@@ -4,17 +4,8 @@
 
 namespace gfaas::datastore::keys {
 
-std::string gpu_status(GpuId gpu) {
-  return "gpu/" + std::to_string(gpu.value()) + "/status";
-}
-std::string gpu_finish_time(GpuId gpu) {
-  return "gpu/" + std::to_string(gpu.value()) + "/finish_time";
-}
 std::string gpu_lru(GpuId gpu) {
   return "gpu/" + std::to_string(gpu.value()) + "/lru";
-}
-std::string gpu_free_mem(GpuId gpu) {
-  return "gpu/" + std::to_string(gpu.value()) + "/free_mem";
 }
 std::string model_locations(ModelId model) {
   return "model/" + std::to_string(model.value()) + "/locations";

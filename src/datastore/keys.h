@@ -1,10 +1,9 @@
-// Canonical key-space layout for the gFaaS datastore, mirroring how the
-// paper's components exchange state through etcd (§III-E):
+// Key-space layout of the gFaaS datastore. In the paper the components
+// exchange GPU status, LRU lists and estimated latencies through etcd
+// (§III-E). Here the scheduler reads GPU status and finish times from the
+// engine's in-process index, so only the Cache Manager's mirror is kept:
 //
-//   gpu/<id>/status          "busy" | "idle"
-//   gpu/<id>/finish_time     estimated finish time of queued work (µs)
 //   gpu/<id>/lru             comma-separated model ids, LRU -> MRU
-//   gpu/<id>/free_mem        free GPU memory (bytes)
 //   model/<id>/locations     comma-separated GPU ids caching the model
 #pragma once
 
@@ -15,10 +14,7 @@
 
 namespace gfaas::datastore::keys {
 
-std::string gpu_status(GpuId gpu);
-std::string gpu_finish_time(GpuId gpu);
 std::string gpu_lru(GpuId gpu);
-std::string gpu_free_mem(GpuId gpu);
 std::string model_locations(ModelId model);
 
 // Encoding helpers for the list-valued keys.

@@ -2,18 +2,19 @@
 //
 // The paper uses etcd to exchange GPU status, per-GPU LRU lists, and
 // estimated latencies between the Scheduler, Cache Manager, and GPU
-// Managers. This in-process store reproduces the etcd features those
-// components rely on:
+// Managers. Here the scheduler reads that state from in-process indexes,
+// and the only writer on the serving path is the Cache Manager's
+// LRU-list / location mirror (see keys.h), which nothing reads back. The
+// store still reproduces the etcd features the paper's design relies on;
+// only its own tests exercise the last three:
 //
 //   * revisioned puts — every mutation bumps a store-wide revision; each
 //     key tracks create/mod revision and a per-key version counter;
 //   * range (prefix) reads — e.g. get all keys under "gpu/<id>/";
-//   * compare-and-swap transactions — optimistic concurrency for the
-//     scheduler's read-modify-write of GPU status;
-//   * watches — prefix-scoped callbacks on PUT/DELETE, used by the
-//     Scheduler to learn about status changes without polling;
-//   * leases — TTL-scoped keys (GPU Manager heartbeats) expired against a
-//     Clock, so liveness works in both simulated and real time.
+//   * compare-and-swap transactions — optimistic read-modify-write;
+//   * watches — prefix-scoped callbacks on PUT/DELETE;
+//   * leases — TTL-scoped keys expired against a Clock, so liveness
+//     works in both simulated and real time.
 //
 // Thread-safety: all public methods take an internal mutex, so the store
 // can be shared by the real-time executor's worker threads as well as the

@@ -207,12 +207,12 @@ SimTime Gateway::estimated_completion_impl(const core::Request& request,
       scan->counted = engine.idle_gpu_count();
       scan->mean_finish =
           static_cast<double>(scan->now) * static_cast<double>(scan->counted);
-      for (const GpuId gpu : engine.busy_gpus()) {
-        if (engine.is_fenced(gpu)) continue;  // draining: takes no new work
+      engine.for_each_busy_gpu([&engine, scan](GpuId gpu) {
+        if (engine.is_fenced(gpu)) return;  // draining: takes no new work
         scan->mean_finish += static_cast<double>(
             std::max(scan->now, engine.estimated_finish_time(gpu)));
         ++scan->counted;
-      }
+      });
       if (scan->counted > 0) {
         scan->mean_finish /= static_cast<double>(scan->counted);
       }

@@ -4,10 +4,12 @@
 // executed and completed without a single heap allocation, across the
 // engine and its request table, the cluster-state index, the cache
 // manager, the GPU manager and the simulator. The stack runs without the
-// datastore mirror (null KvStore), which still allocates on every request.
-// Two narrower contracts ride along: the simulator's sorted run stays
-// bounded when it never drains, and tenant admission denies without
-// allocating.
+// datastore (null KvStore): the Cache Manager's LRU-list / location
+// mirror, the only datastore writer left, still allocates on every cache
+// access. Three narrower contracts ride along: the simulator's sorted run
+// stays bounded when it never drains, tenant admission denies without
+// allocating, and the Gateway's shed-vs-queue estimate walks a busy fleet
+// without allocating.
 //
 // This binary replaces the global operator new with a counter that only
 // counts inside the measured window.
@@ -22,6 +24,7 @@
 #include "cluster/engine.h"
 #include "cluster/gpu_manager.h"
 #include "core/scheduler.h"
+#include "gateway/gateway.h"
 #include "gateway/tenancy.h"
 #include "gpu/gpu_spec.h"
 #include "gpu/pcie.h"
@@ -95,8 +98,7 @@ TEST(AllocContractTest, CacheHitRequestsAllocateNothingOnceWarm) {
     raw.push_back(devices.back().get());
     cache.add_gpu(GpuId(g), devices.back()->memory_capacity());
   }
-  GpuManager manager(NodeId(0), &sim, /*store=*/nullptr, &cache, &registry, &oracle,
-                     raw);
+  GpuManager manager(NodeId(0), &sim, &cache, &registry, &oracle, raw);
   SchedulerEngine engine(&sim, &cache, &oracle, {&manager},
                          core::make_scheduler(core::PolicyName::kLalbO3));
 
@@ -185,6 +187,40 @@ TEST(AllocContractTest, TenantDenialsAllocateNothing) {
   g_counting.store(false);
   EXPECT_EQ(denied, 1000);
   EXPECT_EQ(g_allocs.load(), 0u) << "allocations on tenant denials";
+}
+
+TEST(AllocContractTest, GatewayEstimateOverBusyFleetAllocatesNothingOnceWarm) {
+  // 8 GPUs, 12 requests for 3 models: every GPU is busy (loading or
+  // running) at t = 1 ms, and 4 requests wait in the global queue.
+  auto cluster = testkit::ClusterBuilder().nodes(2).gpus_per_node(4).build();
+  gateway::Gateway gateway(cluster.get());
+  for (std::int64_t id = 0; id < 12; ++id) {
+    cluster->simulator().schedule_at(0, [&gateway, id] {
+      gateway.submit(testkit::make_request(id, id % 3, 0),
+                     [](const gateway::GatewayResult&) {});
+    });
+  }
+  std::size_t busy = 0;
+  std::uint64_t allocs = 0;
+  SimTime first = 0;
+  bool stable = true;
+  cluster->simulator().schedule_at(msec(1), [&] {
+    busy = cluster->engine().busy_gpus().size();
+    const core::Request probe = testkit::make_request(100, 1, msec(1));
+    first = gateway.estimated_completion(probe);
+    g_allocs.store(0);
+    g_counting.store(true);
+    for (int i = 0; i < 1000; ++i) {
+      stable = stable && gateway.estimated_completion(probe) == first;
+    }
+    g_counting.store(false);
+    allocs = g_allocs.load();
+  });
+  cluster->run_to_completion();
+  EXPECT_EQ(busy, 8u);
+  EXPECT_GT(first, msec(1));
+  EXPECT_TRUE(stable);
+  EXPECT_EQ(allocs, 0u) << "allocations in Gateway::estimated_completion";
 }
 
 }  // namespace

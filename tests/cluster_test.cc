@@ -40,10 +40,31 @@ TEST(SimClusterTest, SingleRequestFullLifecycle) {
   const auto& record = cluster.engine().completions().at(0);
   EXPECT_FALSE(record.cache_hit);
   EXPECT_NEAR(sim_to_seconds(record.latency()), 3.69, 0.05);
-  // Model resident after completion; datastore mirrors status.
+  // Model resident after completion; the GPU is idle again.
   EXPECT_TRUE(cluster.cache().is_cached(GpuId(0), ModelId(0)));
-  EXPECT_EQ(cluster.datastore().get(datastore::keys::gpu_status(GpuId(0)))->value,
-            "idle");
+  EXPECT_TRUE(cluster.engine().is_idle(GpuId(0)));
+}
+
+TEST(SimClusterTest, DatastoreHoldsOnlyTheCacheMirrorUnderGpuPrefix) {
+  // GPU status lives in the engine's index; the only per-GPU keys in the
+  // datastore are the Cache Manager's LRU lists.
+  ClusterConfig config;
+  config.nodes = 2;
+  config.gpus_per_node = 2;
+  SimCluster cluster(config, head_registry(3));
+  std::vector<core::Request> requests;
+  for (std::int64_t i = 0; i < 12; ++i) {
+    requests.push_back(make_request(i, i % 3, msec(300) * i));
+  }
+  cluster.replay(requests);
+  ASSERT_EQ(cluster.engine().completions().size(), requests.size());
+  const auto keys = cluster.datastore().range("gpu/");
+  ASSERT_FALSE(keys.empty());
+  for (const datastore::KeyValue& kv : keys) {
+    const std::size_t slash = kv.key.find('/', 4);
+    ASSERT_NE(slash, std::string::npos) << kv.key;
+    EXPECT_EQ(kv.key.substr(slash), "/lru") << kv.key;
+  }
 }
 
 TEST(SimClusterTest, EvictionHappensWhenMemoryFull) {
@@ -153,7 +174,7 @@ struct ManagedGpu {
   models::LatencyOracle oracle{registry};
   gpu::PcieLink link{12.6, usec(20)};
   gpu::VirtualGpu device{GpuId(0), gpu::rtx2080(), &link};
-  GpuManager manager{NodeId(0), &sim, &store, &cache, &registry, &oracle, {&device}};
+  GpuManager manager{NodeId(0), &sim, &cache, &registry, &oracle, {&device}};
 };
 
 TEST(GpuManagerTest, RejectsWorkOnBusyGpu) {

@@ -444,8 +444,7 @@ std::vector<CompletionRecord> replay_on_64_gpus(std::unique_ptr<SchedulingPolicy
       node_gpus.push_back(gpus.back().get());
     }
     managers.push_back(std::make_unique<cluster::GpuManager>(
-        NodeId(node), &sim, /*store=*/nullptr, &cache, &workload.registry, &oracle,
-        node_gpus));
+        NodeId(node), &sim, &cache, &workload.registry, &oracle, node_gpus));
     manager_ptrs.push_back(managers.back().get());
   }
   cluster::SchedulerEngine engine(&sim, &cache, &oracle, manager_ptrs, std::move(policy));

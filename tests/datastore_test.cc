@@ -221,10 +221,7 @@ TEST(KvStoreTest, RevokeLeaseDeletesKeysImmediately) {
 }
 
 TEST(KeysTest, CanonicalLayout) {
-  EXPECT_EQ(keys::gpu_status(GpuId(3)), "gpu/3/status");
   EXPECT_EQ(keys::gpu_lru(GpuId(0)), "gpu/0/lru");
-  EXPECT_EQ(keys::gpu_finish_time(GpuId(7)), "gpu/7/finish_time");
-  EXPECT_EQ(keys::gpu_free_mem(GpuId(1)), "gpu/1/free_mem");
   EXPECT_EQ(keys::model_locations(ModelId(9)), "model/9/locations");
 }
 

@@ -297,8 +297,7 @@ TEST(RealTimeExecutorTest, FullSchedulingStackRunsOnWallClock) {
   gpu::VirtualGpu gpu1(GpuId(1), gpu::rtx2080(), &link);
   cache.add_gpu(GpuId(0), gpu0.memory_capacity());
   cache.add_gpu(GpuId(1), gpu1.memory_capacity());
-  GpuManager manager(NodeId(0), &executor, &store, &cache, &registry, &oracle,
-                     {&gpu0, &gpu1});
+  GpuManager manager(NodeId(0), &executor, &cache, &registry, &oracle, {&gpu0, &gpu1});
   SchedulerEngine engine(&executor, &cache, &oracle, {&manager},
                          core::make_scheduler(core::PolicyName::kLalbO3));
 
