@@ -1,14 +1,14 @@
 // Micro-benchmarks (google-benchmark) for the hot components of the
 // scheduling path: event queue throughput, LRU policy ops, datastore
-// put/get, memory allocator churn, global-queue model-index lookups, and
-// one LALBO3 scheduling decision on a loaded cluster.
+// put/get of the cache mirror's LRU key, global-queue model-index lookups,
+// and one LALBO3 scheduling decision on a loaded cluster.
 #include <benchmark/benchmark.h>
 
 #include "cache/policy.h"
 #include "cluster/experiment.h"
 #include "common/rng.h"
+#include "datastore/keys.h"
 #include "datastore/kv_store.h"
-#include "gpu/memory_allocator.h"
 #include "sim/simulator.h"
 #include "tensor/model_builder.h"
 #include "trace/workload.h"
@@ -43,35 +43,20 @@ static void BM_LruPolicyAccess(benchmark::State& state) {
 BENCHMARK(BM_LruPolicyAccess)->Arg(8)->Arg(64);
 
 static void BM_KvStorePutGet(benchmark::State& state) {
+  // The one key shape the serving path writes: the Cache Manager's
+  // per-GPU LRU list.
   datastore::KvStore store;
   Rng rng(2);
+  const std::string value = datastore::keys::encode_id_list({3, 17, 5, 29, 11});
   for (auto _ : state) {
-    const std::string key = "gpu/" + std::to_string(rng.next_below(32)) + "/status";
-    store.put(key, "busy");
+    const std::string key =
+        datastore::keys::gpu_lru(GpuId(static_cast<std::int64_t>(rng.next_below(32))));
+    store.put(key, value);
     benchmark::DoNotOptimize(store.get(key));
   }
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_KvStorePutGet);
-
-static void BM_AllocatorPagedChurn(benchmark::State& state) {
-  gpu::MemoryAllocator alloc(GiB(8));
-  Rng rng(3);
-  std::vector<gpu::PagedAllocation> live;
-  for (auto _ : state) {
-    if (live.size() < 4 || rng.uniform() < 0.5) {
-      auto paged = alloc.allocate_paged(MB(1000 + 100 * rng.next_below(30)));
-      if (paged.ok()) live.push_back(*paged);
-    }
-    if (!live.empty() && (live.size() >= 4 || rng.uniform() < 0.5)) {
-      const std::size_t idx = static_cast<std::size_t>(rng.next_below(live.size()));
-      benchmark::DoNotOptimize(alloc.free_paged(live[idx]));
-      live.erase(live.begin() + static_cast<std::ptrdiff_t>(idx));
-    }
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_AllocatorPagedChurn);
 
 static void BM_Conv2dForward(benchmark::State& state) {
   Rng rng(4);

@@ -16,7 +16,7 @@ ElasticCluster::ElasticCluster(std::unique_ptr<sim::Executor> executor,
               config.node_specs.size() == static_cast<std::size_t>(config.nodes))
       << "node_specs must have 1 entry or one per node";
 
-  store_ = std::make_unique<datastore::KvStore>(executor_.get());
+  store_ = std::make_unique<datastore::KvStore>();
   cache_ = std::make_unique<cache::CacheManager>(config.cache_policy, store_.get());
   registry_ = std::make_unique<models::ModelRegistry>(registry);
   oracle_ = std::make_unique<models::LatencyOracle>(*registry_, config.latency_alpha);

@@ -10,13 +10,13 @@
 //     ...
 //     common::ExecutorAffinity serial_;
 //     FlightMap flights_ GUARDED_BY(serial_);   // worker thread only
+//     void drain_pending() REQUIRES(serial_);
 //   };
 //
 //   class KvStore {
 //     ...
 //     mutable common::Mutex mu_;
 //     std::map<std::string, KeyValue> data_ GUARDED_BY(mu_);
-//     Revision apply_put_locked(...) REQUIRES(mu_);
 //   };
 //
 // Under Clang, `-Wthread-safety -Werror` (enabled automatically by the

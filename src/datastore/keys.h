@@ -17,8 +17,7 @@ namespace gfaas::datastore::keys {
 std::string gpu_lru(GpuId gpu);
 std::string model_locations(ModelId model);
 
-// Encoding helpers for the list-valued keys.
+// Encoding of the list-valued keys.
 std::string encode_id_list(const std::vector<std::int64_t>& ids);
-std::vector<std::int64_t> decode_id_list(const std::string& encoded);
 
 }  // namespace gfaas::datastore::keys

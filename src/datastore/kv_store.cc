@@ -1,60 +1,15 @@
 #include "datastore/kv_store.h"
 
-#include <algorithm>
-
-#include "common/log.h"
-
 namespace gfaas::datastore {
 
-namespace {
-bool has_prefix(const std::string& s, const std::string& prefix) {
-  return s.size() >= prefix.size() && s.compare(0, prefix.size(), prefix) == 0;
-}
-}  // namespace
-
-Revision KvStore::apply_put_locked(const std::string& key, const std::string& value,
-                                   LeaseId lease) {
-  ++revision_;
+Revision KvStore::put(const std::string& key, const std::string& value) {
+  common::MutexLock lock(&mu_);
   auto [it, inserted] = data_.try_emplace(key);
   KeyValue& kv = it->second;
-  kv.key = key;
+  if (inserted) kv.key = key;
   kv.value = value;
-  kv.mod_revision = revision_;
-  if (inserted) {
-    kv.create_revision = revision_;
-    kv.version = 1;
-  } else {
-    ++kv.version;
-  }
-  kv.lease = lease;
-  notify_locked(WatchEvent{EventType::kPut, kv, revision_});
+  kv.mod_revision = ++revision_;
   return revision_;
-}
-
-bool KvStore::apply_erase_locked(const std::string& key) {
-  auto it = data_.find(key);
-  if (it == data_.end()) return false;
-  ++revision_;
-  WatchEvent event{EventType::kDelete, it->second, revision_};
-  data_.erase(it);
-  notify_locked(event);
-  return true;
-}
-
-void KvStore::notify_locked(const WatchEvent& event) {
-  // Copy the watcher list so callbacks may add/remove watchers.
-  std::vector<Watcher> snapshot = watchers_;
-  for (const auto& w : snapshot) {
-    if (has_prefix(event.kv.key, w.prefix)) w.cb(event);
-  }
-}
-
-Revision KvStore::put(const std::string& key, const std::string& value, LeaseId lease) {
-  common::MutexLock lock(&mu_);
-  if (lease != 0) {
-    GFAAS_CHECK(leases_.count(lease) > 0) << "put with unknown lease " << lease;
-  }
-  return apply_put_locked(key, value, lease);
 }
 
 StatusOr<KeyValue> KvStore::get(const std::string& key) const {
@@ -67,27 +22,11 @@ StatusOr<KeyValue> KvStore::get(const std::string& key) const {
 std::vector<KeyValue> KvStore::range(const std::string& prefix) const {
   common::MutexLock lock(&mu_);
   std::vector<KeyValue> out;
-  for (auto it = data_.lower_bound(prefix); it != data_.end(); ++it) {
-    if (!has_prefix(it->first, prefix)) break;
+  for (auto it = data_.lower_bound(prefix);
+       it != data_.end() && it->first.compare(0, prefix.size(), prefix) == 0; ++it) {
     out.push_back(it->second);
   }
   return out;
-}
-
-bool KvStore::erase(const std::string& key) {
-  common::MutexLock lock(&mu_);
-  return apply_erase_locked(key);
-}
-
-std::size_t KvStore::erase_prefix(const std::string& prefix) {
-  common::MutexLock lock(&mu_);
-  std::vector<std::string> keys;
-  for (auto it = data_.lower_bound(prefix); it != data_.end(); ++it) {
-    if (!has_prefix(it->first, prefix)) break;
-    keys.push_back(it->first);
-  }
-  for (const auto& k : keys) apply_erase_locked(k);
-  return keys.size();
 }
 
 std::size_t KvStore::size() const {
@@ -98,123 +37,6 @@ std::size_t KvStore::size() const {
 Revision KvStore::revision() const {
   common::MutexLock lock(&mu_);
   return revision_;
-}
-
-bool KvStore::compare_holds_locked(const Compare& c) const {
-  auto it = data_.find(c.key);
-  const bool exists = it != data_.end();
-  switch (c.target) {
-    case Compare::Target::kExists:
-      return exists == c.exists;
-    case Compare::Target::kVersion:
-      return exists && it->second.version == c.number;
-    case Compare::Target::kModRevision:
-      return exists && it->second.mod_revision == c.number;
-    case Compare::Target::kValue:
-      return exists && it->second.value == c.value;
-  }
-  return false;
-}
-
-TxnResult KvStore::txn(const std::vector<Compare>& compares,
-                       const std::vector<TxnOp>& then_ops,
-                       const std::vector<TxnOp>& else_ops) {
-  common::MutexLock lock(&mu_);
-  TxnResult result;
-  result.succeeded =
-      std::all_of(compares.begin(), compares.end(),
-                  [&](const Compare& c) { return compare_holds_locked(c); });
-  const auto& ops = result.succeeded ? then_ops : else_ops;
-  for (const auto& op : ops) {
-    if (op.kind == TxnOp::Kind::kPut) {
-      apply_put_locked(op.key, op.value, /*lease=*/0);
-    } else {
-      apply_erase_locked(op.key);
-    }
-  }
-  result.revision = revision_;
-  return result;
-}
-
-bool KvStore::compare_and_swap(const std::string& key, const std::string& expected,
-                               const std::string& desired) {
-  Compare cmp;
-  cmp.key = key;
-  if (expected.empty()) {
-    cmp.target = Compare::Target::kExists;
-    cmp.exists = false;
-  } else {
-    cmp.target = Compare::Target::kValue;
-    cmp.value = expected;
-  }
-  return txn({cmp}, {{TxnOp::Kind::kPut, key, desired}}).succeeded;
-}
-
-WatchId KvStore::watch(const std::string& prefix, WatchCallback cb) {
-  common::MutexLock lock(&mu_);
-  const WatchId id = next_watch_++;
-  watchers_.push_back(Watcher{id, prefix, std::move(cb)});
-  return id;
-}
-
-bool KvStore::unwatch(WatchId id) {
-  common::MutexLock lock(&mu_);
-  auto it = std::find_if(watchers_.begin(), watchers_.end(),
-                         [&](const Watcher& w) { return w.id == id; });
-  if (it == watchers_.end()) return false;
-  watchers_.erase(it);
-  return true;
-}
-
-LeaseId KvStore::grant_lease(SimTime ttl) {
-  common::MutexLock lock(&mu_);
-  GFAAS_CHECK(ttl > 0) << "lease ttl must be positive";
-  const LeaseId id = next_lease_++;
-  leases_[id] = LeaseInfo{ttl, now() + ttl};
-  return id;
-}
-
-bool KvStore::keepalive(LeaseId lease) {
-  common::MutexLock lock(&mu_);
-  auto it = leases_.find(lease);
-  if (it == leases_.end()) return false;
-  it->second.expires_at = now() + it->second.ttl;
-  return true;
-}
-
-bool KvStore::revoke_lease(LeaseId lease) {
-  common::MutexLock lock(&mu_);
-  auto it = leases_.find(lease);
-  if (it == leases_.end()) return false;
-  leases_.erase(it);
-  std::vector<std::string> victims;
-  for (const auto& [key, kv] : data_) {
-    if (kv.lease == lease) victims.push_back(key);
-  }
-  for (const auto& k : victims) apply_erase_locked(k);
-  return true;
-}
-
-std::size_t KvStore::expire_leases() {
-  common::MutexLock lock(&mu_);
-  const SimTime t = now();
-  std::vector<LeaseId> due;
-  for (const auto& [id, info] : leases_) {
-    if (info.expires_at <= t) due.push_back(id);
-  }
-  std::size_t deleted = 0;
-  for (LeaseId id : due) {
-    leases_.erase(id);
-    std::vector<std::string> victims;
-    for (const auto& [key, kv] : data_) {
-      if (kv.lease == id) victims.push_back(key);
-    }
-    for (const auto& k : victims) {
-      apply_erase_locked(k);
-      ++deleted;
-    }
-  }
-  return deleted;
 }
 
 }  // namespace gfaas::datastore

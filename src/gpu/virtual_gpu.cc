@@ -7,10 +7,10 @@
 namespace gfaas::gpu {
 
 VirtualGpu::VirtualGpu(GpuId id, GpuSpec spec, PcieLink* host_link)
-    : id_(id), spec_(std::move(spec)), host_link_(host_link),
-      allocator_(spec_.memory_capacity) {
+    : id_(id), spec_(std::move(spec)), host_link_(host_link) {
   GFAAS_CHECK(host_link_ != nullptr);
   GFAAS_CHECK(id_.valid());
+  GFAAS_CHECK(spec_.memory_capacity > 0) << "gpu memory capacity must be positive";
 }
 
 StatusOr<ProcessId> VirtualGpu::create_process(ModelId model, Bytes occupation) {
@@ -20,10 +20,17 @@ StatusOr<ProcessId> VirtualGpu::create_process(ModelId model, Bytes occupation) 
                                  " already has a process on gpu " +
                                  std::to_string(id_.value()));
   }
-  auto allocation = allocator_.allocate_paged(occupation);
-  if (!allocation.ok()) return allocation.status();
+  if (occupation <= 0) {
+    return Status::InvalidArgument("process occupation must be positive");
+  }
+  if (occupation > free_memory()) {
+    return Status::ResourceExhausted("process of " + format_bytes(occupation) +
+                                     " exceeds free memory " +
+                                     format_bytes(free_memory()));
+  }
+  used_ += occupation;
   const ProcessId pid(next_process_++);
-  processes_[pid.value()] = GpuProcess{pid, model, *allocation, /*loaded=*/false};
+  processes_[pid.value()] = GpuProcess{pid, model, occupation, /*loaded=*/false};
   return pid;
 }
 
@@ -32,7 +39,7 @@ Status VirtualGpu::kill_process(ProcessId process) {
   if (it == processes_.end()) {
     return Status::NotFound("no process " + std::to_string(process.value()));
   }
-  GFAAS_CHECK(allocator_.free_paged(it->second.memory).ok());
+  used_ -= it->second.occupation;
   processes_.erase(it);
   ++counters_.evictions;
   return Status::Ok();
@@ -75,7 +82,7 @@ StatusOr<SimTime> VirtualGpu::begin_load(SimTime now, ProcessId process,
   // is additionally reserved so co-located GPUs contend for the host link.
   const SimTime scaled =
       static_cast<SimTime>(static_cast<double>(load_time) * spec_.load_time_scale + 0.5);
-  const TransferTiming transfer = host_link_->reserve(now, proc->memory.total);
+  const TransferTiming transfer = host_link_->reserve(now, proc->occupation);
   const SimTime queue_delay = transfer.start - now;
   const SimTime end = now + queue_delay + std::max(scaled, transfer.duration());
   load_transfer_ = transfer;
@@ -83,7 +90,7 @@ StatusOr<SimTime> VirtualGpu::begin_load(SimTime now, ProcessId process,
   busy_until_ = end;
   sm_meter_.set(now, 0.0);  // SMs idle during upload (§V-C)
   ++counters_.loads;
-  counters_.bytes_uploaded += proc->memory.total;
+  counters_.bytes_uploaded += proc->occupation;
   return end;
 }
 

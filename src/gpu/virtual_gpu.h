@@ -16,8 +16,8 @@
 
 #include "common/id.h"
 #include "common/status.h"
+#include "common/bytes.h"
 #include "gpu/gpu_spec.h"
-#include "gpu/memory_allocator.h"
 #include "gpu/pcie.h"
 #include "metrics/stats.h"
 
@@ -30,7 +30,7 @@ enum class GpuPhase { kIdle, kLoading, kInferring };
 struct GpuProcess {
   ProcessId id;
   ModelId model;
-  PagedAllocation memory;
+  Bytes occupation = 0;  // device bytes reserved for the model
   bool loaded = false;  // false while the model upload is in flight
 };
 
@@ -53,8 +53,10 @@ class VirtualGpu {
   // --- process / memory management (called by the GPU Manager) ---
 
   // Creates a process for `model`, reserving `occupation` bytes. Fails
-  // with kResourceExhausted if memory does not fit (the caller must evict
-  // first — the GPU never OOMs implicitly).
+  // with kInvalidArgument if `occupation` <= 0 and with kResourceExhausted
+  // if it exceeds free_memory() (the caller must evict first — the GPU
+  // never OOMs implicitly). Per-process memory is virtually addressed, so
+  // only the byte count matters, not where the bytes lie.
   StatusOr<ProcessId> create_process(ModelId model, Bytes occupation);
 
   // Kills a process and frees its memory (model eviction, §III-C: "GPU
@@ -67,9 +69,8 @@ class VirtualGpu {
   std::vector<GpuProcess> processes() const;
   std::size_t process_count() const { return processes_.size(); }
 
-  Bytes free_memory() const { return allocator_.free_total(); }
-  Bytes memory_capacity() const { return allocator_.capacity(); }
-  const MemoryAllocator& allocator() const { return allocator_; }
+  Bytes free_memory() const { return spec_.memory_capacity - used_; }
+  Bytes memory_capacity() const { return spec_.memory_capacity; }
 
   // --- execution timing (called by the GPU Manager's event handlers) ---
 
@@ -97,7 +98,7 @@ class VirtualGpu {
   // killed GPU is retired wholesale via CacheManager::remove_gpu).
   Status abort_execution(SimTime now);
 
-  // --- observable state (what the Datastore publishes) ---
+  // --- observable state ---
   GpuPhase phase() const { return phase_; }
   bool is_busy() const { return phase_ != GpuPhase::kIdle; }
   // Completion time of the in-flight operation (now if idle).
@@ -113,7 +114,7 @@ class VirtualGpu {
   GpuId id_;
   GpuSpec spec_;
   PcieLink* host_link_;
-  MemoryAllocator allocator_;
+  Bytes used_ = 0;  // sum of the live processes' occupation
   std::unordered_map<std::int64_t, GpuProcess> processes_;  // by process id
   std::int64_t next_process_ = 1;
 

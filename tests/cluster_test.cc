@@ -168,7 +168,7 @@ struct ManagedGpu {
   ManagedGpu() { cache.add_gpu(GpuId(0), device.memory_capacity()); }
 
   sim::Simulator sim;
-  datastore::KvStore store{&sim};
+  datastore::KvStore store;
   cache::CacheManager cache{cache::PolicyKind::kLru, &store};
   models::ModelRegistry registry = head_registry(2);
   models::LatencyOracle oracle{registry};

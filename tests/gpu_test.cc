@@ -1,141 +1,15 @@
-// Unit + property tests for the virtual GPU substrate: memory allocator
-// (contiguous and paged, with invariant checks under churn), PCIe link
-// timing/queueing, GPU specs, and the VirtualGpu state machine.
+// Unit tests for the virtual GPU substrate: PCIe link timing/queueing, GPU
+// specs, and the VirtualGpu's memory accounting and state machine.
 #include <gtest/gtest.h>
 
 #include <vector>
 
-#include "common/rng.h"
 #include "gpu/gpu_spec.h"
-#include "gpu/memory_allocator.h"
 #include "gpu/pcie.h"
 #include "gpu/virtual_gpu.h"
 
 namespace gfaas::gpu {
 namespace {
-
-TEST(MemoryAllocatorTest, AllocateAndFree) {
-  MemoryAllocator alloc(MiB(100));
-  auto a = alloc.allocate(MiB(30));
-  ASSERT_TRUE(a.ok());
-  EXPECT_EQ(alloc.used(), MiB(30));
-  EXPECT_EQ(alloc.free_total(), MiB(70));
-  EXPECT_TRUE(alloc.free(*a).ok());
-  EXPECT_EQ(alloc.used(), 0);
-  EXPECT_TRUE(alloc.check_invariants());
-}
-
-TEST(MemoryAllocatorTest, RejectsBadSizes) {
-  MemoryAllocator alloc(MiB(10));
-  EXPECT_EQ(alloc.allocate(0).status().code(), StatusCode::kInvalidArgument);
-  EXPECT_EQ(alloc.allocate(-5).status().code(), StatusCode::kInvalidArgument);
-  EXPECT_EQ(alloc.allocate(MiB(11)).status().code(), StatusCode::kResourceExhausted);
-}
-
-TEST(MemoryAllocatorTest, DoubleFreeRejected) {
-  MemoryAllocator alloc(MiB(10));
-  auto a = alloc.allocate(MiB(1));
-  ASSERT_TRUE(alloc.free(*a).ok());
-  EXPECT_EQ(alloc.free(*a).code(), StatusCode::kInvalidArgument);
-}
-
-TEST(MemoryAllocatorTest, FirstFitReusesFreedBlock) {
-  MemoryAllocator alloc(MiB(10));
-  auto a = alloc.allocate(MiB(4));
-  auto b = alloc.allocate(MiB(4));
-  ASSERT_TRUE(a.ok() && b.ok());
-  ASSERT_TRUE(alloc.free(*a).ok());
-  auto c = alloc.allocate(MiB(3));
-  ASSERT_TRUE(c.ok());
-  EXPECT_EQ(c->offset, a->offset);  // reused the hole
-}
-
-TEST(MemoryAllocatorTest, CoalescingMergesNeighbours) {
-  MemoryAllocator alloc(MiB(12));
-  auto a = alloc.allocate(MiB(4));
-  auto b = alloc.allocate(MiB(4));
-  auto c = alloc.allocate(MiB(4));
-  ASSERT_TRUE(a.ok() && b.ok() && c.ok());
-  ASSERT_TRUE(alloc.free(*a).ok());
-  ASSERT_TRUE(alloc.free(*c).ok());
-  EXPECT_EQ(alloc.largest_free_block(), MiB(4));  // two separate holes
-  ASSERT_TRUE(alloc.free(*b).ok());
-  EXPECT_EQ(alloc.largest_free_block(), MiB(12));  // fully coalesced
-  EXPECT_DOUBLE_EQ(alloc.fragmentation(), 0.0);
-  EXPECT_TRUE(alloc.check_invariants());
-}
-
-TEST(MemoryAllocatorTest, FragmentationObservable) {
-  MemoryAllocator alloc(MiB(12));
-  auto a = alloc.allocate(MiB(4));
-  auto b = alloc.allocate(MiB(4));
-  (void)b;
-  auto c = alloc.allocate(MiB(4));
-  ASSERT_TRUE(alloc.free(*a).ok());
-  ASSERT_TRUE(alloc.free(*c).ok());
-  // Contiguous allocation of 8MiB impossible despite 8MiB total free.
-  EXPECT_FALSE(alloc.allocate(MiB(8)).ok());
-  EXPECT_GT(alloc.fragmentation(), 0.0);
-}
-
-TEST(MemoryAllocatorTest, PagedAllocationSpansHoles) {
-  MemoryAllocator alloc(MiB(12));
-  auto a = alloc.allocate(MiB(4));
-  auto b = alloc.allocate(MiB(4));
-  (void)b;
-  auto c = alloc.allocate(MiB(4));
-  ASSERT_TRUE(alloc.free(*a).ok());
-  ASSERT_TRUE(alloc.free(*c).ok());
-  // Paged allocation succeeds where contiguous failed.
-  auto paged = alloc.allocate_paged(MiB(8));
-  ASSERT_TRUE(paged.ok());
-  EXPECT_EQ(paged->total, MiB(8));
-  EXPECT_EQ(paged->extents.size(), 2u);
-  EXPECT_EQ(alloc.free_total(), 0);
-  EXPECT_TRUE(alloc.free_paged(*paged).ok());
-  EXPECT_EQ(alloc.free_total(), MiB(8));
-  EXPECT_TRUE(alloc.check_invariants());
-}
-
-TEST(MemoryAllocatorTest, PagedRejectsOverCapacity) {
-  MemoryAllocator alloc(MiB(4));
-  EXPECT_EQ(alloc.allocate_paged(MiB(5)).status().code(),
-            StatusCode::kResourceExhausted);
-  EXPECT_FALSE(alloc.allocate_paged(0).ok());
-}
-
-// Property test: random alloc/free churn never violates invariants and
-// never leaks, across seeds.
-class AllocatorChurnTest : public ::testing::TestWithParam<std::uint64_t> {};
-
-TEST_P(AllocatorChurnTest, InvariantsHoldUnderChurn) {
-  Rng rng(GetParam());
-  MemoryAllocator alloc(MiB(64));
-  std::vector<PagedAllocation> live;
-  for (int step = 0; step < 2000; ++step) {
-    if (live.empty() || rng.uniform() < 0.55) {
-      const Bytes size = MiB(static_cast<std::int64_t>(rng.uniform_int(1, 12)));
-      auto paged = alloc.allocate_paged(size);
-      if (paged.ok()) {
-        live.push_back(*paged);
-      } else {
-        EXPECT_GT(size, alloc.free_total());  // only legitimate failure
-      }
-    } else {
-      const std::size_t idx =
-          static_cast<std::size_t>(rng.next_below(live.size()));
-      ASSERT_TRUE(alloc.free_paged(live[idx]).ok());
-      live.erase(live.begin() + static_cast<std::ptrdiff_t>(idx));
-    }
-    ASSERT_TRUE(alloc.check_invariants()) << "step " << step;
-  }
-  for (const auto& paged : live) ASSERT_TRUE(alloc.free_paged(paged).ok());
-  EXPECT_EQ(alloc.used(), 0);
-  EXPECT_EQ(alloc.largest_free_block(), MiB(64));
-}
-
-INSTANTIATE_TEST_SUITE_P(Seeds, AllocatorChurnTest,
-                         ::testing::Values(1u, 2u, 3u, 17u, 99u));
 
 TEST(PcieLinkTest, TransferDurationFromBandwidth) {
   PcieLink link(/*GB/s=*/10.0, /*latency=*/usec(20));
@@ -195,6 +69,22 @@ TEST_F(VirtualGpuTest, OutOfMemoryRejected) {
   ASSERT_TRUE(gpu_.create_process(ModelId(1), GiB(7)).ok());
   EXPECT_EQ(gpu_.create_process(ModelId(2), GiB(4)).status().code(),
             StatusCode::kResourceExhausted);
+}
+
+TEST_F(VirtualGpuTest, MemoryBoundaryIsExact) {
+  ASSERT_TRUE(gpu_.create_process(ModelId(1), MB(3000)).ok());
+  const Bytes rest = gpu_.free_memory();
+  EXPECT_EQ(gpu_.create_process(ModelId(2), rest + 1).status().code(),
+            StatusCode::kResourceExhausted);
+  EXPECT_EQ(gpu_.create_process(ModelId(2), 0).status().code(),
+            StatusCode::kInvalidArgument);
+  auto filler = gpu_.create_process(ModelId(2), rest);
+  ASSERT_TRUE(filler.ok());
+  EXPECT_EQ(gpu_.free_memory(), 0);
+  ASSERT_TRUE(gpu_.kill_process(*filler).ok());
+  EXPECT_EQ(gpu_.free_memory(), rest);
+  ASSERT_TRUE(gpu_.kill_process(gpu_.find_process(ModelId(1))->id).ok());
+  EXPECT_EQ(gpu_.free_memory(), gpu_.memory_capacity());
 }
 
 TEST_F(VirtualGpuTest, KillProcessFreesMemory) {

@@ -287,7 +287,7 @@ TEST(RealTimeExecutorTest, FullSchedulingStackRunsOnWallClock) {
   // drives, now driven by real time (compressed 10000x: a 2.4s model
   // load takes ~0.24ms of wall time).
   RealTimeExecutor executor(/*time_scale=*/10000.0);
-  datastore::KvStore store(&executor);
+  datastore::KvStore store;
   cache::CacheManager cache(cache::PolicyKind::kLru, &store);
   models::ModelRegistry registry = testkit::head_registry(2);
   models::LatencyOracle oracle(registry);
