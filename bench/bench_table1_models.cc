@@ -7,8 +7,8 @@
 
 #include "metrics/reporter.h"
 #include "models/latency_model.h"
-#include "models/profiler.h"
 #include "models/zoo.h"
+#include "tensor/table1.h"
 
 using namespace gfaas;
 
@@ -37,12 +37,15 @@ int main() {
       "===\n");
   metrics::Table prof({"Model", "b=1(ms)", "b=2(ms)", "b=4(ms)", "slope(ms/img)",
                        "R^2"});
-  models::Profiler profiler({1, 2, 4});
+  tensor::Profiler profiler({1, 2, 4});
   // Profile a representative model per family (full sweep is slow on CPU).
   for (const char* name : {"squeezenet1.1", "resnet18", "alexnet", "vgg11"}) {
-    auto profile = models::find_model(name);
-    auto result = profiler.profile(*profile, /*repeats=*/1);
-    if (!result.ok()) continue;
+    auto result = profiler.profile(*models::find_model(name), /*repeats=*/1);
+    if (!result.ok()) {
+      std::fprintf(stderr, "profiling %s failed: %s\n", name,
+                   result.status().to_string().c_str());
+      return 1;
+    }
     prof.add_row({name, metrics::Table::fmt(result->points[0].latency / 1e3),
                   metrics::Table::fmt(result->points[1].latency / 1e3),
                   metrics::Table::fmt(result->points[2].latency / 1e3),

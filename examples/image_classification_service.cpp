@@ -17,6 +17,7 @@
 #include "models/zoo.h"
 #include "tensor/dataset.h"
 #include "tensor/model_builder.h"
+#include "tensor/table1.h"
 
 using namespace gfaas;
 
@@ -31,7 +32,7 @@ int main() {
       std::fprintf(stderr, "cannot deploy %s\n", name);
       return 1;
     }
-    nets[profile->id.value()] = tensor::build_cnn(profile->runtime_config);
+    nets[profile->id.value()] = tensor::build_cnn(tensor::table1_cnns().at(name));
   }
   std::printf("deployed %zu classifier models\n", registry.size());
 

@@ -22,7 +22,7 @@ int main() {
   gateway::Gateway gateway(&cluster);
 
   // A function is a model to serve: requests name it by model id.
-  const auto resnet50 = registry.get_by_name("resnet50");
+  const auto resnet50 = models::find_model("resnet50");
   if (!resnet50.ok()) {
     std::fprintf(stderr, "lookup failed: %s\n", resnet50.status().to_string().c_str());
     return 1;

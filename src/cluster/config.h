@@ -27,9 +27,6 @@ struct ClusterConfig {
   int o3_limit = 25;  // paper default (§IV-B)
   cache::PolicyKind cache_policy = cache::PolicyKind::kLru;
 
-  // Base-cost fraction of the batch-latency model (models::BatchLatencyModel).
-  double latency_alpha = 0.6;
-
   int total_gpus() const { return nodes * gpus_per_node; }
   const gpu::GpuSpec& spec_for_node(int node) const {
     return node_specs.size() == 1 ? node_specs[0]

@@ -9,7 +9,7 @@ namespace gfaas::cluster {
 ElasticCluster::ElasticCluster(std::unique_ptr<sim::Executor> executor,
                                const ClusterConfig& config,
                                const models::ModelRegistry& registry)
-    : config_(config), executor_(std::move(executor)) {
+    : config_(config), executor_(std::move(executor)), registry_(registry) {
   GFAAS_CHECK(executor_ != nullptr);
   GFAAS_CHECK(config.nodes >= 1 && config.gpus_per_node >= 1);
   GFAAS_CHECK(config.node_specs.size() == 1 ||
@@ -18,8 +18,6 @@ ElasticCluster::ElasticCluster(std::unique_ptr<sim::Executor> executor,
 
   store_ = std::make_unique<datastore::KvStore>();
   cache_ = std::make_unique<cache::CacheManager>(config.cache_policy, store_.get());
-  registry_ = std::make_unique<models::ModelRegistry>(registry);
-  oracle_ = std::make_unique<models::LatencyOracle>(*registry_, config.latency_alpha);
 
   std::vector<GpuManager*> manager_ptrs;
   std::int64_t next_gpu = 0;
@@ -45,13 +43,12 @@ ElasticCluster::ElasticCluster(std::unique_ptr<sim::Executor> executor,
       node_gpus.push_back(gpus_.back().get());
     }
     managers_.push_back(std::make_unique<GpuManager>(
-        NodeId(node), executor_.get(), cache_.get(), registry_.get(), oracle_.get(),
-        node_gpus));
+        NodeId(node), executor_.get(), cache_.get(), &registry_, node_gpus));
     manager_ptrs.push_back(managers_.back().get());
   }
 
   engine_ = std::make_unique<SchedulerEngine>(
-      executor_.get(), cache_.get(), oracle_.get(), manager_ptrs,
+      executor_.get(), cache_.get(), &registry_, manager_ptrs,
       core::make_scheduler(config.policy, config.o3_limit));
 }
 
@@ -69,7 +66,7 @@ GpuId ElasticCluster::add_gpu(const gpu::GpuSpec& spec) {
   cache_->add_gpu(id, gpus_.back()->memory_capacity());
   managers_.push_back(std::make_unique<GpuManager>(
       NodeId(static_cast<std::int64_t>(managers_.size())), executor_.get(), cache_.get(),
-      registry_.get(), oracle_.get(), std::vector<gpu::VirtualGpu*>{gpus_.back().get()}));
+      &registry_, std::vector<gpu::VirtualGpu*>{gpus_.back().get()}));
   engine_->add_node(managers_.back().get());
   return id;
 }

@@ -26,7 +26,6 @@
 #include "gpu/gpu_spec.h"
 #include "gpu/pcie.h"
 #include "gpu/virtual_gpu.h"
-#include "models/latency_model.h"
 #include "models/zoo.h"
 #include "sim/simulator.h"
 
@@ -45,7 +44,6 @@ class ElasticCluster {
   cache::CacheManager& cache() { return *cache_; }
   const cache::CacheManager& cache() const { return *cache_; }
   datastore::KvStore& datastore() { return *store_; }
-  const models::LatencyOracle& oracle() const { return *oracle_; }
   gpu::VirtualGpu& gpu(std::size_t index) { return *gpus_[index]; }
   std::size_t gpu_count() const { return gpus_.size(); }
   const ClusterConfig& config() const { return config_; }
@@ -97,8 +95,7 @@ class ElasticCluster {
   std::unique_ptr<sim::Executor> executor_;
   std::unique_ptr<datastore::KvStore> store_;
   std::unique_ptr<cache::CacheManager> cache_;
-  std::unique_ptr<models::ModelRegistry> registry_;
-  std::unique_ptr<models::LatencyOracle> oracle_;
+  const models::ModelRegistry registry_;
   std::vector<std::unique_ptr<gpu::PcieLink>> links_;
   std::vector<std::unique_ptr<gpu::VirtualGpu>> gpus_;
   std::vector<std::unique_ptr<GpuManager>> managers_;  // node ordinal order

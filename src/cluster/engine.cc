@@ -24,16 +24,16 @@ struct SchedulerEngine::TelemetryHandles {
 };
 
 SchedulerEngine::SchedulerEngine(sim::Executor* executor, cache::CacheManager* cache,
-                                 const models::LatencyOracle* oracle,
+                                 const models::ModelRegistry* registry,
                                  const std::vector<GpuManager*>& managers,
                                  std::unique_ptr<core::SchedulingPolicy> policy)
     : executor_(executor),
       cache_(cache),
-      oracle_(oracle),
+      registry_(registry),
       policy_(std::move(policy)),
       global_queue_(table_),
       local_queues_(table_, 0) {
-  GFAAS_CHECK(executor_ && cache_ && oracle_ && policy_);
+  GFAAS_CHECK(executor_ && cache_ && registry_ && policy_);
   GFAAS_CHECK(!managers.empty());
   for (GpuManager* manager : managers) join(manager);
 }
@@ -168,13 +168,13 @@ SimTime SchedulerEngine::estimated_finish_time(GpuId gpu) const {
 }
 
 SimTime SchedulerEngine::load_time(ModelId model) const {
-  auto t = oracle_->load_time(model);
+  auto t = registry_->load_time(model);
   GFAAS_CHECK(t.ok()) << t.status().to_string();
   return *t;
 }
 
 SimTime SchedulerEngine::infer_time(ModelId model, std::int64_t batch) const {
-  auto t = oracle_->infer_time(model, batch);
+  auto t = registry_->infer_time(model, batch);
   GFAAS_CHECK(t.ok()) << t.status().to_string();
   return *t;
 }

@@ -46,7 +46,7 @@ class SchedulerEngine final : public core::SchedulingContext {
   // The fleet is the managers' GPUs, whose ids must run 0, 1, 2, ... in
   // manager order.
   SchedulerEngine(sim::Executor* executor, cache::CacheManager* cache,
-                  const models::LatencyOracle* oracle,
+                  const models::ModelRegistry* registry,
                   const std::vector<GpuManager*>& managers,
                   std::unique_ptr<core::SchedulingPolicy> policy);
   ~SchedulerEngine();
@@ -326,7 +326,7 @@ class SchedulerEngine final : public core::SchedulingContext {
 
   sim::Executor* executor_;
   cache::CacheManager* cache_;
-  const models::LatencyOracle* oracle_;
+  const models::ModelRegistry* registry_;
   // Owning GPU Manager of each GPU, indexed by GpuId value.
   std::vector<GpuManager*> manager_by_gpu_;
   std::unique_ptr<core::SchedulingPolicy> policy_;

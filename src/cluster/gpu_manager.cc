@@ -9,14 +9,9 @@ namespace gfaas::cluster {
 
 GpuManager::GpuManager(NodeId node, sim::Executor* executor, cache::CacheManager* cache,
                        const models::ModelRegistry* registry,
-                       const models::LatencyOracle* oracle,
                        std::vector<gpu::VirtualGpu*> gpus)
-    : node_(node),
-      executor_(executor),
-      cache_(cache),
-      registry_(registry),
-      oracle_(oracle) {
-  GFAAS_CHECK(executor_ && cache_ && registry_ && oracle_);
+    : node_(node), executor_(executor), cache_(cache), registry_(registry) {
+  GFAAS_CHECK(executor_ && cache_ && registry_);
   GFAAS_CHECK(!gpus.empty());
   first_gpu_ = gpus.front()->id().value();
   for (gpu::VirtualGpu* device : gpus) {
@@ -67,7 +62,7 @@ StatusOr<SimTime> GpuManager::execute(const core::Request& request, GpuId gpu,
   }
   const SimTime now = executor_->now();
   const ModelId model = request.model;
-  auto infer_time = oracle_->infer_time(model, request.batch);
+  auto infer_time = registry_->infer_time(model, request.batch);
   if (!infer_time.ok()) return infer_time.status();
   // A degraded GPU runs at the stretched timings but execute() returns
   // the healthy estimate — the scheduler must not know,
@@ -115,10 +110,10 @@ StatusOr<SimTime> GpuManager::execute(const core::Request& request, GpuId gpu,
   }
 
   // Start (or restart) a process, upload the model, then run.
-  const auto profile = registry_->get(model);
-  if (!profile.ok()) return profile.status();
+  const auto occupation = registry_->occupation(model);
+  if (!occupation.ok()) return occupation.status();
   if (!hit) {
-    auto victims = cache_->plan_eviction(gpu, profile->occupation);
+    auto victims = cache_->plan_eviction(gpu, *occupation);
     if (!victims.ok()) return victims.status();
     for (ModelId victim : *victims) {
       const gpu::GpuProcess* victim_proc = device.find_process(victim);
@@ -130,14 +125,14 @@ StatusOr<SimTime> GpuManager::execute(const core::Request& request, GpuId gpu,
       GFAAS_CHECK(cache_->record_eviction(gpu, victim).ok());
     }
   }
-  auto pid = device.create_process(model, profile->occupation);
+  auto pid = device.create_process(model, *occupation);
   if (!pid.ok()) return pid.status();
   if (!hit) {
-    GFAAS_CHECK(cache_->record_insertion(gpu, model, profile->occupation).ok());
+    GFAAS_CHECK(cache_->record_insertion(gpu, model, *occupation).ok());
     GFAAS_CHECK(cache_->pin(gpu, model).ok());
   }
 
-  auto load_time = oracle_->load_time(model);
+  auto load_time = registry_->load_time(model);
   if (!load_time.ok()) return load_time.status();
   const SimTime real_load = stretched(*load_time, s.slowdown);
   auto load_end = device.begin_load(now, *pid, real_load);

@@ -25,7 +25,6 @@
 #include "common/id.h"
 #include "core/request.h"
 #include "gpu/virtual_gpu.h"
-#include "models/latency_model.h"
 #include "models/zoo.h"
 #include "sim/simulator.h"
 
@@ -39,8 +38,7 @@ class GpuManager {
  public:
   // `gpus` must carry dense, ascending ids (one node's GPUs).
   GpuManager(NodeId node, sim::Executor* executor, cache::CacheManager* cache,
-             const models::ModelRegistry* registry, const models::LatencyOracle* oracle,
-             std::vector<gpu::VirtualGpu*> gpus);
+             const models::ModelRegistry* registry, std::vector<gpu::VirtualGpu*> gpus);
 
   NodeId node() const { return node_; }
   bool manages(GpuId gpu) const {
@@ -102,7 +100,6 @@ class GpuManager {
   sim::Executor* executor_;
   cache::CacheManager* cache_;
   const models::ModelRegistry* registry_;
-  const models::LatencyOracle* oracle_;
   // slots_[i] is GPU first_gpu_ + i.
   std::int64_t first_gpu_ = 0;
   std::vector<Slot> slots_;

@@ -4,7 +4,7 @@
 // hardware through the paper's GPU Manager: which models are resident
 // (one GPU process per model, §III-C), how much memory is free, whether
 // the device is busy, and when it will finish. Timing comes from the
-// Table I profiles via the models::LatencyOracle (scaled by the GpuSpec
+// Table I profiles in models::ModelRegistry (scaled by the GpuSpec
 // for heterogeneous types); SM utilization integrates occupancy over
 // simulated time the same way `nvidia-smi` samples it on the testbed —
 // zero while a model uploads, proportional to batch occupancy while a

@@ -3,6 +3,7 @@
 #include <cmath>
 
 #include "common/log.h"
+#include "models/zoo.h"
 
 namespace gfaas::models {
 
@@ -98,30 +99,6 @@ double LoadTimeModel::bandwidth_bps() const {
   GFAAS_CHECK(fit_.slope > 0);
   // slope is µs per byte; bandwidth = 1/slope bytes per µs = 1e6/slope B/s.
   return 1e6 / fit_.slope;
-}
-
-LatencyOracle::LatencyOracle(const ModelRegistry& registry, double alpha) {
-  entries_.reserve(registry.size());
-  for (const auto& p : registry.all()) {
-    entries_.push_back(
-        Entry{p.id, p.load_time, BatchLatencyModel(p.infer_time_b32, alpha)});
-  }
-}
-
-StatusOr<SimTime> LatencyOracle::load_time(ModelId model) const {
-  for (const auto& e : entries_) {
-    if (e.id == model) return e.load_time;
-  }
-  return Status::NotFound("no latency profile for model " +
-                          std::to_string(model.value()));
-}
-
-StatusOr<SimTime> LatencyOracle::infer_time(ModelId model, std::int64_t batch) const {
-  for (const auto& e : entries_) {
-    if (e.id == model) return e.batch_model.predict(batch);
-  }
-  return Status::NotFound("no latency profile for model " +
-                          std::to_string(model.value()));
 }
 
 }  // namespace gfaas::models

@@ -14,11 +14,13 @@
 
 #include <vector>
 
+#include "common/bytes.h"
 #include "common/status.h"
 #include "common/time.h"
-#include "models/zoo.h"
 
 namespace gfaas::models {
+
+struct ModelProfile;
 
 // Ordinary least squares fit of y = intercept + slope * x.
 struct LinearFit {
@@ -59,8 +61,8 @@ class BatchLatencyModel {
 };
 
 // Load time vs model size, fitted across catalog profiles:
-// t_load = base + size / bandwidth. Used for models without a profiled
-// load time (e.g. heterogeneous-GPU ablation scales these parameters).
+// t_load = base + size / bandwidth. bench_table1_models reports the fit;
+// the scheduler reads each model's profiled load time instead.
 class LoadTimeModel {
  public:
   // Fits across the given profiles (needs >= 2 distinct sizes).
@@ -74,26 +76,6 @@ class LoadTimeModel {
 
  private:
   LinearFit fit_;  // x = size in bytes, y = load time in µs
-};
-
-// Bundles per-model latency models for the scheduler's finish-time
-// estimation; built from a registry.
-class LatencyOracle {
- public:
-  explicit LatencyOracle(const ModelRegistry& registry, double alpha = 0.6);
-
-  // Profiled load time for the model (Table I value).
-  StatusOr<SimTime> load_time(ModelId model) const;
-  // Predicted inference time at the given batch size.
-  StatusOr<SimTime> infer_time(ModelId model, std::int64_t batch) const;
-
- private:
-  struct Entry {
-    ModelId id;
-    SimTime load_time;
-    BatchLatencyModel batch_model;
-  };
-  std::vector<Entry> entries_;
 };
 
 }  // namespace gfaas::models

@@ -1,74 +1,56 @@
 #include "models/zoo.h"
 
-#include <algorithm>
-
 #include "common/log.h"
 
 namespace gfaas::models {
 
 namespace {
 
-using tensor::CnnFamily;
-
 struct Row {
   const char* name;
-  CnnFamily family;
   std::int64_t size_mb;
   double load_s;
   double infer_s;
-  std::int64_t depth;  // runtime (scaled-down) depth knob
-  std::int64_t width;  // runtime width knob
 };
 
-// Table I of the paper, in row order. depth/width describe the scaled-down
-// runtime topology only; sizes and latencies are the paper's numbers.
+// Table I of the paper, in row order.
 constexpr Row kTable1[] = {
-    {"squeezenet1.1", CnnFamily::kSqueezeNet, 1269, 2.41, 1.28, 2, 6},
-    {"resnet18", CnnFamily::kResNet, 1313, 2.52, 1.25, 2, 8},
-    {"resnet34", CnnFamily::kResNet, 1357, 2.60, 1.25, 3, 8},
-    {"squeezenet1.0", CnnFamily::kSqueezeNet, 1435, 2.32, 1.33, 3, 6},
-    {"alexnet", CnnFamily::kAlexNet, 1437, 2.81, 1.25, 2, 8},
-    {"resnext50.32x4d", CnnFamily::kResNeXt, 1555, 2.64, 1.29, 2, 8},
-    {"densenet121", CnnFamily::kDenseNet, 1601, 2.49, 1.28, 2, 6},
-    {"densenet169", CnnFamily::kDenseNet, 1631, 2.56, 1.30, 3, 6},
-    {"densenet201", CnnFamily::kDenseNet, 1665, 2.67, 1.40, 4, 6},
-    {"resnet50", CnnFamily::kResNet, 1701, 2.67, 1.28, 3, 10},
-    {"resnet101", CnnFamily::kResNet, 1757, 2.95, 1.30, 4, 10},
-    {"resnet152", CnnFamily::kResNet, 1827, 3.10, 1.31, 5, 10},
-    {"densenet161", CnnFamily::kDenseNet, 1919, 2.75, 1.32, 3, 8},
-    {"inception.v3", CnnFamily::kInception, 2157, 4.42, 1.63, 2, 6},
-    {"resnext101.32x8d", CnnFamily::kResNeXt, 2191, 3.51, 1.33, 4, 10},
-    {"vgg11", CnnFamily::kVgg, 2903, 3.94, 1.29, 2, 8},
-    {"wideresnet502", CnnFamily::kWideResNet, 3611, 3.16, 1.31, 3, 8},
-    {"wideresnet1012", CnnFamily::kWideResNet, 3831, 3.91, 1.32, 4, 8},
-    {"vgg13", CnnFamily::kVgg, 3887, 3.98, 1.30, 3, 8},
-    {"vgg16", CnnFamily::kVgg, 3907, 4.04, 1.27, 3, 10},
-    {"vgg16.bn", CnnFamily::kVgg, 3907, 4.03, 1.26, 3, 10},
-    {"vgg19", CnnFamily::kVgg, 3947, 4.07, 1.33, 4, 10},
+    {"squeezenet1.1", 1269, 2.41, 1.28},
+    {"resnet18", 1313, 2.52, 1.25},
+    {"resnet34", 1357, 2.60, 1.25},
+    {"squeezenet1.0", 1435, 2.32, 1.33},
+    {"alexnet", 1437, 2.81, 1.25},
+    {"resnext50.32x4d", 1555, 2.64, 1.29},
+    {"densenet121", 1601, 2.49, 1.28},
+    {"densenet169", 1631, 2.56, 1.30},
+    {"densenet201", 1665, 2.67, 1.40},
+    {"resnet50", 1701, 2.67, 1.28},
+    {"resnet101", 1757, 2.95, 1.30},
+    {"resnet152", 1827, 3.10, 1.31},
+    {"densenet161", 1919, 2.75, 1.32},
+    {"inception.v3", 2157, 4.42, 1.63},
+    {"resnext101.32x8d", 2191, 3.51, 1.33},
+    {"vgg11", 2903, 3.94, 1.29},
+    {"wideresnet502", 3611, 3.16, 1.31},
+    {"wideresnet1012", 3831, 3.91, 1.32},
+    {"vgg13", 3887, 3.98, 1.30},
+    {"vgg16", 3907, 4.04, 1.27},
+    {"vgg16.bn", 3907, 4.03, 1.26},
+    {"vgg19", 3947, 4.07, 1.33},
 };
 
 std::vector<ModelProfile> build_catalog() {
   std::vector<ModelProfile> out;
-  out.reserve(std::size(kTable1));
-  std::int64_t id = 0;
   for (const Row& row : kTable1) {
-    ModelProfile p;
-    p.id = ModelId(id);
-    p.name = row.name;
-    p.family = row.family;
-    p.occupation = MB(row.size_mb);
-    p.load_time = seconds_to_sim(row.load_s);
-    p.infer_time_b32 = seconds_to_sim(row.infer_s);
-    p.runtime_config.family = row.family;
-    p.runtime_config.depth = row.depth;
-    p.runtime_config.width = row.width;
-    p.runtime_config.in_channels = 3;
-    p.runtime_config.num_classes = 10;
-    p.runtime_config.seed = 0xC0FFEE ^ static_cast<std::uint64_t>(id);
-    out.push_back(std::move(p));
-    ++id;
+    const ModelId id(static_cast<std::int64_t>(out.size()));
+    out.push_back({id, row.name, MB(row.size_mb), seconds_to_sim(row.load_s),
+                   seconds_to_sim(row.infer_s)});
   }
   return out;
+}
+
+Status not_registered(ModelId id) {
+  return Status::NotFound("model id " + std::to_string(id.value()) + " not registered");
 }
 
 }  // namespace
@@ -93,27 +75,34 @@ Status ModelRegistry::register_model(const ModelProfile& profile) {
     return Status::AlreadyExists("model id " + std::to_string(profile.id.value()) +
                                  " already registered");
   }
+  const auto id = static_cast<std::size_t>(profile.id.value());
+  if (id >= position_by_id_.size()) position_by_id_.resize(id + 1, kNone);
+  position_by_id_[id] = profiles_.size();
   profiles_.push_back(profile);
+  batch_models_.emplace_back(profile.infer_time_b32);
   return Status::Ok();
 }
 
 StatusOr<ModelProfile> ModelRegistry::get(ModelId id) const {
-  for (const auto& p : profiles_) {
-    if (p.id == id) return p;
-  }
-  return Status::NotFound("model id " + std::to_string(id.value()) + " not registered");
+  if (const std::size_t i = position(id); i != kNone) return profiles_[i];
+  return not_registered(id);
 }
 
-StatusOr<ModelProfile> ModelRegistry::get_by_name(const std::string& name) const {
-  for (const auto& p : profiles_) {
-    if (p.name == name) return p;
-  }
-  return Status::NotFound("model " + name + " not registered");
+StatusOr<Bytes> ModelRegistry::occupation(ModelId id) const {
+  if (const std::size_t i = position(id); i != kNone) return profiles_[i].occupation;
+  return not_registered(id);
 }
 
-bool ModelRegistry::contains(ModelId id) const {
-  return std::any_of(profiles_.begin(), profiles_.end(),
-                     [&](const ModelProfile& p) { return p.id == id; });
+StatusOr<SimTime> ModelRegistry::load_time(ModelId id) const {
+  if (const std::size_t i = position(id); i != kNone) return profiles_[i].load_time;
+  return not_registered(id);
+}
+
+StatusOr<SimTime> ModelRegistry::infer_time(ModelId id, std::int64_t batch) const {
+  if (const std::size_t i = position(id); i != kNone) {
+    return batch_models_[i].predict(batch);
+  }
+  return not_registered(id);
 }
 
 ModelRegistry ModelRegistry::full_catalog() {

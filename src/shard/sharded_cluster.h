@@ -123,7 +123,7 @@ struct ShardedReplayStats {
 class ShardedCluster {
  public:
   // One ClusterConfig per shard (its GPU partition); `registry` is the
-  // shared model catalog (each shard assembles its own oracle from it).
+  // model catalog every shard's cluster copies.
   ShardedCluster(std::vector<cluster::ClusterConfig> configs,
                  const models::ModelRegistry& registry,
                  ShardedOptions options = {});

@@ -86,7 +86,6 @@ TEST(AllocContractTest, CacheHitRequestsAllocateNothingOnceWarm) {
   profile.id = ModelId(0);
   profile.infer_time_b32 = msec(1);
   ASSERT_TRUE(registry.register_model(profile).ok());
-  const models::LatencyOracle oracle(registry);
 
   sim::Simulator sim;
   cache::CacheManager cache(cache::PolicyKind::kLru, /*store=*/nullptr);
@@ -98,8 +97,8 @@ TEST(AllocContractTest, CacheHitRequestsAllocateNothingOnceWarm) {
     raw.push_back(devices.back().get());
     cache.add_gpu(GpuId(g), devices.back()->memory_capacity());
   }
-  GpuManager manager(NodeId(0), &sim, &cache, &registry, &oracle, raw);
-  SchedulerEngine engine(&sim, &cache, &oracle, {&manager},
+  GpuManager manager(NodeId(0), &sim, &cache, &registry, raw);
+  SchedulerEngine engine(&sim, &cache, &registry, {&manager},
                          core::make_scheduler(core::PolicyName::kLalbO3));
 
   std::int64_t next_id = 0;

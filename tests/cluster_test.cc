@@ -171,10 +171,9 @@ struct ManagedGpu {
   datastore::KvStore store;
   cache::CacheManager cache{cache::PolicyKind::kLru, &store};
   models::ModelRegistry registry = head_registry(2);
-  models::LatencyOracle oracle{registry};
   gpu::PcieLink link{12.6, usec(20)};
   gpu::VirtualGpu device{GpuId(0), gpu::rtx2080(), &link};
-  GpuManager manager{NodeId(0), &sim, &cache, &registry, &oracle, {&device}};
+  GpuManager manager{NodeId(0), &sim, &cache, &registry, {&device}};
 };
 
 TEST(GpuManagerTest, RejectsWorkOnBusyGpu) {
@@ -234,7 +233,7 @@ void abort_then_reuse(SimTime abort_at, bool expect_hit) {
   EXPECT_EQ(done[0].dispatched, abort_at);
   EXPECT_EQ(done[0].completed, expected_finish);
   if (expect_hit) {
-    EXPECT_EQ(done[0].completed, abort_at + *m.oracle.infer_time(ModelId(0), 32));
+    EXPECT_EQ(done[0].completed, abort_at + *m.registry.infer_time(ModelId(0), 32));
   }
   EXPECT_EQ(m.sim.pending_events(), 0u);
   EXPECT_FALSE(m.cache.state(GpuId(0)).any_pinned());

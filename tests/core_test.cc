@@ -428,7 +428,6 @@ std::vector<CompletionRecord> replay_on_64_gpus(std::unique_ptr<SchedulingPolicy
                                                 const trace::Workload& workload) {
   sim::Simulator sim;
   cache::CacheManager cache(cache::PolicyKind::kLru);
-  const models::LatencyOracle oracle(workload.registry);
   std::vector<std::unique_ptr<gpu::PcieLink>> links;
   std::vector<std::unique_ptr<gpu::VirtualGpu>> gpus;
   std::vector<std::unique_ptr<cluster::GpuManager>> managers;
@@ -444,10 +443,11 @@ std::vector<CompletionRecord> replay_on_64_gpus(std::unique_ptr<SchedulingPolicy
       node_gpus.push_back(gpus.back().get());
     }
     managers.push_back(std::make_unique<cluster::GpuManager>(
-        NodeId(node), &sim, &cache, &workload.registry, &oracle, node_gpus));
+        NodeId(node), &sim, &cache, &workload.registry, node_gpus));
     manager_ptrs.push_back(managers.back().get());
   }
-  cluster::SchedulerEngine engine(&sim, &cache, &oracle, manager_ptrs, std::move(policy));
+  cluster::SchedulerEngine engine(&sim, &cache, &workload.registry, manager_ptrs,
+                                  std::move(policy));
   for (const Request& request : workload.requests) {
     sim.schedule_at(request.arrival, [&engine, request] { engine.submit(request); });
   }

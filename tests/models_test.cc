@@ -1,9 +1,9 @@
 // Unit tests for the model zoo (Table I catalog), latency regression
-// models, registry, and the runtime profiler.
+// models and the registry.
 #include <gtest/gtest.h>
 
+#include "common/rng.h"
 #include "models/latency_model.h"
-#include "models/profiler.h"
 #include "models/zoo.h"
 
 namespace gfaas::models {
@@ -69,7 +69,6 @@ TEST(RegistryTest, RegisterAndLookup) {
   EXPECT_TRUE(registry.contains(ModelId(0)));
   EXPECT_FALSE(registry.contains(ModelId(1)));
   EXPECT_EQ(registry.get(ModelId(0))->name, "squeezenet1.1");
-  EXPECT_EQ(registry.get_by_name("squeezenet1.1")->id, ModelId(0));
 }
 
 TEST(RegistryTest, DuplicateIdRejected) {
@@ -178,36 +177,42 @@ TEST(LoadTimeModelTest, FitAcrossCatalogMatchesTable1Scale) {
   EXPECT_LT(model->bandwidth_bps(), 5e9);
 }
 
-TEST(LatencyOracleTest, ReturnsProfiledTimes) {
+TEST(RegistryTest, ReturnsProfiledTimes) {
   const ModelRegistry registry = ModelRegistry::full_catalog();
-  LatencyOracle oracle(registry);
-  auto load = oracle.load_time(ModelId(0));
+  auto load = registry.load_time(ModelId(0));
   ASSERT_TRUE(load.ok());
   EXPECT_EQ(*load, seconds_to_sim(2.41));
-  auto infer = oracle.infer_time(ModelId(0), 32);
+  auto infer = registry.infer_time(ModelId(0), 32);
   ASSERT_TRUE(infer.ok());
   EXPECT_NEAR(static_cast<double>(*infer), 1.28e6, 2.0);
-  EXPECT_FALSE(oracle.load_time(ModelId(99)).ok());
-  EXPECT_FALSE(oracle.infer_time(ModelId(99), 32).ok());
+  EXPECT_FALSE(registry.load_time(ModelId(99)).ok());
+  EXPECT_FALSE(registry.infer_time(ModelId(99), 32).ok());
 }
 
-TEST(ProfilerTest, ProfilesRealModelAndFitsRegression) {
-  Profiler profiler({1, 2, 4});
-  const ModelProfile& squeezenet = table1_catalog()[0];
-  auto result = profiler.profile(squeezenet);
-  ASSERT_TRUE(result.ok());
-  EXPECT_EQ(result->model, squeezenet.id);
-  ASSERT_EQ(result->points.size(), 3u);
-  // Larger batches must take longer on the real engine.
-  EXPECT_GT(result->points[2].latency, result->points[0].latency);
-  EXPECT_GT(result->fit.slope, 0.0);
-}
-
-TEST(ProfilerTest, RejectsBadArguments) {
-  Profiler empty(std::vector<std::int64_t>{});
-  EXPECT_FALSE(empty.profile(table1_catalog()[0]).ok());
-  Profiler ok_batches({1});
-  EXPECT_FALSE(ok_batches.profile(table1_catalog()[0], 0).ok());
+TEST(RegistryTest, SparseIdsIndexOnlyWhatIsRegistered) {
+  // Catalog rows keep their ids: vgg13 is 18, vgg16 19 and vgg19 21,
+  // leaving 20 a hole inside the index.
+  ModelRegistry registry;
+  for (const char* name : {"vgg13", "vgg16", "vgg19"}) {
+    ASSERT_TRUE(registry.register_model(*find_model(name)).ok()) << name;
+  }
+  for (const ModelId absent : {ModelId(20), ModelId(99)}) {
+    EXPECT_FALSE(registry.contains(absent)) << absent.value();
+    EXPECT_EQ(registry.get(absent).status().code(), StatusCode::kNotFound);
+    EXPECT_FALSE(registry.occupation(absent).ok());
+    EXPECT_FALSE(registry.load_time(absent).ok());
+    EXPECT_FALSE(registry.infer_time(absent, 32).ok());
+  }
+  for (const ModelProfile& p : registry.all()) {
+    EXPECT_EQ(*registry.occupation(p.id), p.occupation) << p.name;
+    EXPECT_EQ(*registry.load_time(p.id), p.load_time) << p.name;
+    for (std::int64_t b : {1, 8, 32}) {
+      EXPECT_EQ(*registry.infer_time(p.id, b),
+                BatchLatencyModel(p.infer_time_b32).predict(b))
+          << p.name << " batch " << b;
+    }
+  }
+  EXPECT_EQ(registry.get(ModelId(21))->name, "vgg19");
 }
 
 }  // namespace

@@ -55,7 +55,7 @@ TEST_P(SchedulerInvariantTest, SystemInvariantsHold) {
       EXPECT_TRUE(r.cache_hit);
     }
     // Minimum service time: at least the pure inference latency.
-    const SimTime infer = cluster.oracle().infer_time(r.model, 32).value();
+    const SimTime infer = workload.registry.infer_time(r.model, 32).value();
     EXPECT_GE(r.completed - r.dispatched, infer);
   }
 
@@ -96,7 +96,7 @@ TEST_P(SchedulerInvariantTest, SystemInvariantsHold) {
   // inference work spread perfectly across all GPUs.
   SimTime total_infer = 0;
   for (const auto& r : completions) {
-    total_infer += cluster.oracle().infer_time(r.model, 32).value();
+    total_infer += workload.registry.infer_time(r.model, 32).value();
   }
   EXPECT_GE(makespan,
             total_infer / static_cast<SimTime>(cluster.gpu_count()));

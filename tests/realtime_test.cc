@@ -290,15 +290,14 @@ TEST(RealTimeExecutorTest, FullSchedulingStackRunsOnWallClock) {
   datastore::KvStore store;
   cache::CacheManager cache(cache::PolicyKind::kLru, &store);
   models::ModelRegistry registry = testkit::head_registry(2);
-  models::LatencyOracle oracle(registry);
 
   gpu::PcieLink link(12.6, usec(20));
   gpu::VirtualGpu gpu0(GpuId(0), gpu::rtx2080(), &link);
   gpu::VirtualGpu gpu1(GpuId(1), gpu::rtx2080(), &link);
   cache.add_gpu(GpuId(0), gpu0.memory_capacity());
   cache.add_gpu(GpuId(1), gpu1.memory_capacity());
-  GpuManager manager(NodeId(0), &executor, &cache, &registry, &oracle, {&gpu0, &gpu1});
-  SchedulerEngine engine(&executor, &cache, &oracle, {&manager},
+  GpuManager manager(NodeId(0), &executor, &cache, &registry, {&gpu0, &gpu1});
+  SchedulerEngine engine(&executor, &cache, &registry, {&manager},
                          core::make_scheduler(core::PolicyName::kLalbO3));
 
   // Submit from the executor thread (the engine is single-threaded).

@@ -22,7 +22,7 @@ TEST(SmokeTest, QuickstartScenarioCompletes) {
   const models::ModelRegistry registry = models::ModelRegistry::full_catalog();
   SimCluster cluster(ClusterConfig{}, registry);
   gateway::Gateway gateway(&cluster);
-  const auto resnet50 = registry.get_by_name("resnet50");
+  const auto resnet50 = models::find_model("resnet50");
   ASSERT_TRUE(resnet50.ok());
 
   std::vector<SimTime> latencies;

@@ -1,6 +1,7 @@
 // Unit tests for the tensor/inference engine: tensor mechanics, layer
 // forward passes against hand-computed references, architecture builders
-// for every Table I family, and the synthetic datasets.
+// for every Table I family, the synthetic datasets, the Table I runtime
+// configs and the profiler.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -8,6 +9,7 @@
 #include "tensor/dataset.h"
 #include "tensor/model_builder.h"
 #include "tensor/nn.h"
+#include "tensor/table1.h"
 #include "tensor/tensor.h"
 
 namespace gfaas::tensor {
@@ -356,6 +358,47 @@ TEST(DatasetTest, ResizeNearestNeighbour) {
   EXPECT_FLOAT_EQ(up.at4(0, 0, 3, 3), 4.f);
   const Tensor down = SyntheticImageDataset::resize(up, 2, 2);
   EXPECT_TRUE(down.allclose(img));
+}
+
+TEST(Table1CnnTest, OneRuntimeConfigPerCatalogModel) {
+  const auto& cnns = table1_cnns();
+  EXPECT_EQ(cnns.size(), models::table1_catalog().size());
+  for (const models::ModelProfile& p : models::table1_catalog()) {
+    EXPECT_EQ(cnns.count(p.name), 1u) << p.name;
+  }
+  const CnnConfig& squeezenet = cnns.at("squeezenet1.1");
+  EXPECT_EQ(squeezenet.family, CnnFamily::kSqueezeNet);
+  EXPECT_EQ(squeezenet.depth, 2);
+  EXPECT_EQ(squeezenet.width, 6);
+  EXPECT_EQ(squeezenet.seed, 0xC0FFEEu);
+  const CnnConfig& resnet152 = cnns.at("resnet152");
+  EXPECT_EQ(resnet152.family, CnnFamily::kResNet);
+  EXPECT_EQ(resnet152.depth, 5);
+  EXPECT_EQ(resnet152.width, 10);
+  EXPECT_EQ(resnet152.seed, 0xC0FFEEu ^ 11u);
+  for (const auto& [name, config] : cnns) {
+    EXPECT_EQ(config.in_channels, 3) << name;
+    EXPECT_EQ(config.num_classes, 10) << name;
+  }
+}
+
+TEST(ProfilerTest, ProfilesRealModelAndFitsRegression) {
+  Profiler profiler({1, 2, 4});
+  const models::ModelProfile& squeezenet = models::table1_catalog()[0];
+  auto result = profiler.profile(squeezenet);
+  ASSERT_TRUE(result.ok());
+  EXPECT_EQ(result->model, squeezenet.id);
+  ASSERT_EQ(result->points.size(), 3u);
+  // Larger batches must take longer on the real engine.
+  EXPECT_GT(result->points[2].latency, result->points[0].latency);
+  EXPECT_GT(result->fit.slope, 0.0);
+}
+
+TEST(ProfilerTest, RejectsBadArguments) {
+  Profiler empty(std::vector<std::int64_t>{});
+  EXPECT_FALSE(empty.profile(models::table1_catalog()[0]).ok());
+  Profiler ok_batches({1});
+  EXPECT_FALSE(ok_batches.profile(models::table1_catalog()[0], 0).ok());
 }
 
 }  // namespace

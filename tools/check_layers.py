@@ -12,7 +12,11 @@ the two disagree:
     enough: the build may still link thanks to PUBLIC propagation, but
     the CMake graph no longer documents the architecture); or
   * a cycle in the declared dependency graph (layers must form a DAG
-    rooted at `common`).
+    rooted at `common`); or
+  * a serving layer (cluster, gateway, shard, autoscale, chaos) that
+    reaches `tensor` through declared edges, directly or not: the
+    scheduler reads profiled Table I numbers, so serving never links the
+    CPU CNN runtime.
 
 Declared edges with no supporting #include are reported as information
 only — an edge may exist for a deliberate reason (umbrella layers) and
@@ -25,6 +29,8 @@ Self-test fixture:   python3 tools/check_layers.py --self-test
 """
 
 import argparse
+import contextlib
+import io
 import os
 import re
 import sys
@@ -33,6 +39,8 @@ import tempfile
 CMAKE_LAYER_RE = re.compile(r"^\s*lalb_add_layer\(\s*([a-z_0-9]+)([^)]*)\)")
 INCLUDE_RE = re.compile(r'^\s*#\s*include\s*"([^"]+)"')
 SOURCE_EXTS = (".h", ".cc", ".cpp", ".hpp")
+SERVING_LAYERS = ("cluster", "gateway", "shard", "autoscale", "chaos")
+CNN_RUNTIME_LAYER = "tensor"
 
 
 def parse_declared_graph(cmake_path):
@@ -109,6 +117,25 @@ def find_cycle(graph):
     return None
 
 
+def find_path(graph, start, goal):
+    """Returns one declared path [start, ..., goal], or None."""
+    parent = {start: None}
+    frontier = [start]
+    while frontier:
+        node = frontier.pop()
+        if node == goal:
+            path = []
+            while node is not None:
+                path.append(node)
+                node = parent[node]
+            return path[::-1]
+        for dep in graph.get(node, []):
+            if dep not in parent:
+                parent[dep] = node
+                frontier.append(dep)
+    return None
+
+
 def check(root):
     cmake_path = os.path.join(root, "CMakeLists.txt")
     src_root = os.path.join(root, "src")
@@ -141,6 +168,13 @@ def check(root):
     if cycle:
         violations.append(
             "declared dependency graph has a cycle: " + " -> ".join(cycle))
+
+    for layer in SERVING_LAYERS:
+        path = find_path(declared, layer, CNN_RUNTIME_LAYER)
+        if path:
+            violations.append(
+                f"serving layer '{layer}' reaches '{CNN_RUNTIME_LAYER}' "
+                "through declared edges: " + " -> ".join(path))
 
     for layer in layers:
         declared_deps = set(declared.get(layer, ()))
@@ -176,31 +210,33 @@ def check(root):
     return 1 if violations else 0
 
 
+def write_tree(root, files):
+    """Writes {relative path: text} under root, creating directories."""
+    for rel, text in files.items():
+        path = os.path.join(root, rel)
+        os.makedirs(os.path.dirname(path), exist_ok=True)
+        with open(path, "w", encoding="utf-8") as f:
+            f.write(text)
+
+
 def self_test():
-    """Builds a synthetic repo with one violation of each class and checks
-    that the lint (a) fails on it and (b) passes once fixed."""
+    """Builds synthetic repos that break each rule and checks that the lint
+    (a) fails on them and (b) passes once they are fixed."""
     with tempfile.TemporaryDirectory() as tmp:
-        src = os.path.join(tmp, "src")
-        for layer in ("base", "net", "app", "ui"):
-            os.makedirs(os.path.join(src, layer))
-
-        def write(rel, text):
-            with open(os.path.join(tmp, rel), "w", encoding="utf-8") as f:
-                f.write(text)
-
-        write("src/base/base.h", "#pragma once\n")
-        # Violation 1: net includes app/ but does not declare it.
-        write("src/net/net.h",
-              '#pragma once\n#include "base/base.h"\n#include "app/app.h"\n')
-        write("src/app/app.h", '#pragma once\n#include "net/net.h"\n')
-        write("src/ui/ui.h", '#pragma once\n#include "app/app.h"\n')
-        # Violation 2: declared graph has a cycle app -> ui -> app.
-        write("CMakeLists.txt",
-              "lalb_add_layer(base)\n"
-              "lalb_add_layer(net base)\n"
-              "lalb_add_layer(app base net ui)\n"
-              "lalb_add_layer(ui base app)\n")
-
+        write_tree(tmp, {
+            "src/base/base.h": "#pragma once\n",
+            # Violation 1: net includes app/ but does not declare it.
+            "src/net/net.h":
+                '#pragma once\n#include "base/base.h"\n#include "app/app.h"\n',
+            "src/app/app.h": '#pragma once\n#include "net/net.h"\n',
+            "src/ui/ui.h": '#pragma once\n#include "app/app.h"\n',
+            # Violation 2: declared graph has a cycle app -> ui -> app.
+            "CMakeLists.txt":
+                "lalb_add_layer(base)\n"
+                "lalb_add_layer(net base)\n"
+                "lalb_add_layer(app base net ui)\n"
+                "lalb_add_layer(ui base app)\n",
+        })
         rc_bad = check(tmp)
         if rc_bad != 1:
             print(f"self-test FAILED: violating fixture returned {rc_bad}, "
@@ -208,20 +244,69 @@ def self_test():
             return 1
 
         # Fix the fixture: break the cycle and drop the stray include.
-        write("src/net/net.h", '#pragma once\n#include "base/base.h"\n')
-        write("CMakeLists.txt",
-              "lalb_add_layer(base)\n"
-              "lalb_add_layer(net base)\n"
-              "lalb_add_layer(app base net)\n"
-              "lalb_add_layer(ui base app)\n")
+        write_tree(tmp, {
+            "src/net/net.h": '#pragma once\n#include "base/base.h"\n',
+            "CMakeLists.txt":
+                "lalb_add_layer(base)\n"
+                "lalb_add_layer(net base)\n"
+                "lalb_add_layer(app base net)\n"
+                "lalb_add_layer(ui base app)\n",
+        })
         rc_good = check(tmp)
         if rc_good != 0:
             print(f"self-test FAILED: clean fixture returned {rc_good}, "
                   "expected 0", file=sys.stderr)
             return 1
 
-        print("self-test OK: violations detected, clean fixture passes")
-        return 0
+    # The serving-layer rule on its own: this fixture's include graph
+    # matches its declared edges and has no cycle, so only the rule can
+    # fail it.
+    with tempfile.TemporaryDirectory() as tmp:
+        write_tree(tmp, {
+            "src/common/common.h": "#pragma once\n",
+            "src/cluster/cluster.h": '#pragma once\n#include "models/models.h"\n',
+            "src/gateway/gateway.h": '#pragma once\n#include "cluster/cluster.h"\n',
+            # Violation: models links the CNN runtime, so gateway ->
+            # cluster -> models -> tensor.
+            "src/models/models.h": '#pragma once\n#include "tensor/tensor.h"\n',
+            "src/tensor/tensor.h": '#pragma once\n#include "common/common.h"\n',
+            "CMakeLists.txt":
+                "lalb_add_layer(common)\n"
+                "lalb_add_layer(tensor common)\n"
+                "lalb_add_layer(models tensor)\n"
+                "lalb_add_layer(cluster models)\n"
+                "lalb_add_layer(gateway cluster)\n",
+        })
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            rc_bad = check(tmp)
+        print(out.getvalue(), end="")
+        if rc_bad != 1 or "serving layer 'gateway' reaches 'tensor'" not in \
+                out.getvalue():
+            print(f"self-test FAILED: serving fixture returned {rc_bad} "
+                  "without the serving-layer violation", file=sys.stderr)
+            return 1
+
+        # Fix: the runtime sits above models, where no serving layer
+        # reaches it.
+        write_tree(tmp, {
+            "src/models/models.h": '#pragma once\n#include "common/common.h"\n',
+            "src/tensor/tensor.h": '#pragma once\n#include "models/models.h"\n',
+            "CMakeLists.txt":
+                "lalb_add_layer(common)\n"
+                "lalb_add_layer(models common)\n"
+                "lalb_add_layer(tensor models)\n"
+                "lalb_add_layer(cluster models)\n"
+                "lalb_add_layer(gateway cluster)\n",
+        })
+        rc_good = check(tmp)
+        if rc_good != 0:
+            print(f"self-test FAILED: clean serving fixture returned {rc_good}, "
+                  "expected 0", file=sys.stderr)
+            return 1
+
+    print("self-test OK: violations detected, clean fixtures pass")
+    return 0
 
 
 def main():
