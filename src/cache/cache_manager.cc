@@ -70,6 +70,20 @@ void GpuCacheState::unpin(ModelId model) {
   if (--it->second.pins == 0) --pinned_models_;
 }
 
+Status GpuCacheState::mark_loaded(ModelId model) {
+  auto it = resident_.find(model.value());
+  if (it == resident_.end()) {
+    return Status::NotFound("model " + std::to_string(model.value()) + " not cached");
+  }
+  it->second.loaded = true;
+  return Status::Ok();
+}
+
+bool GpuCacheState::loaded(ModelId model) const {
+  auto it = resident_.find(model.value());
+  return it != resident_.end() && it->second.loaded;
+}
+
 int GpuCacheState::pins(ModelId model) const {
   auto it = resident_.find(model.value());
   return it == resident_.end() ? 0 : it->second.pins;
@@ -101,6 +115,20 @@ std::vector<ModelId> GpuCacheState::models() const {
   for (const auto& [id, entry] : resident_) out.push_back(ModelId(id));
   std::sort(out.begin(), out.end());
   return out;
+}
+
+void GpuCacheState::audit() const {
+  Bytes used = 0;
+  std::size_t pinned = 0;
+  for (const auto& [id, entry] : resident_) {
+    GFAAS_CHECK(entry.size > 0 && entry.pins >= 0) << "bad entry for model " << id;
+    used += entry.size;
+    if (entry.pins > 0) ++pinned;
+  }
+  GFAAS_CHECK(used == used_ && used_ <= capacity_ && pinned == pinned_models_)
+      << "gpu " << gpu_.value() << " records " << used_ << " of " << capacity_
+      << " bytes and " << pinned_models_ << " pinned models; entries hold " << used
+      << " bytes, " << pinned << " pinned";
 }
 
 CacheManager::CacheManager(PolicyKind policy, datastore::KvStore* store)
@@ -212,6 +240,10 @@ Status CacheManager::record_insertion(GpuId gpu, ModelId model, Bytes size) {
   return Status::Ok();
 }
 
+Status CacheManager::record_load(GpuId gpu, ModelId model) {
+  return mutable_state(gpu).mark_loaded(model);
+}
+
 Status CacheManager::pin(GpuId gpu, ModelId model) {
   GpuCacheState& st = mutable_state(gpu);
   if (!st.contains(model)) {
@@ -229,6 +261,18 @@ Status CacheManager::unpin(GpuId gpu, ModelId model) {
   }
   st.unpin(model);
   return Status::Ok();
+}
+
+void CacheManager::audit() const {
+  std::unordered_map<std::int64_t, std::set<GpuId>> expected;
+  for (const auto& st : gpus_) {
+    if (st == nullptr) continue;
+    st->audit();
+    if (st->fenced()) continue;
+    for (ModelId model : st->models()) expected[model.value()].insert(st->gpu());
+  }
+  GFAAS_CHECK(expected == locations_)
+      << "location index out of sync with the per-gpu resident sets";
 }
 
 void CacheManager::mirror_to_store(GpuId gpu) {

@@ -9,6 +9,10 @@
 // those processes. Models currently running a request are pinned and
 // skipped by eviction planning.
 //
+// A GPU's entries are the one record of the models it holds and their
+// bytes (the device keeps only timing); each turns loaded when the GPU
+// Manager reports its upload finished (record_load).
+//
 // State is mirrored into the Datastore (gpu/<id>/lru and
 // model/<id>/locations) after every mutation, exactly the channel the
 // paper routes through etcd.
@@ -54,9 +58,11 @@ class GpuCacheState {
   // Replacement order, evict-first first.
   std::vector<ModelId> eviction_order() const { return policy_->eviction_order(); }
 
-  Status insert(ModelId model, Bytes size);
+  Status insert(ModelId model, Bytes size);  // starts unloaded
   Status touch(ModelId model);
   Status remove(ModelId model);
+  Status mark_loaded(ModelId model);
+  bool loaded(ModelId model) const;  // false when not resident
 
   // Pins nest; only resident models can be pinned. The count lives in the
   // model's resident entry, so pinning allocates nothing.
@@ -80,6 +86,10 @@ class GpuCacheState {
   bool fenced() const { return fenced_; }
   void set_fenced(bool fenced) { fenced_ = fenced; }
 
+  // CHECKs used bytes (<= capacity) and the pinned-model count against
+  // the entries' sizes and pins.
+  void audit() const;
+
  private:
   GpuId gpu_;
   Bytes capacity_;
@@ -89,6 +99,7 @@ class GpuCacheState {
   struct Resident {
     Bytes size = 0;
     int pins = 0;
+    bool loaded = false;
   };
   std::unordered_map<std::int64_t, Resident> resident_;  // by model id
   // Resident models with pins > 0.
@@ -148,8 +159,11 @@ class CacheManager {
   StatusOr<std::vector<ModelId>> plan_eviction(GpuId gpu, Bytes size) const;
   // Applies an eviction decided by plan_eviction.
   Status record_eviction(GpuId gpu, ModelId model);
-  // Records a newly uploaded model.
+  // Records a model whose upload starts now; it is resident (a hit for
+  // the Scheduler) but not loaded until record_load.
   Status record_insertion(GpuId gpu, ModelId model, Bytes size);
+  // Records that the model's upload finished.
+  Status record_load(GpuId gpu, ModelId model);
 
   // Pins while a request is using the model (in queue or running) so the
   // model under execution can never be chosen as a victim.
@@ -157,6 +171,10 @@ class CacheManager {
   Status unpin(GpuId gpu, ModelId model);
 
   const GpuCacheState& state(GpuId gpu) const;
+
+  // Audits every GPU's state and CHECKs the location index against the
+  // unfenced GPUs' resident sets.
+  void audit() const;
   CacheStats& stats() { return stats_; }
   const CacheStats& stats() const { return stats_; }
 

@@ -512,6 +512,7 @@ void SchedulerEngine::audit() const {
               executing == index_.busy_gpus().size())
       << executing << " executing slots, " << index_.busy_gpus().size() << " busy gpus";
   index_.audit();
+  cache_->audit();
 }
 
 void SchedulerEngine::update_duplicates_meter() {

@@ -193,7 +193,8 @@ class SchedulerEngine final : public core::SchedulingContext {
   // length is its size() and they sum to total_pending(), each GPU's
   // local_work is the inference time of its local list, and every
   // executing slot runs on its own busy GPU, one per registered busy GPU.
-  // Also audits the cluster index (ClusterStateIndex::audit).
+  // Also audits the cluster index (ClusterStateIndex::audit) and the
+  // cache (CacheManager::audit).
   void audit() const;
 
   // Requests the engine holds: queued globally, parked locally or

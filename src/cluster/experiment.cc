@@ -66,6 +66,7 @@ ExperimentResult aggregate_result(
   std::int64_t misses = 0, false_misses = 0;
   if (completions_out != nullptr) completions_out->clear();
   for (SimCluster* cell : cells) {
+    cell->engine().audit();
     const auto& completions = cell->engine().completions();
     if (completions_out != nullptr) {
       completions_out->insert(completions_out->end(), completions.begin(),

@@ -110,7 +110,9 @@ class SimCluster final : public ElasticCluster {
 // Completion streams fold in cell order, the makespan is their last
 // completion, and `tracker` is the engine tracking the workload's top
 // model for the duplicate meter. `completions`, when non-null, receives
-// the concatenated stream. Dies unless every workload request completed.
+// the concatenated stream. Audits each cell's engine and cache first
+// (SchedulerEngine::audit), and dies unless every workload request
+// completed.
 ExperimentResult aggregate_result(
     const std::vector<SimCluster*>& cells, const SchedulerEngine& tracker,
     const trace::Workload& workload,

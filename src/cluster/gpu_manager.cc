@@ -93,52 +93,39 @@ StatusOr<SimTime> GpuManager::execute(const core::Request& request, GpuId gpu,
     // already running; GPU Manager forwards the input" (§III-C).
     GFAAS_CHECK(cache_->record_access(gpu, model).ok());
     GFAAS_CHECK(cache_->pin(gpu, model).ok());
-    if (const gpu::GpuProcess* proc = device.find_process(model)) {
-      GFAAS_CHECK(proc->loaded) << "mid-load process on a dispatchable gpu";
-      auto end = device.begin_inference(now, proc->id, real_infer, request.batch);
+    if (cache_->state(gpu).loaded(model)) {
+      auto end = device.begin_inference(now, real_infer, request.batch);
       if (!end.ok()) return end.status();
-      s.process = proc->id;
       s.finish = *end;
       schedule_completion(gpu);
       return *end - (real_infer - *infer_time);
     }
-    // Resident model without a backing process: a mid-load abort killed
-    // the upload while queued requests kept the entry pinned (see
-    // abort()). Residency was never surrendered, so this stays a hit for
-    // the cache index — but the weights must be re-uploaded, so fall
-    // through to the load chain below (skipping eviction/insertion).
+    // Resident but not loaded: a mid-load abort kept the entry for pinned
+    // waiters (see abort()). It stays a hit for the cache index, but the
+    // weights must be re-uploaded: fall through, skipping eviction.
   }
 
-  // Start (or restart) a process, upload the model, then run.
+  // Upload the model (the paper's new GPU process), then run.
   const auto occupation = registry_->occupation(model);
   if (!occupation.ok()) return occupation.status();
+  auto load_time = registry_->load_time(model);
+  if (!load_time.ok()) return load_time.status();
   if (!hit) {
     auto victims = cache_->plan_eviction(gpu, *occupation);
     if (!victims.ok()) return victims.status();
     for (ModelId victim : *victims) {
-      const gpu::GpuProcess* victim_proc = device.find_process(victim);
-      // A victim can lack a process if a mid-load abort kept its entry
-      // alive for waiters that were later cancelled.
-      if (victim_proc != nullptr) {
-        GFAAS_CHECK(device.kill_process(victim_proc->id).ok());
-      }
       GFAAS_CHECK(cache_->record_eviction(gpu, victim).ok());
+      device.count_eviction();
     }
-  }
-  auto pid = device.create_process(model, *occupation);
-  if (!pid.ok()) return pid.status();
-  if (!hit) {
-    GFAAS_CHECK(cache_->record_insertion(gpu, model, *occupation).ok());
+    Status inserted = cache_->record_insertion(gpu, model, *occupation);
+    if (!inserted.ok()) return inserted;
     GFAAS_CHECK(cache_->pin(gpu, model).ok());
   }
 
-  auto load_time = registry_->load_time(model);
-  if (!load_time.ok()) return load_time.status();
   const SimTime real_load = stretched(*load_time, s.slowdown);
-  auto load_end = device.begin_load(now, *pid, real_load);
+  auto load_end = device.begin_load(now, *occupation, real_load);
   if (!load_end.ok()) return load_end.status();
 
-  s.process = *pid;
   s.finish = *load_end;
   s.pending_event = executor_->schedule_after(
       std::max<SimTime>(0, s.finish - executor_->now()),
@@ -150,8 +137,9 @@ StatusOr<SimTime> GpuManager::execute(const core::Request& request, GpuId gpu,
 
 void GpuManager::finish_load(GpuId gpu) {
   Slot& s = slot(gpu);
-  GFAAS_CHECK(s.device->finish_load(s.finish, s.process).ok());
-  auto end = s.device->begin_inference(s.finish, s.process, s.infer_time, s.batch);
+  GFAAS_CHECK(s.device->finish_load().ok());
+  GFAAS_CHECK(cache_->record_load(gpu, s.record.model).ok());
+  auto end = s.device->begin_inference(s.finish, s.infer_time, s.batch);
   GFAAS_CHECK(end.ok()) << end.status().to_string();
   s.finish = *end;
   schedule_completion(gpu);
@@ -170,7 +158,7 @@ void GpuManager::schedule_completion(GpuId gpu) {
 
 void GpuManager::finish_inference(GpuId gpu) {
   Slot& s = slot(gpu);
-  GFAAS_CHECK(s.device->finish_inference(s.finish, s.process).ok());
+  GFAAS_CHECK(s.device->finish_inference(s.finish).ok());
   GFAAS_CHECK(cache_->unpin(gpu, s.record.model).ok());
   s.record.completed = s.finish;
   // The engine's completion handling may immediately start the next
@@ -199,22 +187,15 @@ StatusOr<core::CompletionRecord> GpuManager::abort(GpuId gpu) {
   // loaded models stays until a killed GPU is retired through
   // CacheManager::remove_gpu.
   GFAAS_CHECK(cache_->unpin(gpu, model).ok());
-  // If the abort interrupted the model upload, the process never became
-  // servable: evict it, or the cache index would advertise a "cached"
-  // model whose next hit finds it unloaded. This matters both for
-  // kill-during-load (the cache must not mirror a phantom location while
-  // the GPU is torn down) and for a cancelled hedge loser, where the GPU
-  // lives on and must stay dispatchable.
-  const gpu::GpuProcess* proc = device.find_process(model);
-  if (proc != nullptr && !proc->loaded) {
-    GFAAS_CHECK(device.kill_process(proc->id).ok());
-    if (cache_->state(gpu).pinned(model)) {
-      // Queued requests for this model still hold pins: keep the entry
-      // resident (they enqueued against it) and let the next dispatch
-      // re-upload via the hit-without-process path in execute().
-    } else {
-      GFAAS_CHECK(cache_->record_eviction(gpu, model).ok());
-    }
+  // An interrupted upload never became servable: evict it, or the cache
+  // index would advertise a model that is not on the GPU (a phantom
+  // location on a killed GPU, or on a cancelled hedge loser's live one).
+  // If queued requests still pin it, the entry stays (they enqueued
+  // against it) and the next dispatch re-uploads it.
+  const cache::GpuCacheState& state = cache_->state(gpu);
+  if (!state.loaded(model) && !state.pinned(model)) {
+    GFAAS_CHECK(cache_->record_eviction(gpu, model).ok());
+    device.count_eviction();
   }
   core::CompletionRecord record = s.record;
   record.completed = executor_->now();

@@ -2,19 +2,21 @@
 // requests on its GPUs on behalf of the FaaS functions.
 //
 // For each dispatched request the manager consults the global Cache
-// Manager: on a hit it forwards the input to the existing GPU process; on
-// a miss it asks for a victim list, kills the victims' processes, starts
-// a new process and uploads the model, then runs the inference. It
-// enforces one request per GPU at a time. The paper's managers publish
-// GPU status to etcd for the scheduler; here execute() returns the
+// Manager: on a hit it forwards the input to the model already on the
+// GPU; on a miss it asks for a victim list, evicts the victims (the paper
+// kills their processes), inserts the model and uploads it, then runs the
+// inference. The cache entry is the one record of what a GPU holds: the
+// manager reports each finished upload to it, and a hit on an entry whose
+// upload was aborted re-uploads. It enforces one request per GPU at a
+// time. The paper's managers publish GPU status to etcd for the scheduler; here execute() returns the
 // estimated finish time to the engine directly, and per-request latency
 // flows back in the completion record.
 //
 // All per-GPU execution state lives in one slot per managed GPU: the
 // device, its gray-degradation factor, and the one in-flight execution
-// (completion record, batch, process, timings, pending event and
-// callback). The load-finish and completion events capture only the
-// manager and the GPU id and read everything else from the slot.
+// (completion record, batch, timings, pending event and callback). The
+// load-finish and completion events capture only the manager and the GPU
+// id and read everything else from the slot.
 #pragma once
 
 #include <functional>
@@ -58,11 +60,12 @@ class GpuManager {
   // Aborts the request currently executing on `gpu` (the GPU died, or a
   // hedge loser is being cancelled): cancels the pending load/completion
   // event, forces the device idle, drops the execution pin, evicts a
-  // half-loaded process (an interrupted upload must not linger as a
-  // phantom cache entry), and returns the completion record marked failed
-  // with `completed` stopped at the abort instant. The registered
-  // CompletionCallback never fires for an aborted request — the caller
-  // (SchedulerEngine kill_gpu / cancel_request) owns the notification.
+  // half-loaded model unless a queued request still pins it (an
+  // interrupted upload must not linger as a phantom cache entry), and
+  // returns the completion record marked failed with `completed` stopped
+  // at the abort instant. The registered CompletionCallback never fires
+  // for an aborted request — the caller (SchedulerEngine kill_gpu /
+  // cancel_request) owns the notification.
   // Must be invoked strictly before the request's completion instant.
   StatusOr<core::CompletionRecord> abort(GpuId gpu);
 
@@ -81,7 +84,6 @@ class GpuManager {
     double slowdown = 1.0;  // 1 = healthy
     core::CompletionRecord record;  // `completed` is set at the finish
     std::int64_t batch = 0;
-    ProcessId process;
     SimTime infer_time = 0;  // stretched by the slowdown
     SimTime finish = 0;  // load end while loading, then inference end
     std::uint64_t pending_event = 0;  // load-finish or completion event

@@ -33,7 +33,6 @@ struct NodeIdTag {};
 struct ModelIdTag {};
 struct RequestIdTag {};
 struct FunctionIdTag {};
-struct ProcessIdTag {};
 struct TenantIdTag {};
 
 using GpuId = TypedId<GpuIdTag>;
@@ -41,7 +40,6 @@ using NodeId = TypedId<NodeIdTag>;
 using ModelId = TypedId<ModelIdTag>;
 using RequestId = TypedId<RequestIdTag>;
 using FunctionId = TypedId<FunctionIdTag>;
-using ProcessId = TypedId<ProcessIdTag>;
 using TenantId = TypedId<TenantIdTag>;
 
 }  // namespace gfaas

@@ -93,6 +93,16 @@ TEST(GpuCacheStateTest, InsertRejectsOverflowDuplicateAndBadSize) {
   EXPECT_EQ(state.insert(ModelId(2), MB(300)).code(), StatusCode::kResourceExhausted);
   EXPECT_EQ(state.insert(ModelId(1), MB(100)).code(), StatusCode::kAlreadyExists);
   EXPECT_EQ(state.insert(ModelId(3), 0).code(), StatusCode::kInvalidArgument);
+  // The capacity boundary is exact: one byte over is refused, an exact
+  // fill is accepted, and then even one byte is refused.
+  const Bytes rest = state.free();
+  EXPECT_EQ(state.insert(ModelId(2), rest + 1).code(), StatusCode::kResourceExhausted);
+  ASSERT_TRUE(state.insert(ModelId(2), rest).ok());
+  EXPECT_EQ(state.free(), 0);
+  EXPECT_EQ(state.used(), state.capacity());
+  EXPECT_EQ(state.insert(ModelId(3), 1).code(), StatusCode::kResourceExhausted);
+  EXPECT_EQ(state.insert(ModelId(2), MB(1)).code(), StatusCode::kAlreadyExists);
+  state.audit();
 }
 
 TEST(GpuCacheStateTest, RemoveRespectsPins) {
@@ -161,6 +171,24 @@ TEST(CacheManagerTest, HitMissEvictionStats) {
   EXPECT_EQ(manager.stats().misses, 1);
   EXPECT_EQ(manager.stats().evictions, 1);
   EXPECT_DOUBLE_EQ(manager.stats().miss_ratio(), 0.5);
+  manager.audit();
+}
+
+TEST(CacheManagerTest, EntryLoadedOnlyAfterRecordLoad) {
+  CacheManager manager(PolicyKind::kLru);
+  manager.add_gpu(GpuId(0), MB(1000));
+  EXPECT_EQ(manager.record_load(GpuId(0), ModelId(1)).code(), StatusCode::kNotFound);
+  ASSERT_TRUE(manager.record_insertion(GpuId(0), ModelId(1), MB(400)).ok());
+  EXPECT_TRUE(manager.is_cached(GpuId(0), ModelId(1)));
+  EXPECT_FALSE(manager.state(GpuId(0)).loaded(ModelId(1)));
+  ASSERT_TRUE(manager.record_load(GpuId(0), ModelId(1)).ok());
+  EXPECT_TRUE(manager.state(GpuId(0)).loaded(ModelId(1)));
+  // Eviction drops the flag with the entry; a re-insertion starts unloaded.
+  ASSERT_TRUE(manager.record_eviction(GpuId(0), ModelId(1)).ok());
+  EXPECT_FALSE(manager.state(GpuId(0)).loaded(ModelId(1)));
+  ASSERT_TRUE(manager.record_insertion(GpuId(0), ModelId(1), MB(400)).ok());
+  EXPECT_FALSE(manager.state(GpuId(0)).loaded(ModelId(1)));
+  manager.audit();
 }
 
 TEST(CacheManagerTest, LocationsTrackMultipleGpus) {

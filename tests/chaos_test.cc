@@ -381,6 +381,12 @@ TEST(KillDuringLoadTest, CancelMidLoadKeepsResidencyForPinnedWaiters) {
   for (const GpuId gpu : engine.idle_gpus()) {
     EXPECT_FALSE(cluster->cache().state(gpu).any_pinned());
   }
+  // The devices count exactly the evictions the cache recorded.
+  std::int64_t device_evictions = 0;
+  for (std::size_t g = 0; g < cluster->gpu_count(); ++g) {
+    device_evictions += cluster->gpu(g).counters().evictions;
+  }
+  EXPECT_EQ(cluster->cache().stats().evictions, device_evictions);
 }
 
 TEST(KillDuringLoadTest, KillGpuMidLoadRequeuesPinnedWaiters) {

@@ -14,6 +14,19 @@ namespace {
 using testkit::head_registry;
 using testkit::make_request;
 
+// vgg13 (3887MB), vgg16 (3907MB) and vgg19 (3947MB) as models 0-2: on an
+// 8GB GPU (~7.75GiB) two fit and the third must evict one.
+models::ModelRegistry vgg_registry() {
+  models::ModelRegistry registry;
+  const char* names[] = {"vgg13", "vgg16", "vgg19"};
+  for (int i = 0; i < 3; ++i) {
+    models::ModelProfile p = *models::find_model(names[i]);
+    p.id = ModelId(i);
+    GFAAS_CHECK(registry.register_model(p).ok());
+  }
+  return registry;
+}
+
 TEST(SimClusterTest, BuildsPaperTopology) {
   ClusterConfig config;  // 3 nodes x 4 GPUs
   SimCluster cluster(config, head_registry(3));
@@ -73,18 +86,7 @@ TEST(SimClusterTest, EvictionHappensWhenMemoryFull) {
   ClusterConfig config;
   config.nodes = 1;
   config.gpus_per_node = 1;
-  models::ModelRegistry registry;
-  // vgg13 (3887MB), vgg16 (3907MB), vgg19 (3947MB): catalog rows 18-21.
-  models::ModelProfile a = *models::find_model("vgg13");
-  models::ModelProfile b = *models::find_model("vgg16");
-  models::ModelProfile c = *models::find_model("vgg19");
-  a.id = ModelId(0);
-  b.id = ModelId(1);
-  c.id = ModelId(2);
-  ASSERT_TRUE(registry.register_model(a).ok());
-  ASSERT_TRUE(registry.register_model(b).ok());
-  ASSERT_TRUE(registry.register_model(c).ok());
-  SimCluster cluster(config, registry);
+  SimCluster cluster(config, vgg_registry());
   cluster.replay({make_request(0, 0, 0), make_request(1, 1, sec(10)),
                   make_request(2, 2, sec(20))});
   // Two fit (7.8GB in ~7.75GiB capacity); the third evicts the LRU one.
@@ -165,12 +167,15 @@ TEST(SimClusterTest, HeterogeneousSpecsApplyPerNode) {
 // One GPU under a GpuManager driven directly on the simulator, wired the
 // way realtime_test's FullSchedulingStackRunsOnWallClock wires it.
 struct ManagedGpu {
-  ManagedGpu() { cache.add_gpu(GpuId(0), device.memory_capacity()); }
+  explicit ManagedGpu(models::ModelRegistry models = head_registry(2))
+      : registry(std::move(models)) {
+    cache.add_gpu(GpuId(0), device.memory_capacity());
+  }
 
   sim::Simulator sim;
   datastore::KvStore store;
   cache::CacheManager cache{cache::PolicyKind::kLru, &store};
-  models::ModelRegistry registry = head_registry(2);
+  models::ModelRegistry registry;
   gpu::PcieLink link{12.6, usec(20)};
   gpu::VirtualGpu device{GpuId(0), gpu::rtx2080(), &link};
   GpuManager manager{NodeId(0), &sim, &cache, &registry, {&device}};
@@ -252,20 +257,50 @@ TEST(GpuManagerTest, SlotReusedAfterAbortMidInference) {
   abort_then_reuse(sec(3), /*expect_hit=*/true);
 }
 
+TEST(GpuManagerTest, UploadKeptForWaiterIsEvictedOnceUnpinned) {
+  // A pin stands in for a parked waiter while the upload is aborted: the
+  // entry stays resident but not loaded. Once the pin is released, a
+  // miss that needs the room evicts it like any other entry.
+  ManagedGpu m(vgg_registry());
+  const GpuId gpu(0);
+  std::vector<core::CompletionRecord> done;
+  auto record = [&done](const core::CompletionRecord& r) { done.push_back(r); };
+  ASSERT_TRUE(m.manager.execute(make_request(0, 0, 0), gpu, false, false, record).ok());
+  m.sim.schedule_at(sec(1), [&] {  // vgg13 uploads for 3.98s
+    ASSERT_TRUE(m.cache.pin(gpu, ModelId(0)).ok());
+    ASSERT_TRUE(m.manager.abort(gpu).ok());
+  });
+  m.sim.run();
+  const cache::GpuCacheState& state = m.cache.state(gpu);
+  EXPECT_TRUE(state.contains(ModelId(0)));
+  EXPECT_FALSE(state.loaded(ModelId(0)));
+  EXPECT_EQ(m.device.counters().evictions, 0);
+  ASSERT_TRUE(m.cache.unpin(gpu, ModelId(0)).ok());
+
+  // Model 1 fits beside the kept entry; model 2 needs the room, and the
+  // LRU victim is the unloaded model 0.
+  ASSERT_TRUE(m.manager.execute(make_request(1, 1, sec(1)), gpu, false, false, record).ok());
+  m.sim.run();
+  ASSERT_TRUE(
+      m.manager.execute(make_request(2, 2, m.sim.now()), gpu, false, false, record).ok());
+  m.sim.run();
+  ASSERT_EQ(done.size(), 2u);
+  EXPECT_FALSE(done[1].cache_hit);
+  EXPECT_FALSE(state.contains(ModelId(0)));
+  EXPECT_TRUE(state.loaded(ModelId(1)));
+  EXPECT_TRUE(state.loaded(ModelId(2)));
+  EXPECT_EQ(m.cache.stats().evictions, 1);
+  EXPECT_EQ(m.device.counters().evictions, 1);
+  m.cache.audit();
+}
+
 TEST(GpuManagerTest, MissEvictsExactlyPlannedVictims) {
   // 8GB GPU with two resident VGGs; a third large model must evict only
   // the LRU one, and the datastore LRU mirror must reflect every step.
   ClusterConfig config;
   config.nodes = 1;
   config.gpus_per_node = 1;
-  models::ModelRegistry registry;
-  const char* names[] = {"vgg13", "vgg16", "vgg19"};
-  for (int i = 0; i < 3; ++i) {
-    models::ModelProfile p = *models::find_model(names[i]);
-    p.id = ModelId(i);
-    ASSERT_TRUE(registry.register_model(p).ok());
-  }
-  SimCluster cluster(config, registry);
+  SimCluster cluster(config, vgg_registry());
   cluster.replay({make_request(0, 0, 0), make_request(1, 1, sec(10))});
   auto lru = cluster.datastore().get(datastore::keys::gpu_lru(GpuId(0)));
   ASSERT_TRUE(lru.ok());
@@ -279,7 +314,7 @@ TEST(GpuManagerTest, MissEvictsExactlyPlannedVictims) {
   EXPECT_EQ(cluster.gpu(0).counters().evictions, 1);
   lru = cluster.datastore().get(datastore::keys::gpu_lru(GpuId(0)));
   EXPECT_EQ(lru->value, "1,2");  // model0 evicted, model2 MRU
-  EXPECT_EQ(cluster.gpu(0).process_count(), 2u);
+  EXPECT_EQ(cluster.cache().state(GpuId(0)).model_count(), 2u);
 }
 
 TEST(SchedulerEngineTest, FinishTimeEstimateIncludesLocalQueueWork) {

@@ -65,19 +65,16 @@ TEST_P(SchedulerInvariantTest, SystemInvariantsHold) {
   for (std::size_t g = 0; g < cluster.gpu_count(); ++g) {
     loads += cluster.gpu(g).counters().loads;
     evictions += cluster.gpu(g).counters().evictions;
-    // (4) Memory safety: accounting is consistent and within capacity;
-    // the device's used bytes are its processes' and the cache's.
-    EXPECT_GE(cluster.gpu(g).free_memory(), 0);
+    // (4) Memory safety: the cache's used bytes are its entries' sizes
+    // and within capacity; no entry is mid-load at quiescence.
+    const cache::GpuCacheState& state = cluster.cache().state(GpuId(g));
     Bytes resident = 0;
-    for (const auto& proc : cluster.gpu(g).processes()) resident += proc.occupation;
-    const Bytes used = cluster.gpu(g).memory_capacity() - cluster.gpu(g).free_memory();
-    EXPECT_EQ(used, resident);
-    EXPECT_EQ(used, cluster.cache().state(GpuId(g)).used());
-    // One process per resident model, none mid-load at quiescence.
-    for (const auto& proc : cluster.gpu(g).processes()) {
-      EXPECT_TRUE(proc.loaded);
-      EXPECT_TRUE(cluster.cache().is_cached(GpuId(g), proc.model));
+    for (ModelId model : state.models()) {
+      resident += state.size_of(model);
+      EXPECT_TRUE(state.loaded(model));
     }
+    EXPECT_EQ(state.used(), resident);
+    EXPECT_LE(state.used(), state.capacity());
   }
   EXPECT_EQ(loads, misses);
   EXPECT_EQ(cluster.cache().stats().misses, misses);
