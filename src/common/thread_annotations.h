@@ -9,7 +9,7 @@
 //   class Gateway {
 //     ...
 //     common::ExecutorAffinity serial_;
-//     FlightMap flights_ GUARDED_BY(serial_);   // worker thread only
+//     FlightTable flights_ GUARDED_BY(serial_); // worker thread only
 //     void drain_pending() REQUIRES(serial_);
 //   };
 //

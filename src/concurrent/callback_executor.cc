@@ -24,12 +24,12 @@ CallbackExecutor::~CallbackExecutor() {
   if (worker_.joinable()) worker_.join();
 }
 
-void CallbackExecutor::post(std::function<void()> fn) {
-  GFAAS_CHECK(fn != nullptr);
+void CallbackExecutor::post(Task task) {
+  GFAAS_CHECK(task);
   {
     common::MutexLock lock(&mu_);
     GFAAS_CHECK(!stop_) << "post() on a stopping CallbackExecutor";
-    queue_.push_back(std::move(fn));
+    queue_.push_back(std::move(task));
   }
   cv_.notify_one();
 }
@@ -63,7 +63,7 @@ void CallbackExecutor::loop() {
   (void)pthread_setschedparam(pthread_self(), SCHED_BATCH, &param);
 #endif
   common::MutexLock lock(&mu_);
-  std::vector<std::function<void()>> batch;
+  std::vector<Task> batch;
   for (;;) {
     if (queue_.empty()) {
       drained_cv_.notify_all();
@@ -77,7 +77,7 @@ void CallbackExecutor::loop() {
     batch.swap(queue_);
     running_ = true;
     lock.Unlock();
-    for (std::function<void()>& fn : batch) fn();
+    for (Task& task : batch) task();
     const std::uint64_t ran = batch.size();
     batch.clear();
     lock.Lock();

@@ -109,6 +109,10 @@ void Gateway::submit_batch(std::vector<Submission>&& batch) {
   for (Submission& cell : batch) {
     submit_one(std::move(cell.request), std::move(cell.done), &memo);
   }
+  if (tel_) {
+    tel_->submitted->add(memo.submitted);
+    tel_->queued->add(memo.queued);
+  }
   batch.clear();  // keeps the capacity, so the caller may reuse the buffer
 }
 
@@ -122,7 +126,11 @@ void Gateway::submit_one(core::Request request, ResultCallback done,
   }
   ++counters_.submitted;
   if (tel_) {
-    tel_->submitted->add();
+    if (memo != nullptr) {
+      ++memo->submitted;
+    } else {
+      tel_->submitted->add();
+    }
     tel_->spans->record(request.id.value(), telemetry::SpanEvent::kSubmit, now);
   }
 
@@ -169,7 +177,11 @@ void Gateway::submit_one(core::Request request, ResultCallback done,
     return;
   }
   if (tel_) {
-    tel_->queued->add();
+    if (memo != nullptr) {
+      ++memo->queued;
+    } else {
+      tel_->queued->add();
+    }
     tel_->spans->record(request.id.value(), telemetry::SpanEvent::kQueue, now,
                         -1, estimate);
   }
@@ -240,59 +252,91 @@ SimTime Gateway::estimated_completion_impl(const core::Request& request,
   return static_cast<SimTime>(scan->mean_finish) + service * (1 + rounds);
 }
 
+Gateway::FlightSlot Gateway::FlightTable::insert(Flight flight) {
+  FlightSlot slot = free_;
+  if (slot == kNone) {
+    slot = static_cast<FlightSlot>(slots_.size());
+    GFAAS_CHECK(slot != kNone) << "flight table full";
+    slots_.emplace_back();
+  } else {
+    free_ = slots_[slot].next_free;
+  }
+  Slot& s = slots_[slot];
+  s.flight = std::move(flight);
+  s.live = true;
+  ++live_;
+  return slot;
+}
+
+Gateway::Flight Gateway::FlightTable::release(FlightSlot slot) {
+  Slot& s = slots_[slot];
+  GFAAS_CHECK(s.live) << "release of free flight slot " << slot;
+  Flight flight = std::move(s.flight);
+  s.live = false;
+  ++s.generation;
+  s.next_free = free_;
+  free_ = slot;
+  --live_;
+  return flight;
+}
+
 void Gateway::admit(core::Request request, ResultCallback done,
                     SimTime estimate) {
   ++counters_.admitted;
-  const std::int64_t id = request.id.value();
   if (tel_) {
     tel_->admitted->add();
-    tel_->spans->record(id, telemetry::SpanEvent::kAdmit,
+    tel_->spans->record(request.id.value(), telemetry::SpanEvent::kAdmit,
                         cluster_->executor().now());
   }
-  // The hook captures the flight id, so every copy of the request —
+  Flight flight;
+  flight.request = std::move(request);
+  flight.done = std::move(done);
+  flight.estimate = estimate;
+  const FlightSlot slot = flights_.insert(std::move(flight));
+  Flight& admitted = flights_[slot];
+  // The hook captures the flight's slot, so every copy of the request —
   // retries under the same id, hedges under a fresh one — reports back to
-  // this flight. The flight keeps a pristine request copy, hook included,
-  // to resubmit from. The request holds no heap data and the capture fits
-  // std::function's inline buffer, so the copy allocates nothing.
-  const auto hook = [this, id](const core::CompletionRecord& record) {
+  // this flight. The flight keeps the pristine request, hook included, to
+  // resubmit from, and the engine gets a copy. The request holds no heap
+  // data and the capture fits std::function's inline buffer, so the copy
+  // allocates nothing.
+  const auto hook = [this, slot](const core::CompletionRecord& record) {
     serial_.AssertHeld();  // engine completions fire on the worker thread
-    on_engine_result(id, record);
+    on_engine_result(slot, record);
   };
   static_assert(sizeof(hook) <= 16 &&
                     std::is_trivially_copyable_v<decltype(hook)>,
                 "the hook must stay inline in std::function");
-  request.on_complete = hook;
-  Flight flight;
-  flight.request = request;
-  flight.done = std::move(done);
-  flight.estimate = estimate;
-  auto [it, inserted] = flights_.emplace(id, std::move(flight));
-  GFAAS_CHECK(inserted) << "duplicate in-flight gateway request id " << id;
-  cluster_->engine().submit(std::move(request));
+  admitted.request.on_complete = hook;
+  cluster_->engine().submit(admitted.request);
   if (config_.hedge_budget_fraction > 0 &&
-      it->second.request.deadline != kSimTimeMax) {
-    const core::Request& req = it->second.request;
+      admitted.request.deadline != kSimTimeMax) {
+    const core::Request& req = admitted.request;
     const auto budget = static_cast<double>(req.deadline - req.arrival);
-    arm_hedge_timer(it->second,
-                    req.arrival + static_cast<SimTime>(
-                                      config_.hedge_budget_fraction * budget));
+    arm_hedge_timer(slot, req.arrival + static_cast<SimTime>(
+                                            config_.hedge_budget_fraction * budget));
   }
 }
 
-void Gateway::arm_hedge_timer(Flight& flight, SimTime fire_at) {
-  const std::int64_t id = flight.request.id.value();
+void Gateway::arm_hedge_timer(FlightSlot slot, SimTime fire_at) {
+  const std::uint32_t generation = flights_.generation(slot);
   const SimTime delay =
       std::max<SimTime>(0, fire_at - cluster_->executor().now());
-  flight.hedge_event = cluster_->executor().schedule_after(delay, [this, id] {
+  const auto timer = [this, slot, generation] {
     serial_.AssertHeld();  // timer callbacks fire on the worker thread
-    on_hedge_timer(id);
-  });
+    on_hedge_timer(slot, generation);
+  };
+  static_assert(sizeof(timer) <= 16 &&
+                    std::is_trivially_copyable_v<decltype(timer)>,
+                "the hedge timer must stay inline in std::function");
+  flights_[slot].hedge_event = cluster_->executor().schedule_after(delay, timer);
 }
 
-void Gateway::on_hedge_timer(std::int64_t id) {
-  auto it = flights_.find(id);
-  if (it == flights_.end()) return;  // resolved; stale timer
-  Flight& flight = it->second;
+void Gateway::on_hedge_timer(FlightSlot slot, std::uint32_t generation) {
+  if (!flights_.live(slot) || flights_.generation(slot) != generation) {
+    return;  // resolved; stale timer
+  }
+  Flight& flight = flights_[slot];
   flight.hedge_event = 0;
   if (flight.hedge_id >= 0) return;  // already hedged
   const core::Request& req = flight.request;
@@ -306,7 +350,7 @@ void Gateway::on_hedge_timer(std::int64_t id) {
   // backpressure. A parked primary, by contrast, cancels for free.
   if (engine.request_executing(req.id)) return;  // dispatched: nothing to win
   if (!engine.request_waiting(req.id)) return;   // failure being handled
-  core::Request hedge = flight.request;  // its hook reports flight `id`
+  core::Request hedge = flight.request;  // its hook reports this slot
   hedge.id = RequestId(next_hedge_id_++);
   const std::int64_t hedge_id = hedge.id.value();
   const GpuId gpu = engine.hedge_dispatch(std::move(hedge), req.id);
@@ -316,14 +360,14 @@ void Gateway::on_hedge_timer(std::int64_t id) {
     // shortly; the timer retires itself once the deadline passes or the
     // primary dispatches.
     next_hedge_id_ = hedge_id;  // id unused; reclaim for determinism
-    arm_hedge_timer(flight, now + config_.hedge_retry_interval);
+    arm_hedge_timer(slot, now + config_.hedge_retry_interval);
     return;
   }
   flight.hedge_id = hedge_id;
   ++counters_.hedges;
   if (tel_) {
     tel_->hedges->add();
-    tel_->spans->record(id, telemetry::SpanEvent::kHedge, now,
+    tel_->spans->record(req.id.value(), telemetry::SpanEvent::kHedge, now,
                         static_cast<std::int32_t>(gpu.value()));
   }
 }
@@ -365,15 +409,24 @@ void Gateway::deliver(ResultCallback&& done, const GatewayResult& result) {
     done(result);
     return;
   }
-  callbacks_->post([done = std::move(done), result] { done(result); });
+  // The closure owns the callback and a copy of the result, so it does
+  // not depend on the Gateway outliving the executor's queue.
+  auto task = [done = std::move(done), result] { done(result); };
+  static_assert(concurrent::Task::kFitsInline<decltype(task)>,
+                "a delivered result must be stored in place by the executor");
+  callbacks_->post(std::move(task));
 }
 
-void Gateway::on_engine_result(std::int64_t id,
+void Gateway::on_engine_result(FlightSlot slot,
                                const core::CompletionRecord& record) {
-  auto it = flights_.find(id);
-  GFAAS_CHECK(it != flights_.end()) << "engine result for retired flight " << id;
-  Flight& flight = it->second;
+  GFAAS_CHECK(flights_.live(slot))
+      << "engine result " << record.id.value() << " for a retired flight";
+  Flight& flight = flights_[slot];
+  const std::int64_t id = flight.request.id.value();
   const bool is_hedge = record.id.value() != id;
+  GFAAS_CHECK(!is_hedge || record.id.value() == flight.hedge_id)
+      << "engine result " << record.id.value() << " for flight " << id
+      << " (hedge " << flight.hedge_id << ")";
 
   if (!record.failed) {
     // A winner. Cancel the losing copy (it may be queued or executing;
@@ -391,7 +444,7 @@ void Gateway::on_engine_result(std::int64_t id,
     }
     core::CompletionRecord normalized = record;
     normalized.id = flight.request.id;
-    resolve_flight(it, normalized);
+    resolve_flight(slot, normalized);
     return;
   }
 
@@ -429,21 +482,20 @@ void Gateway::on_engine_result(std::int64_t id,
     // covering the retry: re-arm against the remaining budget.
     if (config_.hedge_budget_fraction > 0 && flight.hedge_event == 0 &&
         flight.request.deadline != kSimTimeMax) {
-      arm_hedge_timer(flight, cluster_->executor().now() +
-                                  config_.hedge_retry_interval);
+      arm_hedge_timer(slot, cluster_->executor().now() +
+                                config_.hedge_retry_interval);
     }
     return;
   }
   if (budget_left) ++counters_.retries_denied;
   core::CompletionRecord failure = flight.first_failure;
   failure.id = flight.request.id;
-  resolve_flight(it, failure);
+  resolve_flight(slot, failure);
 }
 
-void Gateway::resolve_flight(FlightMap::iterator it,
+void Gateway::resolve_flight(FlightSlot slot,
                              const core::CompletionRecord& record) {
-  Flight flight = std::move(it->second);
-  flights_.erase(it);
+  Flight flight = flights_.release(slot);
   if (flight.hedge_event != 0) cluster_->executor().cancel(flight.hedge_event);
   if (tenants_ != nullptr) {
     tenants_->on_complete(flight.request.tenant, cluster_->executor().now(),

@@ -49,15 +49,29 @@
 // resolution order, to a dedicated concurrent::CallbackExecutor thread,
 // so a slow client callback can never stall dispatch. Callbacks remain
 // exactly-once per request either way.
+//
+// Lifetime: a posted resolution carries its callback and its result by
+// value, so the callback executor's pending work never refers back to
+// the Gateway; the Gateway may be destroyed before the executor drains.
+//
+// No allocation in the steady state: once warm, a request that is
+// admitted, served and resolved allocates nothing in the Gateway. Each
+// admitted request lives in a flight slot recycled through a free list,
+// its completion hook and hedge timer capture only the slot (they fit
+// std::function's inline buffer), the pending queue and the trailing
+// outcome window are vectors that keep their capacity, and a resolution
+// posted to the callback executor is stored in place there.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <deque>
 #include <functional>
+#include <limits>
 #include <map>
 #include <memory>
 #include <string>
-#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "cluster/elastic_cluster.h"
@@ -253,7 +267,9 @@ class Gateway {
   // order, amortizing the window check and the fleet-scan half of the
   // finish-time estimate over the batch. Decisions are identical to
   // calling submit() per cell — the memoized scan is invalidated by
-  // every admission, and only engine-invariant stretches reuse it.
+  // every admission, and only engine-invariant stretches reuse it. With
+  // telemetry attached, the submitted and queued counters move once per
+  // batch.
   // Leaves `batch` empty with its capacity, so a caller may reuse it.
   void submit_batch(std::vector<Submission>&& batch);
 
@@ -321,7 +337,7 @@ class Gateway {
   // have up to two engine-side copies racing for it (the primary —
   // possibly a retry reincarnation under the same id — and one hedge
   // under a fresh id); every copy carries the request's completion hook,
-  // which reports the flight id, so each result finds its flight here.
+  // which reports the flight's slot, so each result finds its flight.
   struct Flight {
     core::Request request;  // pristine copy for retries and hedges
     ResultCallback done;
@@ -337,7 +353,73 @@ class Gateway {
     // See PendingRequest::estimate.
     SimTime estimate = 0;
   };
-  using FlightMap = std::unordered_map<std::int64_t, Flight>;
+
+  // The admitted flights, in slots recycled through a free list (the
+  // shape of core::RequestTable): admission takes a slot, resolution
+  // frees it, and the slot index is what the completion hook and the
+  // hedge timer capture. Freeing a slot advances its generation, so a
+  // timer armed for an earlier flight in the slot can tell it is stale.
+  // Slots live in a deque, so a Flight& stays valid while the table
+  // grows.
+  class FlightTable {
+   public:
+    using Index = std::uint32_t;
+
+    Index insert(Flight flight);
+    // Moves the flight out and frees its slot.
+    Flight release(Index slot);
+    Flight& operator[](Index slot) { return slots_[slot].flight; }
+    bool live(Index slot) const {
+      return slot < slots_.size() && slots_[slot].live;
+    }
+    std::uint32_t generation(Index slot) const { return slots_[slot].generation; }
+    // Live flights.
+    std::size_t size() const { return live_; }
+
+   private:
+    static constexpr Index kNone = std::numeric_limits<Index>::max();
+    struct Slot {
+      Flight flight;
+      std::uint32_t generation = 0;
+      bool live = false;
+      Index next_free = kNone;
+    };
+    std::deque<Slot> slots_;
+    Index free_ = kNone;
+    std::size_t live_ = 0;
+  };
+  using FlightSlot = FlightTable::Index;
+
+  // FIFO over a vector that keeps its capacity: pop_front() advances a
+  // head index, and the consumed prefix is dropped once the head passes
+  // half the vector (as sim::Simulator's sorted run does), so a steady
+  // stream allocates nothing once warm.
+  template <typename T>
+  class Fifo {
+   public:
+    bool empty() const { return head_ == items_.size(); }
+    std::size_t size() const { return items_.size() - head_; }
+    T& front() { return items_[head_]; }
+    void push_back(T item) { items_.push_back(std::move(item)); }
+    void pop_front() {
+      if (++head_ == items_.size()) {
+        items_.clear();
+        head_ = 0;
+      } else if (head_ > items_.size() / 2) {
+        items_.erase(items_.begin(),
+                     items_.begin() + static_cast<std::ptrdiff_t>(head_));
+        head_ = 0;
+      }
+    }
+    typename std::vector<T>::const_iterator begin() const {
+      return items_.begin() + static_cast<std::ptrdiff_t>(head_);
+    }
+    typename std::vector<T>::const_iterator end() const { return items_.end(); }
+
+   private:
+    std::vector<T> items_;
+    std::size_t head_ = 0;
+  };
 
   // Batch-scoped cache of the fleet scan inside estimated_completion.
   // Valid only while the engine is untouched: every admission (the only
@@ -351,6 +433,11 @@ class Gateway {
     std::size_t counted = 0;
     std::size_t fleet = 0;
     std::size_t global_queue = 0;
+    // The batch's submissions and queued requests, added to the telemetry
+    // counters once at the end of the batch instead of one atomic add per
+    // request.
+    std::int64_t submitted = 0;
+    std::int64_t queued = 0;
   };
 
   void submit_one(core::Request request, ResultCallback done, BatchMemo* memo)
@@ -369,17 +456,19 @@ class Gateway {
   // executor when one is attached. Consumes `done`.
   void deliver(ResultCallback&& done, const GatewayResult& result)
       REQUIRES(serial_);
-  // One engine-side copy of flight `id` completed or failed.
-  void on_engine_result(std::int64_t id, const core::CompletionRecord& record)
+  // One engine-side copy of the flight in `slot` completed or failed.
+  void on_engine_result(FlightSlot slot, const core::CompletionRecord& record)
       REQUIRES(serial_);
   // Resolves the flight's callback with `record` (id already normalized
   // to the caller's), retiring the flight and its pending hedge timer.
-  void resolve_flight(FlightMap::iterator it, const core::CompletionRecord& record)
+  void resolve_flight(FlightSlot slot, const core::CompletionRecord& record)
       REQUIRES(serial_);
-  // Schedules the flight's hedge trigger at hedge_budget_fraction of its
-  // SLO budget (no-op when hedging is off or the deadline is infinite).
-  void arm_hedge_timer(Flight& flight, SimTime fire_at) REQUIRES(serial_);
-  void on_hedge_timer(std::int64_t id) REQUIRES(serial_);
+  // Schedules the flight's hedge trigger for `fire_at`.
+  void arm_hedge_timer(FlightSlot slot, SimTime fire_at) REQUIRES(serial_);
+  // `generation` is the slot's at arming time; a different one means the
+  // flight resolved and the timer is stale.
+  void on_hedge_timer(FlightSlot slot, std::uint32_t generation)
+      REQUIRES(serial_);
   // Admits from the pending queue while the window has room, expiring
   // requests whose deadline passed while they waited.
   void drain_pending() REQUIRES(serial_);
@@ -406,19 +495,18 @@ class Gateway {
   // capability, dynamically via the asserts at each entry point.
   common::ExecutorAffinity serial_;
 
-  std::deque<PendingRequest> pending_ GUARDED_BY(serial_);
+  Fifo<PendingRequest> pending_ GUARDED_BY(serial_);
 
-  // Admitted-but-unresolved requests by their original (caller) id.
-  // Hedge duplicates get ids from a disjoint namespace so they can never
-  // collide with client ids.
-  FlightMap flights_ GUARDED_BY(serial_);
+  // Admitted-but-unresolved requests. Hedge duplicates get engine ids
+  // from a disjoint namespace so they can never collide with client ids.
+  FlightTable flights_ GUARDED_BY(serial_);
   std::int64_t next_hedge_id_ GUARDED_BY(serial_) = std::int64_t{1} << 40;
 
   GatewayCounters counters_ GUARDED_BY(serial_);
   std::map<std::int64_t, ModelServingStats> model_stats_ GUARDED_BY(serial_);
   // Trailing-window outcome samples, trimmed lazily against stats_window.
-  mutable std::deque<OutcomeSample> window_latencies_ GUARDED_BY(serial_);
-  mutable std::deque<SimTime> window_sheds_ GUARDED_BY(serial_);
+  mutable Fifo<OutcomeSample> window_latencies_ GUARDED_BY(serial_);
+  mutable Fifo<SimTime> window_sheds_ GUARDED_BY(serial_);
 };
 
 }  // namespace gfaas::gateway

@@ -28,41 +28,48 @@ ShardRouter::ShardRouter(std::size_t shards, RouterConfig config)
   rebuild();
 }
 
+std::uint64_t ShardRouter::model_point(ModelId model) const {
+  return mix(static_cast<std::uint64_t>(model.value()) ^ config_.seed);
+}
+
+std::size_t ShardRouter::successor(std::uint64_t point) const {
+  const auto it = std::lower_bound(
+      ring_.begin(), ring_.end(), std::make_pair(point, std::uint32_t{0}),
+      [](const auto& a, const auto& b) { return a.first < b.first; });
+  return it == ring_.end() ? 0 : static_cast<std::size_t>(it - ring_.begin());
+}
+
+void ShardRouter::place_replicas(std::int64_t model, Replicas& replicas) const {
+  // The first `copies` DISTINCT shards clockwise from the model's point.
+  // A weight change elsewhere on the ring never reorders this walk, so
+  // replicas are as sticky as single-copy routing; fewer live shards than
+  // copies degrades gracefully to all of them.
+  replicas.shards.clear();
+  if (ring_.empty()) return;
+  std::size_t at = successor(model_point(ModelId(model)));
+  for (std::size_t steps = 0;
+       steps < ring_.size() && replicas.shards.size() < replicas.copies; ++steps) {
+    const std::uint32_t shard = ring_[at].second;
+    if (std::find(replicas.shards.begin(), replicas.shards.end(), shard) ==
+        replicas.shards.end()) {
+      replicas.shards.push_back(shard);
+    }
+    if (++at == ring_.size()) at = 0;
+  }
+}
+
 std::size_t ShardRouter::route(ModelId model, std::uint64_t salt) const {
   common::MutexLock lock(&mu_);
   if (ring_.empty()) return 0;  // every shard weightless: degenerate pick
-  const std::uint64_t point =
-      mix(static_cast<std::uint64_t>(model.value()) ^ config_.seed);
-  // First ring point clockwise from the model's hash (wrapping).
-  auto it = std::lower_bound(
-      ring_.begin(), ring_.end(), std::make_pair(point, std::uint32_t{0}),
-      [](const auto& a, const auto& b) { return a.first < b.first; });
-  if (it == ring_.end()) it = ring_.begin();
-
-  std::uint32_t copies = 1;
+  const std::uint64_t point = model_point(model);
   if (!replication_.empty()) {
     const auto found = replication_.find(model.value());
-    if (found != replication_.end()) copies = found->second;
-  }
-  if (copies <= 1) return it->second;
-
-  // The model's replica set: the first `copies` DISTINCT shards clockwise
-  // from its point. A weight change elsewhere on the ring never reorders
-  // this walk, so replicas are as sticky as single-copy routing; fewer
-  // live shards than copies degrades gracefully to all of them.
-  std::vector<std::uint32_t> replicas;
-  replicas.reserve(copies);
-  auto walk = it;
-  for (std::size_t steps = 0;
-       steps < ring_.size() && replicas.size() < copies; ++steps) {
-    if (std::find(replicas.begin(), replicas.end(), walk->second) ==
-        replicas.end()) {
-      replicas.push_back(walk->second);
+    if (found != replication_.end()) {
+      const std::vector<std::uint32_t>& shards = found->second.shards;
+      return shards[mix(salt ^ point) % shards.size()];
     }
-    ++walk;
-    if (walk == ring_.end()) walk = ring_.begin();
   }
-  return replicas[mix(salt ^ point) % replicas.size()];
+  return ring_[successor(point)].second;
 }
 
 void ShardRouter::set_replication(ModelId model, std::uint32_t copies) {
@@ -71,14 +78,15 @@ void ShardRouter::set_replication(ModelId model, std::uint32_t copies) {
     replication_.erase(model.value());
     return;
   }
-  replication_[model.value()] =
-      std::min(copies, static_cast<std::uint32_t>(shard_count_));
+  Replicas& replicas = replication_[model.value()];
+  replicas.copies = std::min(copies, static_cast<std::uint32_t>(shard_count_));
+  place_replicas(model.value(), replicas);
 }
 
 std::uint32_t ShardRouter::replication(ModelId model) const {
   common::MutexLock lock(&mu_);
   const auto found = replication_.find(model.value());
-  return found == replication_.end() ? 1 : found->second;
+  return found == replication_.end() ? 1 : found->second.copies;
 }
 
 void ShardRouter::set_weight(std::size_t shard, double weight) {
@@ -129,6 +137,7 @@ void ShardRouter::rebuild() {
     }
   }
   std::sort(ring_.begin(), ring_.end());
+  for (auto& [model, replicas] : replication_) place_replicas(model, replicas);
 }
 
 }  // namespace gfaas::shard

@@ -24,7 +24,9 @@
 // spreads such a model across its first K DISTINCT ring successors (the
 // replica set is as stable under membership changes as single-copy
 // routing); route()'s salt — callers pass the request id — picks the
-// replica deterministically. A model hot enough to need K shards keeps
+// replica deterministically. Each replicated model's replica set is
+// computed when its replication is set and again at every ring rebuild,
+// so route() only indexes it and never allocates. A model hot enough to need K shards keeps
 // warm copies on all K, so the locality story survives the split.
 //
 // Threading: route() is called from producer threads (ShardedIngress) and
@@ -89,7 +91,19 @@ class ShardRouter {
   // guarded membership table without the lock; must fail the analysis.
   friend class ThreadSafetyProbe;
 
+  // A replicated model: its configured copy count and its replica set,
+  // the first `copies` distinct shards clockwise from its ring point
+  // (fewer when fewer shards are on the ring).
+  struct Replicas {
+    std::uint32_t copies = 1;
+    std::vector<std::uint32_t> shards;
+  };
+
   void rebuild() REQUIRES(mu_);
+  std::uint64_t model_point(ModelId model) const;
+  // Index of the first ring point clockwise from `point` (wrapping).
+  std::size_t successor(std::uint64_t point) const REQUIRES(mu_);
+  void place_replicas(std::int64_t model, Replicas& replicas) const REQUIRES(mu_);
 
   const std::size_t shard_count_;
   const RouterConfig config_;
@@ -98,8 +112,9 @@ class ShardRouter {
   std::vector<double> weights_ GUARDED_BY(mu_);
   // The membership table: sorted (point, shard) ring.
   std::vector<std::pair<std::uint64_t, std::uint32_t>> ring_ GUARDED_BY(mu_);
-  // model id -> replica count (absent = 1). Survives ring rebuilds.
-  std::unordered_map<std::int64_t, std::uint32_t> replication_ GUARDED_BY(mu_);
+  // model id -> replicas (absent = 1 copy). Survives ring rebuilds, which
+  // recompute every replica set.
+  std::unordered_map<std::int64_t, Replicas> replication_ GUARDED_BY(mu_);
 };
 
 }  // namespace gfaas::shard

@@ -57,15 +57,8 @@ SpanRecorder::SpanRecorder(SpanRecorderConfig config)
   ring_.resize(config.capacity);
 }
 
-bool SpanRecorder::sampled(std::int64_t request_id) const {
-  if (sample_threshold_ == ~0ULL) return true;
-  SplitMix64 hash(static_cast<std::uint64_t>(request_id) ^ config_.seed);
-  return hash.next() < sample_threshold_;
-}
-
-void SpanRecorder::record(std::int64_t request_id, SpanEvent event, SimTime at,
+void SpanRecorder::append(std::int64_t request_id, SpanEvent event, SimTime at,
                           std::int32_t gpu, std::int64_t detail) {
-  if (!sampled(request_id)) return;
   SpanRecord& slot = ring_[head_];
   if (size_ == ring_.size()) {
     ++overwritten_;

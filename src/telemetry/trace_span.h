@@ -19,6 +19,7 @@
 #include <functional>
 #include <vector>
 
+#include "common/rng.h"
 #include "common/time.h"
 
 namespace gfaas::telemetry {
@@ -61,11 +62,18 @@ class SpanRecorder {
   explicit SpanRecorder(SpanRecorderConfig config = {});
 
   // Deterministic per-id sampling decision (pure function of id + seed).
-  bool sampled(std::int64_t request_id) const;
+  bool sampled(std::int64_t request_id) const {
+    if (sample_threshold_ == ~0ULL) return true;
+    SplitMix64 hash(static_cast<std::uint64_t>(request_id) ^ config_.seed);
+    return hash.next() < sample_threshold_;
+  }
 
   // Records one event if the id is sampled. Wait-free, allocation-free.
+  // Inline, so an unsampled id (most of them) costs one hash and no call.
   void record(std::int64_t request_id, SpanEvent event, SimTime at,
-              std::int32_t gpu = -1, std::int64_t detail = 0);
+              std::int32_t gpu = -1, std::int64_t detail = 0) {
+    if (sampled(request_id)) append(request_id, event, at, gpu, detail);
+  }
 
   // Shard-id label: every record stamped from here on carries `shard` as
   // its owning shard (a stolen request's trail therefore reads kSteal on
@@ -88,6 +96,9 @@ class SpanRecorder {
   const SpanRecorderConfig& config() const { return config_; }
 
  private:
+  void append(std::int64_t request_id, SpanEvent event, SimTime at,
+              std::int32_t gpu, std::int64_t detail);
+
   SpanRecorderConfig config_;
   std::int32_t shard_ = -1;
   std::uint64_t sample_threshold_;  // ids hashing below this are sampled

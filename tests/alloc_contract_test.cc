@@ -1,14 +1,19 @@
-// Allocation contract of the scheduler's request path. Once warm, a
-// request that hits the cache — dispatched straight to an idle holder, or
-// parked in a busy holder's local queue first — is submitted, scheduled,
-// executed and completed without a single heap allocation, across the
-// engine and its request table, the cluster-state index, the cache
-// manager, the GPU manager and the simulator. The stack runs without the
-// datastore (null KvStore): the Cache Manager's LRU-list / location
-// mirror, the only datastore writer left, still allocates on every cache
-// access. Three narrower contracts ride along: the simulator's sorted run
+// Allocation contract of the serving path. Once warm, a request that
+// hits the cache — dispatched straight to an idle holder, or parked in a
+// busy holder's local queue first — is submitted, scheduled, executed and
+// completed without a single heap allocation, across the engine and its
+// request table, the cluster-state index, the cache manager, the GPU
+// manager and the simulator. That stack runs without the datastore (null
+// KvStore): the Cache Manager's LRU-list / location mirror, the only
+// datastore writer left, still allocates on every cache access. The full
+// serving front end — ConcurrentIngress, Gateway admission (window and
+// pending queue), flight slots, result delivery and the CallbackExecutor
+// thread — adds no allocation to that engine path on the same cluster,
+// so a cache hit served through the Gateway allocates only inside the
+// mirror. Four narrower contracts ride along: the simulator's sorted run
 // stays bounded when it never drains, tenant admission denies without
-// allocating, and the Gateway's shed-vs-queue estimate walks a busy fleet
+// allocating, the Gateway's shed-vs-queue estimate walks a busy fleet
+// without allocating, and the shard router routes a replicated model
 // without allocating.
 //
 // This binary replaces the global operator new with a counter that only
@@ -19,18 +24,24 @@
 #include <cstdlib>
 #include <memory>
 #include <new>
+#include <thread>
 
 #include "cache/cache_manager.h"
 #include "cluster/engine.h"
+#include "cluster/experiment.h"
 #include "cluster/gpu_manager.h"
+#include "common/log.h"
+#include "concurrent/callback_executor.h"
 #include "core/scheduler.h"
 #include "gateway/gateway.h"
+#include "gateway/ingress.h"
 #include "gateway/tenancy.h"
 #include "gpu/gpu_spec.h"
 #include "gpu/pcie.h"
 #include "gpu/virtual_gpu.h"
 #include "models/latency_model.h"
 #include "models/zoo.h"
+#include "shard/router.h"
 #include "sim/simulator.h"
 #include "testing/builders.h"
 
@@ -78,14 +89,19 @@ void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
 namespace gfaas::cluster {
 namespace {
 
-TEST(AllocContractTest, CacheHitRequestsAllocateNothingOnceWarm) {
-  constexpr std::size_t kWindow = 1000;
-  // One model with a 1 ms inference.
+// One model with a 1 ms inference.
+models::ModelRegistry one_fast_model() {
   models::ModelRegistry registry;
   models::ModelProfile profile = *models::find_model("squeezenet1.1");
   profile.id = ModelId(0);
   profile.infer_time_b32 = msec(1);
-  ASSERT_TRUE(registry.register_model(profile).ok());
+  GFAAS_CHECK(registry.register_model(profile).ok());
+  return registry;
+}
+
+TEST(AllocContractTest, CacheHitRequestsAllocateNothingOnceWarm) {
+  constexpr std::size_t kWindow = 1000;
+  models::ModelRegistry registry = one_fast_model();
 
   sim::Simulator sim;
   cache::CacheManager cache(cache::PolicyKind::kLru, /*store=*/nullptr);
@@ -137,6 +153,117 @@ TEST(AllocContractTest, CacheHitRequestsAllocateNothingOnceWarm) {
   EXPECT_EQ(via_local, kWindow / 2);
   EXPECT_EQ(allocs, 0u) << "allocations on the warm cache-hit request path";
   engine.audit();
+}
+
+// Grows both of the executor's swap buffers (its queue and the batch the
+// callback thread runs) to hold `depth` tasks. A held callback pins one
+// buffer on the callback thread while `depth` no-ops land in the other;
+// the second hold sits at the end of that batch, so the buffers trade
+// places before the next `depth` land.
+void warm_callback_buffers(concurrent::CallbackExecutor& callbacks, int depth) {
+  std::atomic<int> started{0};
+  std::atomic<int> released{0};
+  const auto hold = [&started, &released](int id) {
+    return [&started, &released, id] {
+      started.store(id);
+      while (released.load() < id) std::this_thread::yield();
+    };
+  };
+  callbacks.post(hold(1));
+  while (started.load() < 1) std::this_thread::yield();
+  for (int i = 0; i < depth; ++i) callbacks.post([] {});
+  callbacks.post(hold(2));
+  released.store(1);
+  while (started.load() < 2) std::this_thread::yield();
+  for (int i = 0; i < depth; ++i) callbacks.post([] {});
+  released.store(2);
+  callbacks.drain();
+}
+
+TEST(AllocContractTest, GatewayFrontEndAddsNoAllocationOnceWarm) {
+  constexpr std::size_t kWindow = 1000;
+  constexpr int kRound = 4;
+  ClusterConfig config;
+  config.nodes = 1;
+  config.gpus_per_node = 3;
+  SimCluster cluster(config, one_fast_model());
+  gateway::GatewayConfig gconfig;
+  // Two requests in flight: half of every round waits in the pending
+  // queue and is admitted from a completion.
+  gconfig.max_in_flight = 2;
+  // Short enough that the outcome window trims throughout the warm-up.
+  gconfig.stats_window = msec(50);
+  gateway::Gateway gateway(&cluster, gconfig);
+  concurrent::CallbackExecutor callbacks;
+  gateway.set_callback_executor(&callbacks);
+  gateway::ConcurrentIngress ingress(&gateway, &cluster.executor(), /*capacity=*/64);
+
+  std::atomic<std::size_t> hits{0};
+  const gateway::ResultCallback done = [&hits](const gateway::GatewayResult& result) {
+    if (result.disposition == gateway::Disposition::kCompleted &&
+        result.record.cache_hit) {
+      hits.fetch_add(1, std::memory_order_relaxed);
+    }
+  };
+  std::int64_t next_id = 0;
+  // One round through the front end: producer submit, ingress drain,
+  // admission, engine, callback thread.
+  const auto via_gateway = [&] {
+    for (int i = 0; i < kRound; ++i) {
+      gateway::Submission cell{testkit::make_request(next_id++, 0, 0), done};
+      ASSERT_TRUE(ingress.try_submit(cell));
+    }
+    cluster.run_to_completion();
+    callbacks.drain();
+  };
+  // The same round straight into the engine.
+  const auto direct = [&] {
+    for (int i = 0; i < kRound; ++i) {
+      cluster.engine().submit(
+          testkit::make_request(next_id++, 0, cluster.simulator().now()));
+    }
+    cluster.run_to_completion();
+  };
+  // Two cold loads warm GPUs 0 and 1; GPU 2 never holds the model.
+  for (int i = 0; i < 2; ++i) {
+    cluster.engine().submit(testkit::make_request(next_id++, 0, 0));
+  }
+  cluster.run_to_completion();
+  ASSERT_EQ(cluster.cache().duplicate_count(ModelId(0)), 2u);
+  warm_callback_buffers(callbacks, 2 * kRound);
+  const auto& completions = cluster.engine().completions();
+  while (completions.capacity() - completions.size() < 2 * kWindow) via_gateway();
+  direct();
+  hits.store(0);
+
+  g_allocs.store(0);
+  g_counting.store(true);
+  for (std::size_t round = 0; round < kWindow / kRound; ++round) via_gateway();
+  g_counting.store(false);
+  const std::uint64_t gateway_allocs = g_allocs.load();
+  const std::size_t before = completions.size();
+
+  g_allocs.store(0);
+  g_counting.store(true);
+  for (std::size_t round = 0; round < kWindow / kRound; ++round) direct();
+  g_counting.store(false);
+  const std::uint64_t engine_allocs = g_allocs.load();
+
+  EXPECT_EQ(hits.load(), kWindow);
+  ASSERT_EQ(completions.size(), before + kWindow);
+  for (std::size_t i = before; i < completions.size(); ++i) {
+    EXPECT_TRUE(completions[i].cache_hit) << "request " << completions[i].id.value();
+  }
+  // The engine path's allocations are the datastore mirror's (see the
+  // first case); the front end must add none.
+  EXPECT_EQ(gateway_allocs, engine_allocs)
+      << "the serving front end allocated "
+      << static_cast<double>(gateway_allocs - engine_allocs) / kWindow
+      << " times per request over the engine's " << engine_allocs / kWindow;
+  EXPECT_EQ(gateway.counters().completed, gateway.counters().submitted);
+  EXPECT_EQ(ingress.drained(), ingress.accepted());
+  gateway.audit();
+  cluster.engine().audit();
 }
 
 // Reschedules itself 1000 ns ahead. A plain pointer, so std::function
@@ -220,6 +347,22 @@ TEST(AllocContractTest, GatewayEstimateOverBusyFleetAllocatesNothingOnceWarm) {
   EXPECT_GT(first, msec(1));
   EXPECT_TRUE(stable);
   EXPECT_EQ(allocs, 0u) << "allocations in Gateway::estimated_completion";
+}
+
+TEST(ShardRouterTest, ReplicatedRouteAllocatesNothing) {
+  shard::ShardRouter router(16);
+  router.set_replication(ModelId(0), 3);
+  router.set_replication(ModelId(1), 5);
+  std::size_t replicated = 0;
+  g_allocs.store(0);
+  g_counting.store(true);
+  for (std::uint64_t salt = 0; salt < 1000; ++salt) {
+    const auto model = ModelId(static_cast<std::int64_t>(salt % 3));
+    if (router.route(model, salt) != router.route(model)) ++replicated;
+  }
+  g_counting.store(false);
+  EXPECT_GT(replicated, 0u);
+  EXPECT_EQ(g_allocs.load(), 0u) << "allocations in ShardRouter::route";
 }
 
 }  // namespace

@@ -11,6 +11,7 @@
 #include <map>
 #include <memory>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #ifdef __linux__
@@ -178,6 +179,47 @@ TEST(CallbackExecutorTest, PostFromCallbackRunsBeforeDrainReturns) {
   EXPECT_EQ(order, (std::vector<int>{0, 1, 2}));
   EXPECT_EQ(callbacks.executed(), 4u);
   EXPECT_EQ(callbacks.pending(), 0u);
+}
+
+// Counts destructions of the live (not moved-from) copy.
+struct DestroyCounter {
+  std::atomic<int>* destroyed;
+  bool live = true;
+  explicit DestroyCounter(std::atomic<int>* d) : destroyed(d) {}
+  DestroyCounter(DestroyCounter&& other) noexcept
+      : destroyed(other.destroyed), live(std::exchange(other.live, false)) {}
+  DestroyCounter& operator=(DestroyCounter&&) = delete;
+  ~DestroyCounter() {
+    if (live) destroyed->fetch_add(1);
+  }
+};
+
+TEST(CallbackExecutorTest, StoresSmallCallablesInPlaceAndLargeOnesOnTheHeap) {
+  struct Large {
+    char bytes[2 * concurrent::Task::kInlineBytes] = {};
+  };
+  static_assert(!concurrent::Task::kFitsInline<Large>);
+  std::atomic<int> ran{0};
+  std::atomic<int> destroyed{0};
+  {
+    CallbackExecutor callbacks;
+    // Move-only, in place: std::function could not hold it at all.
+    callbacks.post([&ran, owned = std::make_unique<int>(7),
+                    counter = DestroyCounter(&destroyed)] { ran.fetch_add(*owned); });
+    // Too large for the inline buffer: the task owns a heap copy.
+    callbacks.post([&ran, large = Large{}, counter = DestroyCounter(&destroyed)] {
+      ran.fetch_add(1 + large.bytes[0]);
+    });
+    callbacks.drain();
+    EXPECT_EQ(ran.load(), 8);
+    // Each callable is destroyed once, after it ran, not once per move.
+    EXPECT_EQ(destroyed.load(), 2);
+    // Posted just before the executor goes: its destructor runs it, and
+    // it is destroyed once.
+    callbacks.post([&ran, counter = DestroyCounter(&destroyed)] { ran.fetch_add(1); });
+  }
+  EXPECT_EQ(ran.load(), 9);
+  EXPECT_EQ(destroyed.load(), 3);
 }
 
 #ifdef __linux__

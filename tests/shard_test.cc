@@ -102,6 +102,70 @@ TEST(ShardRouterTest, WeightUpdatesCommute) {
   }
 }
 
+// Picks of route(model, salt) over salts 0..23 (a replicated model's
+// replica choice must not drift: sharded replays and their digests depend
+// on it).
+std::vector<std::size_t> picks(const ShardRouter& router, ModelId model) {
+  std::vector<std::size_t> out;
+  for (std::uint64_t salt = 0; salt < 24; ++salt) out.push_back(router.route(model, salt));
+  return out;
+}
+
+TEST(ShardRouterTest, ReplicatedRoutesArePinned) {
+  ShardRouter router(4);
+  router.set_replication(ModelId(0), 3);
+  router.set_replication(ModelId(1), 2);
+  EXPECT_EQ(router.replication(ModelId(0)), 3u);
+  EXPECT_EQ(router.replication(ModelId(2)), 1u);
+  const std::vector<std::size_t> model0 = {3, 3, 2, 3, 0, 2, 2, 0, 3, 0, 0, 3,
+                                           0, 2, 3, 0, 3, 0, 0, 0, 2, 0, 3, 2};
+  EXPECT_EQ(picks(router, ModelId(0)), model0);
+  EXPECT_EQ(picks(router, ModelId(1)),
+            (std::vector<std::size_t>{1, 1, 2, 1, 1, 2, 1, 2, 2, 2, 1, 1,
+                                      2, 1, 1, 1, 1, 1, 1, 2, 1, 2, 1, 1}));
+  // Shard 1 is not among model 0's replicas: reweighting it moves none.
+  router.set_weights({1.0, 0.0, 2.0, 1.0});
+  EXPECT_EQ(picks(router, ModelId(0)), model0);
+  // Fewer live shards than copies: every live shard is a replica.
+  router.set_weights({1.0, 0.0, 0.0, 1.0});
+  EXPECT_EQ(picks(router, ModelId(0)),
+            (std::vector<std::size_t>{0, 0, 3, 0, 0, 0, 0, 0, 3, 0, 3, 0,
+                                      0, 3, 3, 3, 3, 3, 3, 3, 3, 0, 0, 0}));
+  ShardRouter wide(16);
+  wide.set_replication(ModelId(7), 5);
+  EXPECT_EQ(picks(wide, ModelId(7)),
+            (std::vector<std::size_t>{6, 2, 12, 12, 2, 15, 6, 14, 6, 12, 12, 14,
+                                      15, 12, 2, 6, 6, 14, 2, 15, 14, 2, 2, 12}));
+}
+
+TEST(ShardRouterTest, ReplicasAreTheFirstDistinctRingSuccessors) {
+  // The replica set of K copies is the set of K-1 copies plus the next
+  // distinct shard clockwise, starting from the single-copy route: the
+  // picks over many salts cover exactly K shards and nest.
+  for (const std::size_t shards : {4u, 16u}) {
+    for (std::int64_t m = 0; m < 20; ++m) {
+      ShardRouter router(shards);
+      std::set<std::size_t> previous = {router.route(ModelId(m))};
+      for (std::uint32_t copies = 2; copies <= 5 && copies <= shards; ++copies) {
+        router.set_replication(ModelId(m), copies);
+        std::set<std::size_t> covered;
+        for (std::uint64_t salt = 0; salt < 512; ++salt) {
+          covered.insert(router.route(ModelId(m), salt));
+        }
+        EXPECT_EQ(covered.size(), copies) << "model " << m << " of " << shards;
+        EXPECT_TRUE(std::includes(covered.begin(), covered.end(), previous.begin(),
+                                  previous.end()))
+            << "model " << m << ": " << copies << " copies drop a replica of "
+            << copies - 1;
+        previous = covered;
+      }
+      // Back to one copy: the salt is ignored again.
+      router.set_replication(ModelId(m), 1);
+      EXPECT_EQ(router.route(ModelId(m), 12345), router.route(ModelId(m)));
+    }
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Completion-stream comparison helpers
 // ---------------------------------------------------------------------------
