@@ -14,15 +14,21 @@
 //      on one cluster (alternating which is built first), binds every
 //      thread to one CPU and feeds the two one burst each per round
 //      (alternating which goes first), so both run on the same worker
-//      thread and core and a change in host speed lands on both. A burst
+//      thread and core and a change in host speed lands on both. Every
+//      measured request joins the frozen window's pending queue, so a
+//      pair measures its --requests in segments of at most 20000, each
+//      on a fresh cluster and front ends: the backlog a burst meets, and
+//      with it the ratio, does not depend on --requests. A burst
 //      is pushed by one producer thread while the worker is held, then
 //      drained by the worker in one pass, so both sides do the same work
 //      in the same batch shapes. The median over every round of
 //      instrumented / plain must stay within 1 + --max-regression
 //      (default 3%; CI smoke relaxes to 5%). Glibc's mmap threshold is
-//      pinned, so a large block freed by one side cannot move the other
-//      side's next growth from mmap to the heap. Two plain sides (an A/A
-//      run) read within about 2% of each other over 5 pairs.
+//      set to its default, which turns off its dynamic adjustment, so a
+//      large block freed by one side cannot move the other side's next
+//      growth from mmap to the heap; the heap is never trimmed. Two
+//      plain sides (an A/A run) read within about 2% of each other over
+//      5 pairs.
 //
 //   2. Allocations — a global operator-new counter over the same
 //      measured windows: the record path (counter bumps + sampled span
@@ -322,6 +328,10 @@ class FrontEnd {
   std::unique_ptr<telemetry::Telemetry> tel_;
 };
 
+// Requests per side that one cluster and pair of front ends measure
+// before a fresh set replaces them (see phase 1 in the header).
+constexpr std::int64_t kSegmentRequests = 20000;
+
 struct PairResult {
   double plain_ns = 0;  // thread CPU ns per request
   double instr_ns = 0;
@@ -331,44 +341,44 @@ struct PairResult {
   std::vector<double> round_ratios;
 };
 
-// Feeds the two front ends one burst each per round, alternating which
-// side goes first, so a change in host speed lands on both sides alike.
-PairResult run_bursts(const Options& options, FrontEnd& plain, FrontEnd& instr,
-                      std::int64_t inject_ns) {
-  PairResult result;
+// Per-side totals of a pair's measured bursts.
+struct Tally {
+  std::int64_t requests = 0;  // per side
   std::int64_t cpu[2] = {0, 0};
   std::uint64_t allocs[2] = {0, 0};
+  std::vector<double> round_ratios;
+};
+
+// Feeds the two front ends `requests` each, one burst each per round,
+// alternating which side goes first, so a change in host speed lands on
+// both sides alike.
+void run_bursts(std::int64_t requests, FrontEnd& plain, FrontEnd& instr,
+                std::int64_t inject_ns, Tally& tally) {
   FrontEnd* sides[2] = {&plain, &instr};
   std::int64_t done = 0;
-  for (int round = 0; done < options.requests; ++round) {
-    const std::int64_t count = std::min(plain.burst_size(), options.requests - done);
+  for (int round = 0; done < requests; ++round) {
+    const std::int64_t count = std::min(plain.burst_size(), requests - done);
     std::int64_t round_cpu[2] = {0, 0};
     for (int k = 0; k < 2; ++k) {
       const int side = (round + k) % 2;
       const std::uint64_t before = g_allocs.load(std::memory_order_relaxed);
       round_cpu[side] = sides[side]->burst(count, side == 1 ? inject_ns : 0);
-      allocs[side] += g_allocs.load(std::memory_order_relaxed) - before;
-      cpu[side] += round_cpu[side];
+      tally.allocs[side] += g_allocs.load(std::memory_order_relaxed) - before;
+      tally.cpu[side] += round_cpu[side];
     }
-    result.round_ratios.push_back(static_cast<double>(round_cpu[1]) /
-                                  static_cast<double>(round_cpu[0]));
+    tally.round_ratios.push_back(static_cast<double>(round_cpu[1]) /
+                                 static_cast<double>(round_cpu[0]));
     done += count;
   }
   plain.check(done);
   instr.check(done);
-  const auto per_req = [done](auto v) {
-    return static_cast<double>(v) / static_cast<double>(done);
-  };
-  result.plain_ns = per_req(cpu[0]);
-  result.instr_ns = per_req(cpu[1]);
-  result.plain_allocs = per_req(allocs[0]);
-  result.instr_allocs = per_req(allocs[1]);
-  return result;
+  tally.requests += done;
 }
 
 // One pair: a plain and an instrumented front end side by side on one
 // cluster, so both submit from the same worker thread into the same
-// engine, every thread on the CPU the caller runs on. Odd pairs build the
+// engine, every thread on the CPU the caller runs on, replaced by a fresh
+// cluster and front ends every kSegmentRequests. Odd pairs build the
 // instrumented side first, so neither side always gets the younger heap.
 PairResult run_pair(const Options& options, int index, std::int64_t inject_ns) {
   cpu_set_t allowed;
@@ -376,18 +386,31 @@ PairResult run_pair(const Options& options, int index, std::int64_t inject_ns) {
   (void)pthread_getaffinity_np(pthread_self(), sizeof(allowed), &allowed);
   const int cpu = std::max(0, sched_getcpu());
   bind_to_cpu(cpu);
-  auto cluster = make_cluster(options, cpu);
-  std::unique_ptr<FrontEnd> sides[2];
-  for (int k = 0; k < 2; ++k) {
-    const int side = (index + k) % 2;  // 1 is the instrumented side
-    sides[side] = std::make_unique<FrontEnd>(options, cluster.get(), side == 1,
-                                             std::int64_t{side} << 32, cpu);
+  Tally tally;
+  while (tally.requests < options.requests) {
+    auto cluster = make_cluster(options, cpu);
+    std::unique_ptr<FrontEnd> sides[2];
+    for (int k = 0; k < 2; ++k) {
+      const int side = (index + k) % 2;  // 1 is the instrumented side
+      sides[side] = std::make_unique<FrontEnd>(options, cluster.get(), side == 1,
+                                               std::int64_t{side} << 32, cpu);
+    }
+    run_bursts(std::min(kSegmentRequests, options.requests - tally.requests),
+               *sides[0], *sides[1], inject_ns, tally);
+    // The executor goes first: its worker is joined and the windows'
+    // loads are dropped before the gateways they would report to.
+    cluster.reset();
   }
-  const PairResult result = run_bursts(options, *sides[0], *sides[1], inject_ns);
-  // The executor goes first: its worker is joined and the windows' loads
-  // are dropped before the gateways they would report to.
-  cluster.reset();
   (void)pthread_setaffinity_np(pthread_self(), sizeof(allowed), &allowed);
+  const auto per_req = [&tally](auto v) {
+    return static_cast<double>(v) / static_cast<double>(tally.requests);
+  };
+  PairResult result;
+  result.plain_ns = per_req(tally.cpu[0]);
+  result.instr_ns = per_req(tally.cpu[1]);
+  result.plain_allocs = per_req(tally.allocs[0]);
+  result.instr_allocs = per_req(tally.allocs[1]);
+  result.round_ratios = std::move(tally.round_ratios);
   return result;
 }
 
@@ -585,9 +608,11 @@ int run(const Options& options) {
 }  // namespace gfaas::bench
 
 int main(int argc, char** argv) {
-  // Fixed thresholds: see phase 1 in the header.
-  mallopt(M_MMAP_THRESHOLD, 1 << 30);
-  mallopt(M_TRIM_THRESHOLD, 1 << 30);
+  // Fixed thresholds: see phase 1 in the header. 128 KiB is glibc's
+  // default mmap threshold; setting it at all is what turns off the
+  // dynamic threshold.
+  GFAAS_CHECK(mallopt(M_MMAP_THRESHOLD, 128 * 1024) == 1);
+  GFAAS_CHECK(mallopt(M_TRIM_THRESHOLD, 1 << 30) == 1);
   gfaas::bench::Options options;
   for (int i = 1; i < argc; ++i) {
     auto value = [&](const char* flag) -> const char* {

@@ -100,24 +100,30 @@ void Gateway::set_telemetry(telemetry::Telemetry* telemetry) {
 
 void Gateway::submit(core::Request request, ResultCallback done) {
   serial_.AssertHeld();
-  submit_one(std::move(request), std::move(done), nullptr);
+  BatchMemo memo;
+  submit_one(std::move(request), std::move(done), memo);
+  flush_counts(memo);
 }
 
 void Gateway::submit_batch(std::vector<Submission>&& batch) {
   serial_.AssertHeld();
   BatchMemo memo;
   for (Submission& cell : batch) {
-    submit_one(std::move(cell.request), std::move(cell.done), &memo);
+    submit_one(std::move(cell.request), std::move(cell.done), memo);
   }
+  flush_counts(memo);
+  batch.clear();  // keeps the capacity, so the caller may reuse the buffer
+}
+
+void Gateway::flush_counts(const BatchMemo& memo) {
   if (tel_) {
     tel_->submitted->add(memo.submitted);
     tel_->queued->add(memo.queued);
   }
-  batch.clear();  // keeps the capacity, so the caller may reuse the buffer
 }
 
 void Gateway::submit_one(core::Request request, ResultCallback done,
-                         BatchMemo* memo) {
+                         BatchMemo& memo) {
   GFAAS_CHECK(done != nullptr);
   const SimTime now = cluster_->executor().now();
   request.arrival = now;
@@ -126,11 +132,7 @@ void Gateway::submit_one(core::Request request, ResultCallback done,
   }
   ++counters_.submitted;
   if (tel_) {
-    if (memo != nullptr) {
-      ++memo->submitted;
-    } else {
-      tel_->submitted->add();
-    }
+    ++memo.submitted;
     tel_->spans->record(request.id.value(), telemetry::SpanEvent::kSubmit, now);
   }
 
@@ -159,7 +161,7 @@ void Gateway::submit_one(core::Request request, ResultCallback done,
   if (flights_.size() < config_.max_in_flight) {
     // Admission mutates the engine (global queue, dispatch state): any
     // memoized fleet scan from earlier in the batch is stale now.
-    if (memo != nullptr) memo->valid = false;
+    memo.valid = false;
     admit(std::move(request), std::move(done));
     return;
   }
@@ -177,11 +179,7 @@ void Gateway::submit_one(core::Request request, ResultCallback done,
     return;
   }
   if (tel_) {
-    if (memo != nullptr) {
-      ++memo->queued;
-    } else {
-      tel_->queued->add();
-    }
+    ++memo.queued;
     tel_->spans->record(request.id.value(), telemetry::SpanEvent::kQueue, now,
                         -1, estimate);
   }
@@ -191,21 +189,20 @@ void Gateway::submit_one(core::Request request, ResultCallback done,
 
 SimTime Gateway::estimated_completion(const core::Request& request) const {
   serial_.AssertHeld();
-  return estimated_completion_impl(request, nullptr);
+  BatchMemo memo;
+  return estimated_completion_impl(request, memo);
 }
 
 SimTime Gateway::estimated_completion_impl(const core::Request& request,
-                                           BatchMemo* memo) const {
+                                           BatchMemo& memo) const {
   const cluster::SchedulerEngine& engine = cluster_->engine();
-  BatchMemo local;
-  BatchMemo* scan = memo != nullptr ? memo : &local;
-  if (!scan->valid) {
-    scan->now = cluster_->executor().now();
-    scan->fleet = engine.schedulable_gpu_count();
-    scan->counted = 0;
-    scan->mean_finish = 0.0;
-    scan->global_queue = 0;
-    if (scan->fleet > 0) {
+  if (!memo.valid) {
+    memo.now = cluster_->executor().now();
+    memo.fleet = engine.schedulable_gpu_count();
+    memo.counted = 0;
+    memo.mean_finish = 0.0;
+    memo.global_queue = 0;
+    if (memo.fleet > 0) {
       // When the engine's committed work (in-flight inference plus the
       // local queues, per the engine's own §IV-A finish-time estimates)
       // drains, on average across the schedulable fleet. The mean — not
@@ -216,24 +213,24 @@ SimTime Gateway::estimated_completion_impl(const core::Request& request,
       // exactly when it matters — and once per *batch* on the bulk
       // path: admissions are the only engine mutations a submission can
       // cause, so between admissions this scan is invariant).
-      scan->counted = engine.idle_gpu_count();
-      scan->mean_finish =
-          static_cast<double>(scan->now) * static_cast<double>(scan->counted);
-      engine.for_each_busy_gpu([&engine, scan](GpuId gpu) {
+      memo.counted = engine.idle_gpu_count();
+      memo.mean_finish =
+          static_cast<double>(memo.now) * static_cast<double>(memo.counted);
+      engine.for_each_busy_gpu([&engine, &memo](GpuId gpu) {
         if (engine.is_fenced(gpu)) return;  // draining: takes no new work
-        scan->mean_finish += static_cast<double>(
-            std::max(scan->now, engine.estimated_finish_time(gpu)));
-        ++scan->counted;
+        memo.mean_finish += static_cast<double>(
+            std::max(memo.now, engine.estimated_finish_time(gpu)));
+        ++memo.counted;
       });
-      if (scan->counted > 0) {
-        scan->mean_finish /= static_cast<double>(scan->counted);
+      if (memo.counted > 0) {
+        memo.mean_finish /= static_cast<double>(memo.counted);
       }
-      scan->global_queue = engine.global_queue().size();
+      memo.global_queue = engine.global_queue().size();
     }
-    scan->valid = true;
+    memo.valid = true;
   }
-  if (scan->fleet == 0) return kSimTimeMax;
-  if (scan->counted == 0) return kSimTimeMax;  // whole fleet draining
+  if (memo.fleet == 0) return kSimTimeMax;
+  if (memo.counted == 0) return kSimTimeMax;  // whole fleet draining
 
   // The request's own demand: a cold load unless the model is warm
   // somewhere the scheduler can route to. Always read live — it is
@@ -247,9 +244,9 @@ SimTime Gateway::estimated_completion_impl(const core::Request& request,
   // Backlog ahead of this request that the committed-finish estimates do
   // not cover yet — the engine's global queue plus our own pending queue
   // — spread across the fleet, each round costing about one service time.
-  const std::size_t ahead = scan->global_queue + pending_.size();
-  const auto rounds = static_cast<SimTime>(ahead / scan->fleet);
-  return static_cast<SimTime>(scan->mean_finish) + service * (1 + rounds);
+  const std::size_t ahead = memo.global_queue + pending_.size();
+  const auto rounds = static_cast<SimTime>(ahead / memo.fleet);
+  return static_cast<SimTime>(memo.mean_finish) + service * (1 + rounds);
 }
 
 Gateway::FlightSlot Gateway::FlightTable::insert(Flight flight) {
@@ -597,7 +594,8 @@ WindowedOutcomes Gateway::windowed_outcomes() const {
   if (!window_latencies_.empty()) {
     std::vector<SimTime> latencies;
     latencies.reserve(window_latencies_.size());
-    for (const OutcomeSample& sample : window_latencies_) {
+    for (std::size_t i = 0; i < window_latencies_.size(); ++i) {
+      const OutcomeSample& sample = window_latencies_[i];
       latencies.push_back(sample.latency);
       if (sample.deep_wait) ++out.deep_waits;
     }

@@ -59,10 +59,11 @@
 // admitted request lives in a flight slot recycled through a free list,
 // its completion hook and hedge timer capture only the slot (they fit
 // std::function's inline buffer), the pending queue and the trailing
-// outcome window are vectors that keep their capacity, and a resolution
+// outcome window are rings that keep their capacity, and a resolution
 // posted to the callback executor is stored in place there.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <deque>
@@ -390,42 +391,51 @@ class Gateway {
   };
   using FlightSlot = FlightTable::Index;
 
-  // FIFO over a vector that keeps its capacity: pop_front() advances a
-  // head index, and the consumed prefix is dropped once the head passes
-  // half the vector (as sim::Simulator's sorted run does), so a steady
-  // stream allocates nothing once warm.
+  // FIFO over a ring whose capacity is a power of two and only grows:
+  // push_back and pop_front are O(1), and a steady stream allocates
+  // nothing once the ring has reached its peak occupancy.
   template <typename T>
   class Fifo {
    public:
-    bool empty() const { return head_ == items_.size(); }
-    std::size_t size() const { return items_.size() - head_; }
+    bool empty() const { return size_ == 0; }
+    std::size_t size() const { return size_; }
     T& front() { return items_[head_]; }
-    void push_back(T item) { items_.push_back(std::move(item)); }
+    // The i-th element from the front.
+    const T& operator[](std::size_t i) const {
+      return items_[(head_ + i) & (items_.size() - 1)];
+    }
+    void push_back(T item) {
+      if (size_ == items_.size()) grow();
+      items_[(head_ + size_) & (items_.size() - 1)] = std::move(item);
+      ++size_;
+    }
     void pop_front() {
-      if (++head_ == items_.size()) {
-        items_.clear();
-        head_ = 0;
-      } else if (head_ > items_.size() / 2) {
-        items_.erase(items_.begin(),
-                     items_.begin() + static_cast<std::ptrdiff_t>(head_));
-        head_ = 0;
-      }
+      items_[head_] = T();  // releases whatever the popped element holds
+      head_ = (head_ + 1) & (items_.size() - 1);
+      --size_;
     }
-    typename std::vector<T>::const_iterator begin() const {
-      return items_.begin() + static_cast<std::ptrdiff_t>(head_);
-    }
-    typename std::vector<T>::const_iterator end() const { return items_.end(); }
 
    private:
-    std::vector<T> items_;
+    void grow() {
+      std::vector<T> next(std::max<std::size_t>(16, 2 * items_.size()));
+      for (std::size_t i = 0; i < size_; ++i) {
+        next[i] = std::move(items_[(head_ + i) & (items_.size() - 1)]);
+      }
+      items_.swap(next);
+      head_ = 0;
+    }
+
+    std::vector<T> items_;  // size() is the capacity, a power of two
     std::size_t head_ = 0;
+    std::size_t size_ = 0;
   };
 
   // Batch-scoped cache of the fleet scan inside estimated_completion.
   // Valid only while the engine is untouched: every admission (the only
   // engine mutation a submission can cause) invalidates it. Everything
   // request-specific (service time, cache warmth) and everything the
-  // batch itself mutates (pending_.size()) is always read live.
+  // batch itself mutates (pending_.size()) is always read live. submit()
+  // and estimated_completion() each use a fresh one, a batch of one.
   struct BatchMemo {
     bool valid = false;
     SimTime now = 0;
@@ -440,10 +450,12 @@ class Gateway {
     std::int64_t queued = 0;
   };
 
-  void submit_one(core::Request request, ResultCallback done, BatchMemo* memo)
+  void submit_one(core::Request request, ResultCallback done, BatchMemo& memo)
       REQUIRES(serial_);
+  // Adds the memo's submitted and queued counts to telemetry.
+  void flush_counts(const BatchMemo& memo) REQUIRES(serial_);
   SimTime estimated_completion_impl(const core::Request& request,
-                                    BatchMemo* memo) const REQUIRES(serial_);
+                                    BatchMemo& memo) const REQUIRES(serial_);
   void admit(core::Request request, ResultCallback done, SimTime estimate = 0)
       REQUIRES(serial_);
   // Sheds or expires a request the engine never took. A tenant denial

@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
 #include <memory>
 #include <unordered_map>
 #include <vector>
@@ -173,6 +174,40 @@ TEST(GatewayAdmissionTest, TightDeadlineShedsInsteadOfQueueing) {
   // The admitted request blew its (absurd) deadline: completed, SLO missed.
   EXPECT_EQ(collector.count(Disposition::kCompleted), 1u);
   EXPECT_EQ(gateway.counters().slo_met, 0);
+}
+
+TEST(GatewayAdmissionTest, PendingQueueAdmitsInSubmitOrderAcrossWrapAndGrowth) {
+  auto cluster = testkit::ClusterBuilder().nodes(1).gpus_per_node(1).build();
+  GatewayConfig config;
+  config.max_in_flight = 1;  // one flight: completions follow admissions
+  config.default_slo = minutes(30);
+  Gateway gateway(cluster.get(), config);
+  std::vector<std::int64_t> order;
+  constexpr std::int64_t kFirst = 12;
+  constexpr std::int64_t kSecond = 30;
+  std::function<void(std::int64_t)> submit = [&](std::int64_t id) {
+    gateway.submit(serving_request(id, 0), [&, id](const GatewayResult& result) {
+      EXPECT_EQ(result.disposition, Disposition::kCompleted) << id;
+      order.push_back(id);
+      // Once the queue's front has moved, a second wave wraps the queue
+      // around its end and then grows it.
+      if (id == 4) {
+        cluster->simulator().schedule_at(cluster->simulator().now(), [&] {
+          for (std::int64_t i = kFirst; i < kFirst + kSecond; ++i) submit(i);
+        });
+      }
+    });
+  };
+  cluster->simulator().schedule_at(0, [&] {
+    for (std::int64_t i = 0; i < kFirst; ++i) submit(i);
+  });
+  cluster->run_to_completion();
+
+  ASSERT_EQ(order.size(), static_cast<std::size_t>(kFirst + kSecond));
+  for (std::size_t i = 0; i < order.size(); ++i) {
+    EXPECT_EQ(order[i], static_cast<std::int64_t>(i)) << "position " << i;
+  }
+  EXPECT_EQ(gateway.pending(), 0u);
 }
 
 // ---------------------------------------------------------------------------
