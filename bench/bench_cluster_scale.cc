@@ -20,8 +20,9 @@
 //                       [--working-set 35] [--policy lb|lalb|lalbo3]
 //                       [--o3-limit 25]
 //
-// The CI Release job smoke-runs `--gpus 8 --requests 5000` so the binary
-// and the engine counters it depends on cannot rot.
+// The CI Release job smoke-runs `--gpus 8,136 --requests 5000` so the
+// binary and the engine counters it depends on cannot rot, and so the
+// scheduler's GPU bitsets run past one 64-bit word (136 GPUs span three).
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>

@@ -34,12 +34,12 @@ Status GpuCacheState::insert(ModelId model, Bytes size) {
   return Status::Ok();
 }
 
-Status GpuCacheState::touch(ModelId model) {
-  if (!contains(model)) {
-    return Status::NotFound("model " + std::to_string(model.value()) + " not cached");
-  }
+Residency GpuCacheState::acquire(ModelId model) {
+  auto it = resident_.find(model.value());
+  if (it == resident_.end()) return Residency::kMiss;
   policy_->on_access(model);
-  return Status::Ok();
+  if (it->second.pins++ == 0) ++pinned_models_;
+  return it->second.loaded ? Residency::kLoaded : Residency::kUnloaded;
 }
 
 Status GpuCacheState::remove(ModelId model) {
@@ -140,6 +140,16 @@ void CacheManager::add_gpu(GpuId gpu, Bytes capacity) {
   if (gpus_.size() <= index) gpus_.resize(index + 1);
   GFAAS_CHECK(gpus_[index] == nullptr) << "gpu " << gpu.value() << " already added";
   gpus_[index] = std::make_unique<GpuCacheState>(gpu, capacity, policy_);
+  // Widen every model's bitset when the new id starts a word.
+  const std::size_t stride = gpu_words_for(gpus_.size());
+  if (stride == stride_) return;
+  std::vector<std::uint64_t> words(holder_counts_.size() * stride, 0);
+  for (std::size_t m = 0; m < holder_counts_.size(); ++m) {
+    std::copy_n(holder_words_.begin() + static_cast<std::ptrdiff_t>(m * stride_), stride_,
+                words.begin() + static_cast<std::ptrdiff_t>(m * stride));
+  }
+  holder_words_ = std::move(words);
+  stride_ = stride;
 }
 
 std::size_t CacheManager::gpu_count() const {
@@ -151,17 +161,34 @@ std::size_t CacheManager::gpu_count() const {
 }
 
 void CacheManager::index_location(GpuId gpu, ModelId model) {
-  GFAAS_CHECK(locations_[model.value()].insert(gpu).second)
+  GFAAS_CHECK(model.valid()) << "invalid model id";
+  const auto m = static_cast<std::size_t>(model.value());
+  if (m >= holder_counts_.size()) {  // first sight of this model id
+    holder_counts_.resize(m + 1, 0);
+    holder_words_.resize(holder_counts_.size() * stride_, 0);
+  }
+  std::uint64_t& word = holder_words_[m * stride_ + gpu_word(gpu)];
+  GFAAS_CHECK((word & gpu_mask(gpu)) == 0)
       << "location index out of sync for model " << model.value();
+  word |= gpu_mask(gpu);
+  ++holder_counts_[m];
   mirror_locations(model);
 }
 
 void CacheManager::deindex_location(GpuId gpu, ModelId model) {
-  auto it = locations_.find(model.value());
-  GFAAS_CHECK(it != locations_.end() && it->second.erase(gpu) == 1)
+  GFAAS_CHECK(holders(model).test(gpu))
       << "location index out of sync for model " << model.value();
-  if (it->second.empty()) locations_.erase(it);
+  const auto m = static_cast<std::size_t>(model.value());
+  holder_words_[m * stride_ + gpu_word(gpu)] &= ~gpu_mask(gpu);
+  --holder_counts_[m];
   mirror_locations(model);
+}
+
+std::vector<GpuId> CacheManager::locations(ModelId model) const {
+  std::vector<GpuId> out;
+  out.reserve(duplicate_count(model));
+  holders(model).for_each([&out](GpuId gpu) { out.push_back(gpu); });
+  return out;
 }
 
 void CacheManager::fence_gpu(GpuId gpu) {
@@ -207,12 +234,12 @@ bool CacheManager::is_cached(GpuId gpu, ModelId model) const {
   return state(gpu).contains(model);
 }
 
-Status CacheManager::record_access(GpuId gpu, ModelId model) {
-  Status s = mutable_state(gpu).touch(model);
-  if (!s.ok()) return s;
+Residency CacheManager::acquire(GpuId gpu, ModelId model) {
+  const Residency found = mutable_state(gpu).acquire(model);
+  if (found == Residency::kMiss) return found;
   ++stats_.hits;
   mirror_to_store(gpu);
-  return Status::Ok();
+  return found;
 }
 
 StatusOr<std::vector<ModelId>> CacheManager::plan_eviction(GpuId gpu, Bytes size) const {
@@ -264,15 +291,33 @@ Status CacheManager::unpin(GpuId gpu, ModelId model) {
 }
 
 void CacheManager::audit() const {
-  std::unordered_map<std::int64_t, std::set<GpuId>> expected;
+  GFAAS_CHECK(stride_ == gpu_words_for(gpus_.size()) &&
+              holder_words_.size() == holder_counts_.size() * stride_)
+      << "holder bitsets are " << stride_ << " words wide for " << gpus_.size()
+      << " gpu ids";
+  std::vector<std::uint64_t> expected(holder_words_.size(), 0);
   for (const auto& st : gpus_) {
     if (st == nullptr) continue;
     st->audit();
     if (st->fenced()) continue;
-    for (ModelId model : st->models()) expected[model.value()].insert(st->gpu());
+    for (ModelId model : st->models()) {
+      const auto m = static_cast<std::size_t>(model.value());
+      GFAAS_CHECK(m < holder_counts_.size())
+          << "model " << model.value() << " is cached on gpu " << st->gpu().value()
+          << " but has no holder bitset";
+      expected[m * stride_ + gpu_word(st->gpu())] |= gpu_mask(st->gpu());
+    }
   }
-  GFAAS_CHECK(expected == locations_)
-      << "location index out of sync with the per-gpu resident sets";
+  GFAAS_CHECK(expected == holder_words_)
+      << "holder bitsets out of sync with the per-gpu resident sets";
+  for (std::size_t m = 0; m < holder_counts_.size(); ++m) {
+    std::size_t bits = 0;
+    for (std::size_t i = 0; i < stride_; ++i) {
+      bits += static_cast<std::size_t>(__builtin_popcountll(expected[m * stride_ + i]));
+    }
+    GFAAS_CHECK(bits == holder_counts_[m])
+        << "model " << m << " counts " << holder_counts_[m] << " holders of " << bits;
+  }
 }
 
 void CacheManager::mirror_to_store(GpuId gpu) {
@@ -285,7 +330,8 @@ void CacheManager::mirror_to_store(GpuId gpu) {
 void CacheManager::mirror_locations(ModelId model) {
   if (store_ == nullptr) return;
   std::vector<std::int64_t> ids;
-  for (GpuId g : locations(model)) ids.push_back(g.value());
+  ids.reserve(duplicate_count(model));
+  holders(model).for_each([&ids](GpuId gpu) { ids.push_back(gpu.value()); });
   store_->put(datastore::keys::model_locations(model),
               datastore::keys::encode_id_list(ids));
 }

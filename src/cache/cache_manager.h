@@ -3,15 +3,22 @@
 // Treats the models uploaded to each GPU's memory as cache items. Each
 // GPU's memory is managed with a separate replacement list (scalability
 // note in §VI); a global model -> GPUs index answers the Scheduler's
-// "where is this model cached" query in O(#locations) (also §VI). On a
-// miss the manager plans the victim list — enough models, in policy
-// order, to make room for the incoming one — and the GPU Manager kills
-// those processes. Models currently running a request are pinned and
-// skipped by eviction planning.
+// "where is this model cached" query (also §VI). The index is one GPU
+// bitset per model (common/gpu_bitset.h) plus a per-model holder count:
+// the Scheduler intersects a model's holders with the idle GPUs word by
+// word, a bit scan yields them in ascending id order, and
+// cached_anywhere()/duplicate_count() read the count. Bitset storage
+// grows only when a GPU id or a model id is first seen, never per
+// insertion or eviction. On a miss the manager plans the victim list —
+// enough models, in policy order, to make room for the incoming one — and
+// the GPU Manager kills those processes. Models currently running a
+// request are pinned and skipped by eviction planning.
 //
 // A GPU's entries are the one record of the models it holds and their
 // bytes (the device keeps only timing); each turns loaded when the GPU
-// Manager reports its upload finished (record_load).
+// Manager reports its upload finished (record_load). A dispatch looks its
+// entry up once (acquire): a hit is counted, refreshed and pinned in that
+// one lookup.
 //
 // State is mirrored into the Datastore (gpu/<id>/lru and
 // model/<id>/locations) after every mutation, exactly the channel the
@@ -19,13 +26,12 @@
 #pragma once
 
 #include <memory>
-#include <optional>
-#include <set>
 #include <unordered_map>
 #include <vector>
 
 #include "cache/policy.h"
 #include "common/bytes.h"
+#include "common/gpu_bitset.h"
 #include "common/id.h"
 #include "common/status.h"
 #include "datastore/kv_store.h"
@@ -43,6 +49,10 @@ struct CacheStats {
   }
 };
 
+// What a dispatch finds on its GPU (acquire): no entry, a loaded model,
+// or an entry whose upload was aborted and must be redone.
+enum class Residency { kMiss, kLoaded, kUnloaded };
+
 // Cache bookkeeping for one GPU.
 class GpuCacheState {
  public:
@@ -59,7 +69,10 @@ class GpuCacheState {
   std::vector<ModelId> eviction_order() const { return policy_->eviction_order(); }
 
   Status insert(ModelId model, Bytes size);  // starts unloaded
-  Status touch(ModelId model);
+  // A hit's one entry lookup: refreshes the replacement order, pins the
+  // model and reports its loaded bit. kMiss (nothing changes) when the
+  // model is not resident.
+  Residency acquire(ModelId model);
   Status remove(ModelId model);
   Status mark_loaded(ModelId model);
   bool loaded(ModelId model) const;  // false when not resident
@@ -121,8 +134,8 @@ class CacheManager {
   // Fences a draining GPU: its entries leave the model -> GPUs location
   // index (so the Scheduler stops routing toward its cached models), while
   // the per-GPU state stays live for the in-flight request's pin/unpin and
-  // hit bookkeeping. locations()/cached_anywhere()/duplicate_count() never
-  // report fenced holders.
+  // hit bookkeeping. holders()/locations()/cached_anywhere()/
+  // duplicate_count() never report fenced holders.
   void fence_gpu(GpuId gpu);
   // Reverses fence_gpu (aborted scale-down): entries rejoin the index.
   void unfence_gpu(GpuId gpu);
@@ -140,21 +153,27 @@ class CacheManager {
 
   // --- queries used by the Scheduler ---
   bool is_cached(GpuId gpu, ModelId model) const;
-  // All GPUs that currently hold the model, ascending id. Read in place
-  // from the global model -> GPUs index (§VI): no copy, never a GPU scan.
-  // Valid until the next insertion, eviction or membership change.
-  const std::set<GpuId>& locations(ModelId model) const {
-    const auto it = locations_.find(model.value());
-    return it == locations_.end() ? no_holders_ : it->second;
+  // The unfenced GPUs that hold the model, as a bitset over GPU ids read
+  // in place from the global model -> GPUs index (§VI): no copy, never a
+  // GPU scan. Valid until the next insertion, eviction or membership
+  // change.
+  GpuBits holders(ModelId model) const {
+    const auto m = static_cast<std::size_t>(model.value());
+    return model.valid() && m < holder_counts_.size()
+               ? GpuBits(holder_words_.data() + m * stride_, stride_)
+               : GpuBits();
   }
+  // The same holders as a list in ascending id order (tests, diagnostics).
+  std::vector<GpuId> locations(ModelId model) const;
   // Whether the model is cached on ANY gpu (false-miss accounting). O(1).
-  bool cached_anywhere(ModelId model) const {
-    return locations_.count(model.value()) > 0;
-  }
+  bool cached_anywhere(ModelId model) const { return duplicate_count(model) > 0; }
 
   // --- mutations driven by the GPU Manager ---
-  // Records a hit: refreshes the replacement order. Fails if not cached.
-  Status record_access(GpuId gpu, ModelId model);
+  // A dispatch's one lookup of the model on the GPU. On a hit it counts
+  // the hit, refreshes the replacement order and pins the model for the
+  // execution, and reports whether its upload finished. On a miss
+  // (kMiss) nothing changes.
+  Residency acquire(GpuId gpu, ModelId model);
   // Plans the victims needed to fit `size` on the GPU (may be empty).
   StatusOr<std::vector<ModelId>> plan_eviction(GpuId gpu, Bytes size) const;
   // Applies an eviction decided by plan_eviction.
@@ -178,17 +197,17 @@ class CacheManager {
   CacheStats& stats() { return stats_; }
   const CacheStats& stats() const { return stats_; }
 
-  // Number of GPUs holding each model, for the duplicate-count metric
-  // (Fig. 6 tracks the most popular model's duplicates). O(1) index read.
+  // Number of unfenced GPUs holding each model, for the duplicate-count
+  // metric (Fig. 6 tracks the most popular model's duplicates). O(1).
   std::size_t duplicate_count(ModelId model) const {
-    auto it = locations_.find(model.value());
-    return it == locations_.end() ? 0 : it->second.size();
+    const auto m = static_cast<std::size_t>(model.value());
+    return model.valid() && m < holder_counts_.size() ? holder_counts_[m] : 0;
   }
 
  private:
   GpuCacheState& mutable_state(GpuId gpu);
-  // Checked locations_ maintenance (insert/erase + datastore mirror); every
-  // index mutation funnels through these two.
+  // Checked holder-index maintenance (bit flip, count, datastore mirror);
+  // every index mutation funnels through these two.
   void index_location(GpuId gpu, ModelId model);
   void deindex_location(GpuId gpu, ModelId model);
   void mirror_to_store(GpuId gpu);
@@ -199,12 +218,14 @@ class CacheManager {
   // Indexed by GpuId value; removed GPUs leave a null slot (ids are never
   // reused, matching ClusterStateIndex).
   std::vector<std::unique_ptr<GpuCacheState>> gpus_;
-  // Global model -> holder-GPU index, maintained on insertion/eviction.
-  // Ordered by GPU id so enumerations (and the datastore mirror) match
-  // the ascending-id order a full GPU scan would produce. A model with no
-  // holders has no entry, making cached_anywhere() a pure lookup.
-  std::unordered_map<std::int64_t, std::set<GpuId>> locations_;
-  const std::set<GpuId> no_holders_;
+  // Global model -> holder-GPU index, maintained on insertion/eviction:
+  // model m's bitset is words [m * stride_, (m + 1) * stride_), and
+  // holder_counts_[m] its population. Model ids are dense from 0
+  // (trace::Workload numbers them so); a model id past the end has no
+  // holders. stride_ covers every GPU id ever added.
+  std::size_t stride_ = 0;
+  std::vector<std::uint64_t> holder_words_;
+  std::vector<std::uint32_t> holder_counts_;
   CacheStats stats_;
 };
 

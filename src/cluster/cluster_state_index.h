@@ -17,11 +17,18 @@
 //     adds its inference time, which the latency model never predicts
 //     below 1 µs, so the aggregate is positive exactly when the local
 //     queue is non-empty (add_local_work rejects a zero delta);
-//   * busy GPUs in id order: O(#busy) to enumerate;
-//   * per-GPU committed finish time + local-queue work aggregate: the two
-//     integer terms of estimated_finish_time(), O(1) to read. SimTime is
-//     integer microseconds, so the running local-work sum is exact (no
-//     float drift against a per-invocation re-sum).
+//   * the same idle, unfenced GPUs as a bitset over GPU ids
+//     (common/gpu_bitset.h), set and cleared wherever a GPU enters and
+//     leaves the idle order: Algorithm 2 intersects it with a model's
+//     holder bitset from the cache, a word per 64 GPUs, so an idle or a
+//     busy holder is found without probing holders one by one;
+//   * busy GPUs in id order: O(#gpus) to enumerate (a cold path);
+//   * per-GPU dispatch count, committed finish time and local-queue work
+//     aggregate in one flat array (core::GpuLoad, indexed by GPU id): the
+//     frequency key and the two integer terms of estimated_finish_time(),
+//     which the policy reads straight from the array for each holder.
+//     SimTime is integer microseconds, so the running local-work sum is
+//     exact (no float drift against a per-invocation re-sum).
 //
 // A GPU leaving an ordered set parks the set node in its per-GPU entry,
 // and re-entering re-keys and re-inserts that node (C++17 extract/insert),
@@ -40,9 +47,11 @@
 #include <utility>
 #include <vector>
 
+#include "common/gpu_bitset.h"
 #include "common/id.h"
 #include "common/log.h"
 #include "common/time.h"
+#include "core/scheduler.h"
 
 namespace gfaas::cluster {
 
@@ -92,9 +101,18 @@ class ClusterStateIndex {
     const PerGpu& s = state(gpu);
     return s.idle && !s.fenced;
   }
-  std::int64_t dispatch_count(GpuId gpu) const { return state(gpu).dispatches; }
-  SimTime committed_finish(GpuId gpu) const { return state(gpu).committed_finish; }
-  SimTime local_work(GpuId gpu) const { return state(gpu).local_work; }
+  // Dispatch count, committed finish time and local-queue work.
+  const core::GpuLoad& load(GpuId gpu) const {
+    state(gpu);  // checks the id
+    return loads_[static_cast<std::size_t>(gpu.value())];
+  }
+
+  // --- flat views for the policies' holder walks ---
+  // Idle, unfenced GPUs as a bitset over ids (the idle order's members).
+  GpuBits idle_bits() const { return idle_bits_.bits(); }
+  // Every registered id's load entry, indexed by GPU id (retired ids keep
+  // their last values); valid until the next add_gpu.
+  const core::GpuLoad* loads() const { return loads_.data(); }
 
   // First GPU in idle order that is unfenced and has local-queue work
   // (invalid id if none): the serve-local target of Algorithm 1.
@@ -136,9 +154,9 @@ class ClusterStateIndex {
   }
   std::vector<GpuId> busy_gpus() const;
 
-  // Recomputes the idle and serviceable sets and the schedulable count
-  // from the per-GPU flags and local_work, and CHECKs them against the
-  // maintained ones.
+  // Recomputes the idle and serviceable sets, the idle bitset and the
+  // schedulable count from the per-GPU flags and local_work, and CHECKs
+  // them against the maintained ones.
   void audit() const;
 
  private:
@@ -155,9 +173,6 @@ class ClusterStateIndex {
     bool registered = false;
     bool idle = true;
     bool fenced = false;
-    std::int64_t dispatches = 0;
-    SimTime committed_finish = 0;
-    SimTime local_work = 0;
     // The GPU's set nodes while it is out of idle_ / serviceable_.
     OrderedSet::node_type idle_node;
     OrderedSet::node_type serviceable_node;
@@ -173,6 +188,10 @@ class ClusterStateIndex {
   PerGpu& state(GpuId gpu) {
     return const_cast<PerGpu&>(static_cast<const ClusterStateIndex*>(this)->state(gpu));
   }
+  core::GpuLoad& mutable_load(GpuId gpu) {
+    return const_cast<core::GpuLoad&>(
+        static_cast<const ClusterStateIndex*>(this)->load(gpu));
+  }
   // Inserts/erases the GPU in the ordered sets according to its flags.
   void enter_sets(PerGpu& s, GpuId gpu);
   void leave_sets(PerGpu& s, GpuId gpu);
@@ -184,8 +203,10 @@ class ClusterStateIndex {
                     std::int64_t dispatches, GpuId gpu);
 
   std::vector<PerGpu> gpus_;  // indexed by GpuId value
-  // Idle, unfenced GPUs in dispatch-frequency order.
+  std::vector<core::GpuLoad> loads_;  // indexed by GpuId value
+  // Idle, unfenced GPUs in dispatch-frequency order, and as a bitset.
   OrderedSet idle_;
+  GpuBitset idle_bits_;
   // Subset of idle_ with local_work > 0, same order.
   OrderedSet serviceable_;
   std::size_t schedulable_count_ = 0;

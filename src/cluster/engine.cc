@@ -164,7 +164,7 @@ SimTime SchedulerEngine::estimated_finish_time(GpuId gpu) const {
   // already queued in its local queue"). Local-queue requests are cache
   // hits by construction, so only inference time accrues; the index keeps
   // that sum as a running aggregate, making this an O(1) lookup.
-  return std::max(now(), index_.committed_finish(gpu)) + index_.local_work(gpu);
+  return index_.load(gpu).estimated_finish(now());
 }
 
 SimTime SchedulerEngine::load_time(ModelId model) const {
@@ -408,16 +408,14 @@ bool SchedulerEngine::request_waiting(RequestId id) const {
 
 GpuId SchedulerEngine::hedge_dispatch(core::Request request, RequestId primary) {
   serial_.AssertHeld();
-  GpuId target;
-  bool target_cached = false;
-  for (const GpuId gpu : cache_->locations(request.model)) {
-    if (is_idle(gpu)) {
-      target = gpu;
-      target_cached = true;
-      break;
-    }
-  }
-  if (!target.valid()) {
+  // The lowest-id idle holder: the first bit of holders & idle.
+  const GpuBits holders = cache_->holders(request.model);
+  const GpuBits idle = index_.idle_bits();
+  GpuId target = first_gpu(holders.word_count(), [&holders, &idle](std::size_t i) {
+    return holders.word(i) & idle.word(i);
+  });
+  const bool target_cached = target.valid();
+  if (!target_cached) {
     target = index_.last_idle();
     if (!target.valid()) return GpuId();
   }
@@ -439,7 +437,7 @@ GpuId SchedulerEngine::hedge_dispatch(core::Request request, RequestId primary) 
       (target_cached ? 0 : load_time(request.model)) + infer;
   SimTime effective = kSimTimeMax;
   const auto overdue_by = [this](GpuId gpu) {
-    return std::max<SimTime>(0, now() - index_.committed_finish(gpu));
+    return std::max<SimTime>(0, now() - index_.load(gpu).committed_finish);
   };
   const SlotIndex p = table_.find(primary);
   // Not executing, not global, not parked: the caller raced a terminal
@@ -487,7 +485,7 @@ void SchedulerEngine::audit() const {
     GFAAS_CHECK(parked == local_queues_.size(gpu))
         << "local list of gpu " << g << " holds " << parked << " of "
         << local_queues_.size(gpu);
-    const SimTime indexed = index_.is_registered(gpu) ? index_.local_work(gpu) : 0;
+    const SimTime indexed = index_.is_registered(gpu) ? index_.load(gpu).local_work : 0;
     GFAAS_CHECK(work == indexed)
         << "local list of gpu " << g << " holds " << work << " us of work, index says "
         << indexed;

@@ -277,11 +277,19 @@ class SchedulerEngine final : public core::SchedulingContext {
   }
   std::int64_t dispatch_count(GpuId gpu) const override {
     serial_.AssertHeld();
-    return index_.dispatch_count(gpu);
+    return index_.load(gpu).dispatches;
   }
   GpuId first_idle_with_local_work() const override {
     serial_.AssertHeld();
     return index_.first_idle_with_local_work();
+  }
+  GpuBits idle_gpu_bits() const override {
+    serial_.AssertHeld();
+    return index_.idle_bits();
+  }
+  const core::GpuLoad* gpu_loads() const override {
+    serial_.AssertHeld();
+    return index_.loads();
   }
   const core::GlobalQueue& global_queue() const override {
     serial_.AssertHeld();

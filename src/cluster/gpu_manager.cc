@@ -69,7 +69,9 @@ StatusOr<SimTime> GpuManager::execute(const core::Request& request, GpuId gpu,
   // that is what makes the degradation gray.
   const SimTime real_infer = stretched(*infer_time, s.slowdown);
 
-  const bool hit = cache_->is_cached(gpu, model);
+  // One entry lookup: a hit is counted, refreshed and pinned here.
+  const cache::Residency found = cache_->acquire(gpu, model);
+  const bool hit = found != cache::Residency::kMiss;
 
   // The slot is only read while the device is busy, so an error return
   // below leaves nothing behind that a later execute() could observe.
@@ -88,22 +90,18 @@ StatusOr<SimTime> GpuManager::execute(const core::Request& request, GpuId gpu,
   s.infer_time = real_infer;
   s.done = std::move(done);
 
-  if (hit) {
+  if (found == cache::Residency::kLoaded) {
     // Cache hit: "the GPU process that uses the requested model is
     // already running; GPU Manager forwards the input" (§III-C).
-    GFAAS_CHECK(cache_->record_access(gpu, model).ok());
-    GFAAS_CHECK(cache_->pin(gpu, model).ok());
-    if (cache_->state(gpu).loaded(model)) {
-      auto end = device.begin_inference(now, real_infer, request.batch);
-      if (!end.ok()) return end.status();
-      s.finish = *end;
-      schedule_completion(gpu);
-      return *end - (real_infer - *infer_time);
-    }
-    // Resident but not loaded: a mid-load abort kept the entry for pinned
-    // waiters (see abort()). It stays a hit for the cache index, but the
-    // weights must be re-uploaded: fall through, skipping eviction.
+    auto end = device.begin_inference(now, real_infer, request.batch);
+    if (!end.ok()) return end.status();
+    s.finish = *end;
+    schedule_completion(gpu);
+    return *end - (real_infer - *infer_time);
   }
+  // Resident but not loaded (kUnloaded): a mid-load abort kept the entry
+  // for pinned waiters (see abort()). It stays a hit for the cache index,
+  // but the weights must be re-uploaded: fall through, skipping eviction.
 
   // Upload the model (the paper's new GPU process), then run.
   const auto occupation = registry_->occupation(model);

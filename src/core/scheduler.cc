@@ -1,7 +1,6 @@
 #include "core/scheduler.h"
 
 #include <iterator>
-#include <set>
 
 #include "common/log.h"
 
@@ -17,21 +16,27 @@ bool is_false_miss(const SchedulingContext& ctx, ModelId model, GpuId gpu) {
 }
 
 // Earliest idle holder of `model` in the idle frequency ordering: the
-// idle holder maximizing (dispatch_count, lowest id).
-// Scans the O(#locations) holder list instead of the idle set, so the
-// cost is bounded by the model's duplicate count (§VI), not cluster size.
+// idle holder maximizing (dispatch_count, lowest id). Walks the words of
+// holders & idle, so it visits only the model's idle holders (§VI), never
+// the idle set or the busy holders.
 GpuId best_idle_holder(const SchedulingContext& ctx, ModelId model, GpuId exclude) {
+  const GpuBits holders = ctx.cache().holders(model);
+  const GpuBits idle = ctx.idle_gpu_bits();
+  const GpuLoad* loads = ctx.gpu_loads();
   GpuId best;
   std::int64_t best_count = -1;
-  for (GpuId gpu : ctx.cache().locations(model)) {
-    if (gpu == exclude || !ctx.is_idle(gpu)) continue;
-    // locations() is id-ascending, so strict > keeps the lowest id on ties.
-    const std::int64_t count = ctx.dispatch_count(gpu);
-    if (count > best_count) {
-      best_count = count;
-      best = gpu;
-    }
-  }
+  for_each_gpu(
+      holders.word_count(),
+      [&holders, &idle](std::size_t i) { return holders.word(i) & idle.word(i); },
+      [&](GpuId gpu) {
+        if (gpu == exclude) return;
+        // Ids ascend, so strict > keeps the lowest id on ties.
+        const std::int64_t count = loads[gpu.value()].dispatches;
+        if (count > best_count) {
+          best_count = count;
+          best = gpu;
+        }
+      });
   return best;
 }
 
@@ -93,11 +98,10 @@ bool LalbScheduler::locality_load_balance(SchedulingContext& ctx, GpuId gpu_i,
   GFAAS_CHECK(req != nullptr);
   const ModelId model = req->model;
 
-  // Every branch below probes only the model's holder list (the cache's
-  // model -> GPU location index, read in place: no action runs before its
-  // last read), never the idle set: O(#locations of the model), per §VI.
-  const std::set<GpuId>& locations = ctx.cache().locations(model);
-  if (locations.empty()) {
+  // Every branch below walks only the model's holders (the cache's
+  // model -> GPU bitset, read in place: no action runs before its last
+  // read), never the idle set (§VI).
+  if (!ctx.cache().cached_anywhere(model)) {
     // Line 1-3: not cached anywhere -> plain cache miss on gpu_i.
     ctx.dispatch_from_global(request, gpu_i, /*false_miss=*/false);
     return true;
@@ -110,20 +114,28 @@ bool LalbScheduler::locality_load_balance(SchedulingContext& ctx, GpuId gpu_i,
     return false;
   }
 
-  // Line 8-15: cached only on busy GPUs. Move to the local queue of the
-  // best busy holder if waiting beats re-uploading the model.
+  // Line 8-15: cached only on busy GPUs (holders & ~idle). Move to the
+  // local queue of the best busy holder if waiting beats re-uploading the
+  // model. The wait is estimated_finish_time() - now, read from the flat
+  // load array.
   const SimTime load = ctx.load_time(model);
+  const SimTime now = ctx.now();
+  const GpuBits holders = ctx.cache().holders(model);
+  const GpuBits idle = ctx.idle_gpu_bits();
+  const GpuLoad* loads = ctx.gpu_loads();
   GpuId best_gpu;
   SimTime best_wait = kSimTimeMax;
-  for (GpuId gpu_j : locations) {
-    if (ctx.is_idle(gpu_j)) continue;
-    // Strict < keeps the lowest-id holder on ties (locations() ascends).
-    const SimTime wait = ctx.estimated_finish_time(gpu_j) - ctx.now();
-    if (wait < best_wait) {
-      best_wait = wait;
-      best_gpu = gpu_j;
-    }
-  }
+  for_each_gpu(
+      holders.word_count(),
+      [&holders, &idle](std::size_t i) { return holders.word(i) & ~idle.word(i); },
+      [&](GpuId gpu_j) {
+        const SimTime wait = loads[gpu_j.value()].estimated_finish(now) - now;
+        // Ids ascend, so strict < keeps the lowest-id holder on ties.
+        if (wait < best_wait) {
+          best_wait = wait;
+          best_gpu = gpu_j;
+        }
+      });
   if (best_gpu.valid() && best_wait < load) {
     ctx.move_to_local(request, best_gpu);
     return false;
@@ -154,7 +166,7 @@ void LalbScheduler::schedule_in_order(SchedulingContext& ctx) {
     if (!first_idle.valid()) return;
 
     // Hit on an idle GPU if possible — resolved against the model's
-    // holder list (O(#locations)), not a scan of the idle set.
+    // idle holders (holders & idle), not a scan of the idle set.
     const GpuId hit_gpu = best_idle_holder(ctx, head->model, GpuId());
     if (hit_gpu.valid()) {
       ctx.dispatch_from_global(head->id, hit_gpu, /*false_miss=*/false);

@@ -16,18 +16,43 @@
 //                         with the O3 limit parameter. limit == 0 disables
 //                         out-of-order dispatch (plain LALB); the paper's
 //                         default for LALBO3 is 25.
+//
+// LALB's placement queries are set intersections over GPU ids: a model's
+// holders (the cache's per-model bitset) with the idle GPUs (the engine's
+// idle bitset). The policy walks the words of `holders & idle` for an
+// idle holder and `holders & ~idle` for the busy ones, reading each
+// visited GPU's dispatch count and finish-time terms from one flat
+// per-GPU array, so a placement costs a word per 64 GPUs plus the
+// holders it visits, with no per-holder virtual call. Bits come out in
+// ascending id order, which every tie-break below relies on.
 #pragma once
 
+#include <algorithm>
 #include <memory>
 #include <string>
 
 #include "cache/cache_manager.h"
+#include "common/gpu_bitset.h"
 #include "common/id.h"
 #include "common/time.h"
 #include "core/queues.h"
 #include "core/request.h"
 
 namespace gfaas::core {
+
+// One GPU's scheduling load: the idle-order frequency key and the two
+// terms of its estimated finish time.
+struct GpuLoad {
+  std::int64_t dispatches = 0;
+  SimTime committed_finish = 0;  // end of the in-flight load + inference
+  SimTime local_work = 0;        // inference time parked in its local queue
+
+  // Absolute finish of all work assigned to the GPU: the in-flight
+  // operation, then its local queue (§IV-A).
+  SimTime estimated_finish(SimTime now) const {
+    return std::max(now, committed_finish) + local_work;
+  }
+};
 
 // What a policy can see and do. Implemented by the scheduling engine
 // (cluster::SchedulerEngine for both simulated and real-time modes).
@@ -48,7 +73,7 @@ class SchedulingContext {
   virtual GpuId last_idle_gpu() const = 0;
   virtual GpuId next_idle_gpu(std::int64_t dispatches, GpuId gpu) const = 0;
   // O(1) lookups against the engine's cluster-state index, so policies can
-  // probe individual GPUs (e.g. the holders from cache().locations()).
+  // probe individual GPUs.
   virtual bool is_idle(GpuId gpu) const = 0;
   // Dispatch count backing the idle-GPU frequency ordering: among a set of
   // candidates, the "first in idle order" is the one maximizing
@@ -58,6 +83,13 @@ class SchedulingContext {
   // none): the serve-local head of Algorithm 1 as an O(1) index lookup, so
   // policies never enumerate the idle set just to find queued local work.
   virtual GpuId first_idle_with_local_work() const = 0;
+  // The idle GPUs (those is_idle() reports) as a bitset over GPU ids, to
+  // intersect with cache().holders(): valid until the next action.
+  virtual GpuBits idle_gpu_bits() const = 0;
+  // Every GPU's load, indexed by GPU id value: dispatch_count() and the
+  // terms of estimated_finish_time() as one flat array. Valid until the
+  // next action or fleet change.
+  virtual const GpuLoad* gpu_loads() const = 0;
 
   virtual const GlobalQueue& global_queue() const = 0;
   virtual GlobalQueue& mutable_global_queue() = 0;

@@ -99,22 +99,39 @@ models::ModelRegistry one_fast_model() {
   return registry;
 }
 
-TEST(AllocContractTest, CacheHitRequestsAllocateNothingOnceWarm) {
+// Warm cache hits on `nodes` x `gpus_per_node` GPUs allocate nothing.
+// Two cold loads warm `holder_a` and `holder_b` (the GPUs between them
+// are fenced meanwhile, so the second load skips them); no other GPU ever
+// holds the model. In every later round of four, two requests hit the
+// idle holders and two park in the busy holders' local queues (offered by
+// the lowest idle non-holder, since waiting 1-2 ms beats its 2.41 s
+// upload).
+void expect_warm_hits_allocate_nothing(std::int64_t nodes, std::int64_t gpus_per_node,
+                                       GpuId holder_a, GpuId holder_b) {
   constexpr std::size_t kWindow = 1000;
   models::ModelRegistry registry = one_fast_model();
 
   sim::Simulator sim;
   cache::CacheManager cache(cache::PolicyKind::kLru, /*store=*/nullptr);
-  gpu::PcieLink link(12.6, usec(20));
+  std::vector<std::unique_ptr<gpu::PcieLink>> links;
   std::vector<std::unique_ptr<gpu::VirtualGpu>> devices;
-  std::vector<gpu::VirtualGpu*> raw;
-  for (std::int64_t g = 0; g < 3; ++g) {
-    devices.push_back(std::make_unique<gpu::VirtualGpu>(GpuId(g), gpu::rtx2080(), &link));
-    raw.push_back(devices.back().get());
-    cache.add_gpu(GpuId(g), devices.back()->memory_capacity());
+  std::vector<std::unique_ptr<GpuManager>> managers;
+  std::vector<GpuManager*> manager_ptrs;
+  for (std::int64_t node = 0; node < nodes; ++node) {
+    links.push_back(std::make_unique<gpu::PcieLink>(12.6, usec(20)));
+    std::vector<gpu::VirtualGpu*> raw;
+    for (std::int64_t g = 0; g < gpus_per_node; ++g) {
+      const GpuId id(node * gpus_per_node + g);
+      devices.push_back(
+          std::make_unique<gpu::VirtualGpu>(id, gpu::rtx2080(), links.back().get()));
+      raw.push_back(devices.back().get());
+      cache.add_gpu(id, devices.back()->memory_capacity());
+    }
+    managers.push_back(
+        std::make_unique<GpuManager>(NodeId(node), &sim, &cache, &registry, raw));
+    manager_ptrs.push_back(managers.back().get());
   }
-  GpuManager manager(NodeId(0), &sim, &cache, &registry, raw);
-  SchedulerEngine engine(&sim, &cache, &registry, {&manager},
+  SchedulerEngine engine(&sim, &cache, &registry, manager_ptrs,
                          core::make_scheduler(core::PolicyName::kLalbO3));
 
   std::int64_t next_id = 0;
@@ -124,12 +141,14 @@ TEST(AllocContractTest, CacheHitRequestsAllocateNothingOnceWarm) {
     }
     sim.run();
   };
-  // Two cold loads warm GPUs 0 and 1; GPU 2 never holds the model. In
-  // every later round of four, two requests hit the idle holders and two
-  // park in the busy holders' local queues (offered by the idle GPU 2,
-  // since waiting 1-2 ms beats its 2.41 s upload).
+  for (std::int64_t g = holder_a.value() + 1; g < holder_b.value(); ++g) {
+    engine.fence_gpu(GpuId(g));
+  }
   submit(2);
-  ASSERT_EQ(cache.duplicate_count(ModelId(0)), 2u);
+  for (std::int64_t g = holder_a.value() + 1; g < holder_b.value(); ++g) {
+    engine.unfence_gpu(GpuId(g));
+  }
+  ASSERT_EQ(cache.locations(ModelId(0)), (std::vector<GpuId>{holder_a, holder_b}));
   // Warm every amortized container: run until the completion log has
   // room for the window without growing.
   while (engine.completions().capacity() - engine.completions().size() < kWindow) {
@@ -148,11 +167,24 @@ TEST(AllocContractTest, CacheHitRequestsAllocateNothingOnceWarm) {
   for (std::size_t i = before; i < engine.completions().size(); ++i) {
     const core::CompletionRecord& record = engine.completions()[i];
     EXPECT_TRUE(record.cache_hit) << "request " << record.id.value();
+    EXPECT_TRUE(record.gpu == holder_a || record.gpu == holder_b)
+        << "request " << record.id.value() << " ran on gpu " << record.gpu.value();
     if (record.via_local_queue) ++via_local;
   }
   EXPECT_EQ(via_local, kWindow / 2);
   EXPECT_EQ(allocs, 0u) << "allocations on the warm cache-hit request path";
   engine.audit();
+}
+
+TEST(AllocContractTest, CacheHitRequestsAllocateNothingOnceWarm) {
+  expect_warm_hits_allocate_nothing(/*nodes=*/1, /*gpus_per_node=*/3, GpuId(0), GpuId(1));
+}
+
+// 17 nodes x 8 GPUs: the holder and idle bitsets span three words (the
+// last one partial), and the holders sit in the first and the last.
+TEST(AllocContractTest, CacheHitRequestsAllocateNothingOnceWarmOn136Gpus) {
+  expect_warm_hits_allocate_nothing(/*nodes=*/17, /*gpus_per_node=*/8, GpuId(0),
+                                    GpuId(128));
 }
 
 // Grows both of the executor's swap buffers (its queue and the batch the

@@ -212,10 +212,14 @@ TEST(ClusterStateIndexTest, RandomizedMembershipMatchesFullRescan) {
     ASSERT_EQ(index.first_idle_with_local_work(), naive_first_serviceable())
         << "step " << step;
     for (std::size_t i = 0; i < naive.size(); ++i) {
-      if (!naive[i].registered) continue;
+      const Naive& n = naive[i];
+      ASSERT_EQ(index.idle_bits().test(GpuId(static_cast<std::int64_t>(i))),
+                n.registered && n.idle && !n.fenced)
+          << "step " << step << " gpu " << i;
+      if (!n.registered) continue;
       SimTime work = 0;
       for (const SimTime w : naive[i].parked) work += w;
-      ASSERT_EQ(index.local_work(GpuId(static_cast<std::int64_t>(i))), work)
+      ASSERT_EQ(index.load(GpuId(static_cast<std::int64_t>(i))).local_work, work)
           << "step " << step << " gpu " << i;
     }
     index.audit();
@@ -236,11 +240,11 @@ TEST(CacheMembershipTest, FenceHidesHolderFromLocationIndex) {
 
   cache.fence_gpu(GpuId(0));
   // The scheduler-facing views stop reporting the draining holder...
-  EXPECT_EQ(cache.locations(ModelId(7)), std::set<GpuId>{GpuId(1)});
+  EXPECT_EQ(cache.locations(ModelId(7)), std::vector<GpuId>{GpuId(1)});
   EXPECT_EQ(cache.duplicate_count(ModelId(7)), 1u);
   // ...while the per-GPU truth stays live for in-flight bookkeeping.
   EXPECT_TRUE(cache.is_cached(GpuId(0), ModelId(7)));
-  EXPECT_TRUE(cache.record_access(GpuId(0), ModelId(7)).ok());
+  EXPECT_EQ(cache.acquire(GpuId(0), ModelId(7)), cache::Residency::kUnloaded);
 
   cache.unfence_gpu(GpuId(0));
   EXPECT_EQ(cache.locations(ModelId(7)).size(), 2u);
@@ -423,7 +427,7 @@ TEST(EngineMembershipTest, UnfenceAbortsDrainAndRestoresLocality) {
   cluster.fence_gpu(hot);
   EXPECT_TRUE(cluster.cache().locations(ModelId(0)).empty());
   cluster.unfence_gpu(hot);
-  EXPECT_EQ(cluster.cache().locations(ModelId(0)), std::set<GpuId>{hot});
+  EXPECT_EQ(cluster.cache().locations(ModelId(0)), std::vector<GpuId>{hot});
 
   cluster.simulator().schedule_at(sec(10),
                                   [&] { engine.submit(make_request(1, 0, sec(10))); });

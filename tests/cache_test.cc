@@ -3,7 +3,7 @@
 // CacheManager with its datastore mirroring.
 #include <gtest/gtest.h>
 
-#include <set>
+#include <vector>
 
 #include "cache/cache_manager.h"
 #include "cache/policy.h"
@@ -130,7 +130,9 @@ TEST(GpuCacheStateTest, PlanEvictionFollowsLruOrder) {
   GpuCacheState state(GpuId(0), MB(1000), PolicyKind::kLru);
   ASSERT_TRUE(state.insert(ModelId(1), MB(400)).ok());
   ASSERT_TRUE(state.insert(ModelId(2), MB(400)).ok());
-  ASSERT_TRUE(state.touch(ModelId(1)).ok());  // 2 is now LRU
+  ASSERT_EQ(state.acquire(ModelId(1)), Residency::kUnloaded);  // 2 is now LRU
+  state.unpin(ModelId(1));
+  EXPECT_EQ(state.acquire(ModelId(3)), Residency::kMiss);
   auto victims = state.plan_eviction(MB(500));
   ASSERT_TRUE(victims.ok());
   ASSERT_EQ(victims->size(), 1u);
@@ -165,7 +167,9 @@ TEST(CacheManagerTest, HitMissEvictionStats) {
   EXPECT_FALSE(manager.is_cached(GpuId(0), ModelId(1)));
   EXPECT_TRUE(manager.record_insertion(GpuId(0), ModelId(1), MB(400)).ok());
   EXPECT_TRUE(manager.is_cached(GpuId(0), ModelId(1)));
-  EXPECT_TRUE(manager.record_access(GpuId(0), ModelId(1)).ok());
+  EXPECT_EQ(manager.acquire(GpuId(0), ModelId(1)), Residency::kUnloaded);
+  EXPECT_EQ(manager.acquire(GpuId(0), ModelId(2)), Residency::kMiss);
+  ASSERT_TRUE(manager.unpin(GpuId(0), ModelId(1)).ok());
   EXPECT_TRUE(manager.record_eviction(GpuId(0), ModelId(1)).ok());
   EXPECT_EQ(manager.stats().hits, 1);
   EXPECT_EQ(manager.stats().misses, 1);
@@ -198,10 +202,65 @@ TEST(CacheManagerTest, LocationsTrackMultipleGpus) {
   manager.add_gpu(GpuId(2), MB(1000));
   ASSERT_TRUE(manager.record_insertion(GpuId(0), ModelId(7), MB(100)).ok());
   ASSERT_TRUE(manager.record_insertion(GpuId(2), ModelId(7), MB(100)).ok());
-  EXPECT_EQ(manager.locations(ModelId(7)), (std::set<GpuId>{GpuId(0), GpuId(2)}));
+  EXPECT_EQ(manager.locations(ModelId(7)), (std::vector<GpuId>{GpuId(0), GpuId(2)}));
   EXPECT_TRUE(manager.cached_anywhere(ModelId(7)));
   EXPECT_FALSE(manager.cached_anywhere(ModelId(8)));
   EXPECT_EQ(manager.duplicate_count(ModelId(7)), 2u);
+}
+
+// Holders on both sides of every word boundary of a three-word fleet.
+TEST(CacheManagerTest, HolderBitsetsSpanWordBoundariesInIdOrder) {
+  CacheManager manager(PolicyKind::kLru);
+  for (std::int64_t g = 0; g < 130; ++g) manager.add_gpu(GpuId(g), MB(1000));
+  const std::vector<GpuId> holders = {GpuId(0), GpuId(63), GpuId(64), GpuId(127),
+                                      GpuId(128)};
+  // Inserted out of order; enumerated in ascending id order.
+  for (GpuId gpu : {GpuId(128), GpuId(0), GpuId(64), GpuId(127), GpuId(63)}) {
+    ASSERT_TRUE(manager.record_insertion(gpu, ModelId(4), MB(100)).ok());
+  }
+  ASSERT_TRUE(manager.record_insertion(GpuId(5), ModelId(1), MB(100)).ok());
+  EXPECT_EQ(manager.locations(ModelId(4)), holders);
+  EXPECT_EQ(manager.duplicate_count(ModelId(4)), 5u);
+  EXPECT_EQ(manager.holders(ModelId(4)).word_count(), 3u);
+  EXPECT_TRUE(manager.holders(ModelId(4)).test(GpuId(127)));
+  EXPECT_FALSE(manager.holders(ModelId(4)).test(GpuId(126)));
+  // Model 0 was never cached but sits below a seen id; model 9 is unseen.
+  EXPECT_FALSE(manager.cached_anywhere(ModelId(0)));
+  EXPECT_TRUE(manager.locations(ModelId(9)).empty());
+  manager.audit();
+
+  manager.fence_gpu(GpuId(64));
+  EXPECT_EQ(manager.locations(ModelId(4)),
+            (std::vector<GpuId>{GpuId(0), GpuId(63), GpuId(127), GpuId(128)}));
+  manager.audit();
+  manager.unfence_gpu(GpuId(64));
+  EXPECT_EQ(manager.locations(ModelId(4)), holders);
+  manager.audit();
+
+  manager.fence_gpu(GpuId(127));
+  manager.remove_gpu(GpuId(127));
+  EXPECT_EQ(manager.locations(ModelId(4)),
+            (std::vector<GpuId>{GpuId(0), GpuId(63), GpuId(64), GpuId(128)}));
+  EXPECT_EQ(manager.duplicate_count(ModelId(4)), 4u);
+  manager.audit();
+
+  // A GPU joining after models are indexed widens every bitset to a
+  // fourth word and keeps the holders.
+  manager.add_gpu(GpuId(192), MB(1000));
+  EXPECT_EQ(manager.holders(ModelId(4)).word_count(), 4u);
+  manager.audit();
+  ASSERT_TRUE(manager.record_insertion(GpuId(192), ModelId(4), MB(100)).ok());
+  ASSERT_TRUE(manager.record_insertion(GpuId(192), ModelId(1), MB(100)).ok());
+  EXPECT_EQ(manager.locations(ModelId(4)),
+            (std::vector<GpuId>{GpuId(0), GpuId(63), GpuId(64), GpuId(128), GpuId(192)}));
+  EXPECT_EQ(manager.locations(ModelId(1)), (std::vector<GpuId>{GpuId(5), GpuId(192)}));
+  manager.audit();
+
+  ASSERT_TRUE(manager.record_eviction(GpuId(0), ModelId(4)).ok());
+  ASSERT_TRUE(manager.record_eviction(GpuId(192), ModelId(4)).ok());
+  EXPECT_EQ(manager.locations(ModelId(4)),
+            (std::vector<GpuId>{GpuId(63), GpuId(64), GpuId(128)}));
+  manager.audit();
 }
 
 TEST(CacheManagerTest, PinUnpinValidatesResidency) {
@@ -220,7 +279,7 @@ TEST(CacheManagerTest, MirrorsLruAndLocationsToDatastore) {
   manager.add_gpu(GpuId(0), MB(1000));
   ASSERT_TRUE(manager.record_insertion(GpuId(0), ModelId(3), MB(100)).ok());
   ASSERT_TRUE(manager.record_insertion(GpuId(0), ModelId(5), MB(100)).ok());
-  ASSERT_TRUE(manager.record_access(GpuId(0), ModelId(3)).ok());
+  ASSERT_EQ(manager.acquire(GpuId(0), ModelId(3)), Residency::kUnloaded);
 
   auto lru = store.get(datastore::keys::gpu_lru(GpuId(0)));
   ASSERT_TRUE(lru.ok());

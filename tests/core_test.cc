@@ -322,13 +322,16 @@ TEST_F(PolicyBehaviourTest, LbDispatchesStrictlyInArrivalOrder) {
 
 // --- reference: the snapshot-walk O3 policy ---
 
-// LALB+O3 as it was before the successor walk: Algorithm 1 over an
-// upfront copy of the idle order, revisiting every snapshot entry even
-// after the global queue drains, with Algorithm 2 over a copied holder
-// list. Kept here only as the oracle for the production walk.
+// LALB+O3 as it was before the successor walk and the holder bitsets:
+// Algorithm 1 over an upfront copy of the idle order, revisiting every
+// snapshot entry even after the global queue drains, with Algorithm 2
+// over a holder list built by probing every GPU id in ascending order,
+// one GPU at a time through the context's lookups. Kept here only as the
+// oracle for the production walk.
 class SnapshotWalkO3 final : public SchedulingPolicy {
  public:
-  explicit SnapshotWalkO3(int o3_limit) : o3_limit_(o3_limit) {}
+  SnapshotWalkO3(int o3_limit, std::int64_t gpu_count)
+      : o3_limit_(o3_limit), gpu_count_(gpu_count) {}
   std::string name() const override { return "SnapshotWalkO3"; }
 
   void schedule(SchedulingContext& ctx) override {
@@ -390,8 +393,13 @@ class SnapshotWalkO3 final : public SchedulingPolicy {
 
   bool locality_load_balance(SchedulingContext& ctx, GpuId gpu_i, RequestId request) {
     const ModelId model = ctx.global_queue().find(request)->model;
-    const std::set<GpuId>& view = ctx.cache().locations(model);
-    const std::vector<GpuId> holders(view.begin(), view.end());
+    std::vector<GpuId> holders;
+    for (std::int64_t id = 0; id < gpu_count_; ++id) {
+      const GpuId gpu(id);
+      if (!ctx.cache().is_fenced(gpu) && ctx.cache().is_cached(gpu, model)) {
+        holders.push_back(gpu);
+      }
+    }
     if (holders.empty()) {
       ctx.dispatch_from_global(request, gpu_i, /*false_miss=*/false);
       return true;
@@ -420,12 +428,14 @@ class SnapshotWalkO3 final : public SchedulingPolicy {
   }
 
   int o3_limit_;
+  std::int64_t gpu_count_;
 };
 
-// Replays the workload on a 64-GPU fleet (8 nodes x 8 RTX 2080 sharing a
-// per-node PCIe link, LRU caches) driven by `policy`.
-std::vector<CompletionRecord> replay_on_64_gpus(std::unique_ptr<SchedulingPolicy> policy,
-                                                const trace::Workload& workload) {
+// Replays the workload on `nodes` x 8 RTX 2080 (sharing a per-node PCIe
+// link, LRU caches) driven by `policy`.
+std::vector<CompletionRecord> replay_on_gpus(std::int64_t nodes,
+                                             std::unique_ptr<SchedulingPolicy> policy,
+                                             const trace::Workload& workload) {
   sim::Simulator sim;
   cache::CacheManager cache(cache::PolicyKind::kLru);
   std::vector<std::unique_ptr<gpu::PcieLink>> links;
@@ -433,7 +443,7 @@ std::vector<CompletionRecord> replay_on_64_gpus(std::unique_ptr<SchedulingPolicy
   std::vector<std::unique_ptr<cluster::GpuManager>> managers;
   std::vector<cluster::GpuManager*> manager_ptrs;
   const gpu::GpuSpec spec = gpu::rtx2080();
-  for (std::int64_t node = 0; node < 8; ++node) {
+  for (std::int64_t node = 0; node < nodes; ++node) {
     links.push_back(std::make_unique<gpu::PcieLink>(spec.pcie_gbps, spec.pcie_latency));
     std::vector<gpu::VirtualGpu*> node_gpus;
     for (std::int64_t g = 0; g < 8; ++g) {
@@ -456,26 +466,30 @@ std::vector<CompletionRecord> replay_on_64_gpus(std::unique_ptr<SchedulingPolicy
   return engine.completions();
 }
 
-TEST(O3ReferenceTest, SuccessorWalkMatchesSnapshotWalkOn64Gpus) {
-  // 96 models over 64 GPUs at ~1.4x the testbed's per-GPU rate: the global
-  // queue backs up, requests age past the O3 limit, local queues fill and
-  // caches evict, so every branch of Algorithms 1 and 2 runs.
+// Runs LALB+O3 and the snapshot-walk oracle on `nodes` x 8 GPUs and
+// requires identical completion records. The load is ~1.4x the testbed's
+// per-GPU rate over 1.5 models per GPU: the global queue backs up,
+// requests age past the O3 limit, local queues fill and caches evict, so
+// every branch of Algorithms 1 and 2 runs.
+void expect_walks_match(std::int64_t nodes) {
+  const std::int64_t gpus = nodes * 8;
   for (std::uint64_t seed : {1, 2, 3}) {
     trace::WorkloadConfig config;
-    config.working_set_size = 96;
+    config.working_set_size = static_cast<std::size_t>(gpus * 3 / 2);
     config.window_minutes = 2;
-    config.requests_per_minute = 2400;
+    config.requests_per_minute = gpus * 75 / 2;
     config.seed = seed;
     auto workload = trace::build_standard_workload(config);
     ASSERT_TRUE(workload.ok()) << workload.status().to_string();
 
     const auto expected =
-        replay_on_64_gpus(std::make_unique<SnapshotWalkO3>(25), *workload);
+        replay_on_gpus(nodes, std::make_unique<SnapshotWalkO3>(25, gpus), *workload);
     const auto actual =
-        replay_on_64_gpus(make_scheduler(PolicyName::kLalbO3, 25), *workload);
+        replay_on_gpus(nodes, make_scheduler(PolicyName::kLalbO3, 25), *workload);
     ASSERT_EQ(actual.size(), workload->requests.size());
     ASSERT_EQ(actual.size(), expected.size());
     std::size_t local = 0, false_misses = 0, misses = 0;
+    std::int64_t top_gpu = 0;
     for (std::size_t i = 0; i < actual.size(); ++i) {
       const CompletionRecord& a = actual[i];
       const CompletionRecord& e = expected[i];
@@ -489,11 +503,20 @@ TEST(O3ReferenceTest, SuccessorWalkMatchesSnapshotWalkOn64Gpus) {
       local += a.via_local_queue ? 1 : 0;
       false_misses += a.false_miss ? 1 : 0;
       misses += a.cache_hit ? 0 : 1;
+      top_gpu = std::max(top_gpu, a.gpu.value());
     }
     EXPECT_GT(local, 0u) << "seed " << seed;
     EXPECT_GT(false_misses, 0u) << "seed " << seed;
     EXPECT_GT(misses, 0u) << "seed " << seed;
+    EXPECT_EQ(top_gpu, gpus - 1) << "seed " << seed << ": the last GPU never ran";
   }
+}
+
+TEST(O3ReferenceTest, SuccessorWalkMatchesSnapshotWalkOn64Gpus) { expect_walks_match(8); }
+
+// 136 GPUs span three bitset words, the last one partial.
+TEST(O3ReferenceTest, SuccessorWalkMatchesSnapshotWalkOn136Gpus) {
+  expect_walks_match(17);
 }
 
 }  // namespace
