@@ -1,8 +1,12 @@
 #include "bench_common.h"
 
+#include <sched.h>
+
 #include <algorithm>
+#include <thread>
 
 #include "common/log.h"
+#include "telemetry/exporter.h"
 
 namespace gfaas::bench {
 
@@ -76,6 +80,21 @@ double percentile(const std::vector<double>& sorted, double q) {
   const auto rank =
       static_cast<std::size_t>(q * static_cast<double>(sorted.size() - 1));
   return sorted[rank];
+}
+
+std::string provenance_json(int argc, char** argv) {
+  cpu_set_t cpus;
+  CPU_ZERO(&cpus);
+  const int nproc = sched_getaffinity(0, sizeof(cpus), &cpus) == 0
+                        ? CPU_COUNT(&cpus)
+                        : static_cast<int>(std::thread::hardware_concurrency());
+  std::string out = "\"build_type\": \"" + telemetry::json_escape(LALB_BUILD_TYPE) +
+                    "\",\n  \"nproc\": " + std::to_string(nproc) + ",\n  \"command\": [";
+  for (int i = 0; i < argc; ++i) {
+    if (i > 0) out += ", ";
+    out += "\"" + telemetry::json_escape(argv[i]) + "\"";
+  }
+  return out + "]";
 }
 
 }  // namespace gfaas::bench

@@ -58,4 +58,9 @@ std::vector<double> sorted_latencies_s(const cluster::SchedulerEngine& engine);
 // latency columns cannot drift apart.
 double percentile(const std::vector<double>& sorted, double q);
 
+// Provenance members for a BENCH_*.json record, without braces: the
+// build type, the CPUs this process may run on (what `nproc` prints) and
+// the exact command line as a JSON array of argv strings.
+std::string provenance_json(int argc, char** argv);
+
 }  // namespace gfaas::bench

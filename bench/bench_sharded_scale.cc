@@ -41,9 +41,10 @@
 // the sim results are bit-identical across reps; only the wall-clock
 // measurement varies, and min is its low-noise estimator.
 //
-// --json PATH writes the machine-readable rows (default: none; the
-// committed record is BENCH_sharded_scale.json); CI smoke-runs this bench
-// on a reduced fleet (see ci.yml).
+// --json PATH writes the machine-readable rows, headed by the build
+// type, `nproc` and the exact command line (default: none; the committed
+// record is BENCH_sharded_scale.json); CI smoke-runs this bench on a
+// reduced fleet (see ci.yml).
 #include <algorithm>
 #include <cstdint>
 #include <cstdio>
@@ -52,6 +53,7 @@
 #include <string>
 #include <vector>
 
+#include "bench_common.h"
 #include "common/log.h"
 #include "shard/experiment.h"
 #include "trace/workload.h"
@@ -77,6 +79,7 @@ struct Options {
   double floor16 = 6.0;
   double p99_slack = 1.10;
   std::string json;
+  std::string provenance;  // build, nproc and argv for the JSON record
 };
 
 struct Row {
@@ -239,12 +242,14 @@ int run(const Options& options) {
     std::fprintf(out,
                  "{\n"
                  "  \"bench\": \"sharded_scale\",\n"
+                 "  %s,\n"
                  "  \"gpus\": %d,\n"
                  "  \"requests\": %zu,\n"
                  "  \"working_set\": %zu,\n"
                  "  \"epoch_ms\": %lld,\n"
                  "  \"rows\": [\n",
-                 options.gpus, workload->requests.size(), options.working_set,
+                 options.provenance.c_str(), options.gpus,
+                 workload->requests.size(), options.working_set,
                  static_cast<long long>(options.epoch_ms));
     for (std::size_t i = 0; i < rows.size(); ++i) {
       const Row& row = rows[i];
@@ -289,6 +294,7 @@ int run(const Options& options) {
 
 int main(int argc, char** argv) {
   gfaas::bench::Options options;
+  options.provenance = gfaas::bench::provenance_json(argc, argv);
   for (int i = 1; i < argc; ++i) {
     auto value = [&](const char* flag) -> const char* {
       if (std::strcmp(argv[i], flag) != 0) return nullptr;

@@ -35,13 +35,9 @@ std::vector<cluster::ClusterConfig> partition_config(
   return configs;
 }
 
-ShardedExperimentResult run_sharded_experiment(
-    const cluster::ClusterConfig& config, std::size_t shards,
-    const trace::Workload& workload, ShardedOptions options,
-    std::vector<core::CompletionRecord>* completions_out) {
-  ShardedCluster sharded(partition_config(config, shards), workload.registry,
-                         options);
-
+void prepare_routing(ShardedCluster& sharded, const trace::Workload& workload,
+                     const ShardedOptions& options) {
+  const std::size_t shards = sharded.shard_count();
   // Hot-model spreading: affinity routing caps any one model's service
   // rate at one shard's capacity, so a model whose replay traffic share
   // exceeds its fair slice is replicated over enough ring successors to
@@ -89,6 +85,16 @@ ShardedExperimentResult run_sharded_experiment(
       sharded.router().set_weights(weights);
     }
   }
+}
+
+ShardedExperimentResult run_sharded_experiment(
+    const cluster::ClusterConfig& config, std::size_t shards,
+    const trace::Workload& workload, ShardedOptions options,
+    std::vector<core::CompletionRecord>* completions_out) {
+  ShardedCluster sharded(partition_config(config, shards), workload.registry,
+                         options);
+
+  prepare_routing(sharded, workload, options);
 
   // The paper's duplicate metric follows the hottest model; with model-
   // affinity routing its traffic (and warm copies) live on its replica

@@ -22,15 +22,24 @@ namespace gfaas::shard {
 std::vector<cluster::ClusterConfig> partition_config(
     const cluster::ClusterConfig& base, std::size_t shards);
 
+// The replay runner's routing set-up, applied before the replay:
+// replicates every model whose share of `workload` exceeds
+// 1/(options.hot_model_spread x shards) (ShardedOptions::hot_model_spread),
+// then runs options.calibration_rounds of offline ring-weight
+// calibration on the routed workload. No-op with one shard.
+void prepare_routing(ShardedCluster& sharded, const trace::Workload& workload,
+                     const ShardedOptions& options);
+
 struct ShardedExperimentResult {
   cluster::ExperimentResult result;
   ShardedReplayStats stats;
 };
 
 // Runs `workload` through a `shards`-way ShardedCluster built from
-// partition_config(config, shards). The completion stream (shard-major)
-// lands in `completions_out` when non-null; duplicate tracking of the
-// workload's top model is wired to the shard that model routes to.
+// partition_config(config, shards), set up by prepare_routing. The
+// completion stream (shard-major) lands in `completions_out` when
+// non-null; duplicate tracking of the workload's top model is wired to
+// the shard that model routes to.
 ShardedExperimentResult run_sharded_experiment(
     const cluster::ClusterConfig& config, std::size_t shards,
     const trace::Workload& workload, ShardedOptions options = {},

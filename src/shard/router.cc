@@ -58,18 +58,42 @@ void ShardRouter::place_replicas(std::int64_t model, Replicas& replicas) const {
   }
 }
 
+const std::vector<std::uint32_t>* ShardRouter::replicas(ModelId model) const {
+  if (replication_.empty()) return nullptr;
+  const auto found = replication_.find(model.value());
+  return found == replication_.end() ? nullptr : &found->second.shards;
+}
+
 std::size_t ShardRouter::route(ModelId model, std::uint64_t salt) const {
   common::MutexLock lock(&mu_);
   if (ring_.empty()) return 0;  // every shard weightless: degenerate pick
   const std::uint64_t point = model_point(model);
-  if (!replication_.empty()) {
-    const auto found = replication_.find(model.value());
-    if (found != replication_.end()) {
-      const std::vector<std::uint32_t>& shards = found->second.shards;
-      return shards[mix(salt ^ point) % shards.size()];
-    }
+  if (const std::vector<std::uint32_t>* shards = replicas(model)) {
+    return (*shards)[mix(salt ^ point) % shards->size()];
   }
   return ring_[successor(point)].second;
+}
+
+std::size_t ShardRouter::route_by_backlog(
+    ModelId model, std::uint64_t salt,
+    const std::vector<std::size_t>& backlog) const {
+  GFAAS_CHECK(backlog.size() == shard_count_);
+  common::MutexLock lock(&mu_);
+  if (ring_.empty()) return 0;
+  const std::uint64_t point = model_point(model);
+  const std::vector<std::uint32_t>* shards = replicas(model);
+  if (shards == nullptr) return ring_[successor(point)].second;
+  const std::uint64_t hash = mix(salt ^ point);
+  const std::uint32_t picked = (*shards)[hash % shards->size()];
+  std::uint32_t lightest = picked;
+  for (const std::uint32_t shard : *shards) {
+    if (backlog[shard] < backlog[lightest]) lightest = shard;
+  }
+  if (lightest == picked) return picked;
+  // backlog[picked] > backlog[lightest] >= 0, so the sum is positive.
+  const std::size_t gap = backlog[picked] - backlog[lightest];
+  const std::size_t sum = backlog[picked] + backlog[lightest];
+  return mix(hash) % sum < gap ? lightest : picked;
 }
 
 void ShardRouter::set_replication(ModelId model, std::uint32_t copies) {

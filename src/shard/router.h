@@ -27,10 +27,15 @@
 // replica deterministically. Each replicated model's replica set is
 // computed when its replication is set and again at every ring rebuild,
 // so route() only indexes it and never allocates. A model hot enough to need K shards keeps
-// warm copies on all K, so the locality story survives the split.
+// warm copies on all K, so the locality story survives the split. The
+// replay orchestrator, which holds a consistent per-shard backlog
+// snapshot at every epoch barrier, routes through route_by_backlog()
+// instead: the same salted pick, moved toward a less backlogged replica
+// with a probability proportional to the backlog gap.
 //
 // Threading: route() is called from producer threads (ShardedIngress) and
-// from the replay orchestrator; set_weight() from autoscaler callbacks on
+// from the replay orchestrator, route_by_backlog() from the orchestrator
+// only; set_weight() from autoscaler callbacks on
 // shard worker threads. All ring/weight state is GUARDED_BY(mu_) — the
 // negative-compile probe nc_shard_router_guarded pins the contract.
 // Determinism: the ring is a pure function of (config, weights), and
@@ -69,6 +74,20 @@ class ShardRouter {
   // models ignore the salt entirely.
   std::size_t route(ModelId model, std::uint64_t salt = 0) const;
 
+  // route(model, salt) made backlog-aware, for the replay orchestrator:
+  // `backlog` holds each shard's queued-request count. A replicated
+  // model's salted pick p moves to its least-backlogged replica b (the
+  // first in replica order on ties) with probability
+  // (backlog[p] - backlog[b]) / (backlog[p] + backlog[b]), the coin a
+  // second stateless hash of the salt. Proportional, not join-the-
+  // shortest-queue: evening two overloaded replicas exactly keeps both
+  // under the steal balancer's median-relative trigger, which stops the
+  // stealing that relieved them. Unreplicated models, and picks whose
+  // backlog ties the lightest, route exactly as route(). Allocates
+  // nothing.
+  std::size_t route_by_backlog(ModelId model, std::uint64_t salt,
+                               const std::vector<std::size_t>& backlog) const;
+
   // Spreads `model` over its first `copies` distinct ring successors
   // (clamped to the shard count; <=1 restores single-copy affinity).
   void set_replication(ModelId model, std::uint32_t copies);
@@ -100,6 +119,8 @@ class ShardRouter {
   };
 
   void rebuild() REQUIRES(mu_);
+  // `model`'s replica set, or null when it has a single copy.
+  const std::vector<std::uint32_t>* replicas(ModelId model) const REQUIRES(mu_);
   std::uint64_t model_point(ModelId model) const;
   // Index of the first ring point clockwise from `point` (wrapping).
   std::size_t successor(std::uint64_t point) const REQUIRES(mu_);

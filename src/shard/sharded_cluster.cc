@@ -29,6 +29,7 @@ ShardedCluster::ShardedCluster(std::vector<cluster::ClusterConfig> configs,
     shards_.push_back(std::make_unique<cluster::SimCluster>(config, registry));
   }
   telemetry_.resize(shards_.size());
+  backlog_.assign(shards_.size(), 0);
   epoch_wall_ns_.assign(shards_.size(), 0);
   const auto threads = static_cast<std::size_t>(std::max(1, options_.threads));
   const std::size_t pool = std::min(threads, shards_.size());
@@ -134,15 +135,21 @@ ShardedReplayStats ShardedCluster::replay(
 
 void ShardedCluster::inject_arrivals(const std::vector<core::Request>& requests,
                                      std::size_t& next, SimTime horizon) {
+  for (std::size_t s = 0; s < shards_.size(); ++s) {
+    const cluster::SchedulerEngine& engine = shards_[s]->engine();
+    backlog_[s] = engine.pending() - engine.in_flight();
+  }
   while (next < requests.size() && requests[next].arrival < horizon) {
     const core::Request& src = requests[next];
     GFAAS_CHECK(next == 0 || requests[next - 1].arrival <= src.arrival)
         << "workload must be sorted by arrival";
     // Route at injection time (not upfront): membership re-weights from
     // autoscaler hooks apply to future arrivals immediately. The request
-    // id salts replica choice for hot (replicated) models.
-    const std::size_t target =
-        router_.route(src.model, static_cast<std::uint64_t>(src.id.value()));
+    // id salts replica choice for hot (replicated) models, weighed
+    // against the barrier's backlogs plus this epoch's injections.
+    const std::size_t target = router_.route_by_backlog(
+        src.model, static_cast<std::uint64_t>(src.id.value()), backlog_);
+    ++backlog_[target];
     cluster::SimCluster* cell = shards_[target].get();
     cluster::SchedulerEngine* engine = &cell->engine();
     // Capturing the request by address keeps the closure inside

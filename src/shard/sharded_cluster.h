@@ -15,7 +15,9 @@
 // Epoch-barrier replay (conservative bulk-synchronous PDES): the
 // orchestrator repeatedly (1) routes and injects the next epoch's
 // arrivals into their shards' simulators (on the arrival lane, so
-// same-time ordering matches an upfront-scheduled replay exactly),
+// same-time ordering matches an upfront-scheduled replay exactly; a
+// replicated model's replica is chosen against the shards' backlogs at
+// the barrier, ShardRouter::route_by_backlog),
 // (2) runs every shard independently — sequentially or on a worker
 // pool; the results are bit-identical either way because shards never
 // read each other mid-epoch — to the epoch's end, and (3) at the
@@ -85,13 +87,13 @@ struct ShardedOptions {
   // the orchestrator thread. Results are identical either way.
   int threads = 1;
   RouterConfig router;
-  // Hot-model spread target, consumed by run_sharded_experiment (the
-  // cluster itself never reads it): a model whose traffic share exceeds
+  // Hot-model spread target, consumed by prepare_routing (the cluster
+  // itself never reads it): a model whose traffic share exceeds
   // 1/(spread x shards) is replicated over ceil(share x shards x spread)
   // ring successors, keeping every replica's slice under a shard's fair
   // share with 2x headroom at the default. 0 disables spreading.
   double hot_model_spread = 2.0;
-  // Offline ring-weight calibration rounds, also runner-only: route the
+  // Offline ring-weight calibration rounds, also prepare_routing-only: route the
   // whole (known) replay, damp each shard's weight toward the fair
   // per-shard request share, repeat. Flattens the binomial tail-model
   // imbalance that per-model hashing leaves behind. 0 disables.
@@ -204,6 +206,11 @@ class ShardedCluster {
   // simulators fan out to workers; this state never does).
   common::ExecutorAffinity orchestrator_serial_;
   ShardedReplayStats stats_ GUARDED_BY(orchestrator_serial_);
+
+  // Per-shard backlog (requests in the global and local queues), taken
+  // at each barrier and bumped per injected arrival; read by the
+  // router's replica choice. Sized once, reused every epoch.
+  std::vector<std::size_t> backlog_ GUARDED_BY(orchestrator_serial_);
 
   // Per-epoch scratch: slot i is written by the worker running shard i
   // during the epoch and read by the orchestrator after the barrier —

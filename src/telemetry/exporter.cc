@@ -9,9 +9,6 @@
 
 namespace gfaas::telemetry {
 
-namespace {
-
-// Minimal JSON string escaping for labels (metric names never need it).
 std::string json_escape(const std::string& s) {
   std::string out;
   out.reserve(s.size());
@@ -32,8 +29,6 @@ std::string json_escape(const std::string& s) {
   }
   return out;
 }
-
-}  // namespace
 
 TelemetryExporter::TelemetryExporter(sim::Executor* executor,
                                      Telemetry* telemetry,

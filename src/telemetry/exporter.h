@@ -28,6 +28,10 @@
 
 namespace gfaas::telemetry {
 
+// Minimal JSON string escaping (quote, backslash, newline) for labels and
+// other free text written into JSON; metric names never need it.
+std::string json_escape(const std::string& s);
+
 struct TelemetryExporterConfig {
   SimTime interval = sec(5);
   // Stamped into every row/JSONL line (e.g. the bench run name).

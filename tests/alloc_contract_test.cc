@@ -13,8 +13,8 @@
 // mirror. Four narrower contracts ride along: the simulator's sorted run
 // stays bounded when it never drains, tenant admission denies without
 // allocating, the Gateway's shed-vs-queue estimate walks a busy fleet
-// without allocating, and the shard router routes a replicated model
-// without allocating.
+// without allocating, and the shard router routes a replicated model,
+// salted or weighed against shard backlogs, without allocating.
 //
 // This binary replaces the global operator new with a counter that only
 // counts inside the measured window.
@@ -25,6 +25,7 @@
 #include <memory>
 #include <new>
 #include <thread>
+#include <vector>
 
 #include "cache/cache_manager.h"
 #include "cluster/engine.h"
@@ -395,6 +396,26 @@ TEST(ShardRouterTest, ReplicatedRouteAllocatesNothing) {
   g_counting.store(false);
   EXPECT_GT(replicated, 0u);
   EXPECT_EQ(g_allocs.load(), 0u) << "allocations in ShardRouter::route";
+}
+
+TEST(ShardRouterTest, BacklogAwareRouteAllocatesNothing) {
+  shard::ShardRouter router(16);
+  router.set_replication(ModelId(0), 3);
+  router.set_replication(ModelId(1), 5);
+  std::vector<std::size_t> backlog(16);
+  for (std::size_t s = 0; s < backlog.size(); ++s) backlog[s] = (s * 7) % 11;
+  std::size_t moved = 0;
+  g_allocs.store(0);
+  g_counting.store(true);
+  for (std::uint64_t salt = 0; salt < 1000; ++salt) {
+    const auto model = ModelId(static_cast<std::int64_t>(salt % 3));
+    const std::size_t target = router.route_by_backlog(model, salt, backlog);
+    if (target != router.route(model, salt)) ++moved;
+    ++backlog[target];
+  }
+  g_counting.store(false);
+  EXPECT_GT(moved, 0u);
+  EXPECT_EQ(g_allocs.load(), 0u) << "allocations in ShardRouter::route_by_backlog";
 }
 
 }  // namespace

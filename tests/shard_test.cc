@@ -1,8 +1,11 @@
 // Sharded serving tier tests: arrival-lane tie ordering, the consistent-
-// hash router's stability/commutativity properties, byte-identity of the
-// 1-shard sharded replay against the direct seed engine, multi-shard
-// determinism (repeat runs and sequential-vs-threaded runs bit-identical,
-// steal decisions included), randomized steal-vs-no-steal disposition
+// hash router's stability/commutativity properties, its backlog-aware
+// replica choice (pinned move counts, a backlogged replica receiving the
+// smaller share), the library routing set-up (prepare_routing), byte-
+// identity of the 1-shard sharded replay against the direct seed engine,
+// multi-shard determinism with and without replicated models (repeat
+// runs and sequential-vs-threaded runs bit-identical, steal decisions
+// included), randomized steal-vs-no-steal disposition
 // conservation across seeds, exactly-once completion when a stolen
 // request's source shard is killed mid-flight, no stranded cache pins
 // after steals, and the membership-rebalancing hooks (router re-weighting
@@ -166,6 +169,83 @@ TEST(ShardRouterTest, ReplicasAreTheFirstDistinctRingSuccessors) {
   }
 }
 
+TEST(ShardRouterTest, BacklogIgnoredForUnreplicatedModels) {
+  ShardRouter router(4);
+  router.set_replication(ModelId(0), 3);  // a replicated neighbour
+  for (std::int64_t m = 1; m < 200; ++m) {
+    for (const std::vector<std::size_t>& backlog :
+         {std::vector<std::size_t>{0, 0, 0, 0}, std::vector<std::size_t>{90, 0, 5, 40},
+          std::vector<std::size_t>{0, 70, 70, 0}}) {
+      EXPECT_EQ(router.route_by_backlog(ModelId(m), static_cast<std::uint64_t>(m) * 7,
+                                        backlog),
+                router.route(ModelId(m), static_cast<std::uint64_t>(m) * 7))
+          << "model " << m;
+    }
+  }
+}
+
+TEST(ShardRouterTest, BacklogMovesReplicatedPicksInProportionToTheGap) {
+  ShardRouter router(4);
+  const ModelId model(0);
+  router.set_replication(model, 2);
+  std::set<std::size_t> replica_set;
+  for (std::uint64_t salt = 0; salt < 512; ++salt) replica_set.insert(router.route(model, salt));
+  ASSERT_EQ(replica_set.size(), 2u);
+  const std::size_t heavy = *replica_set.begin();
+  const std::size_t light = *replica_set.rbegin();
+
+  // Tied backlogs, or the salted replica already the lightest: the pick
+  // is route()'s. The non-replica shards are the emptiest of all and
+  // still never chosen.
+  std::vector<std::size_t> backlog(4, 0);
+  backlog[heavy] = backlog[light] = 25;
+  std::size_t to_light = 0;
+  for (std::uint64_t salt = 0; salt < 1000; ++salt) {
+    EXPECT_EQ(router.route_by_backlog(model, salt, backlog), router.route(model, salt));
+    to_light += router.route(model, salt) == light ? 1 : 0;
+  }
+  backlog[heavy] = 30;
+  backlog[light] = 10;
+  std::size_t moved = 0;
+  for (std::uint64_t salt = 0; salt < 1000; ++salt) {
+    const std::size_t salted = router.route(model, salt);
+    const std::size_t pick = router.route_by_backlog(model, salt, backlog);
+    ASSERT_TRUE(replica_set.count(pick)) << "salt " << salt << " left the replica set";
+    if (salted == light) {
+      EXPECT_EQ(pick, light) << "salt " << salt;
+    }
+    moved += pick != salted ? 1 : 0;
+  }
+  // (30 - 10) / (30 + 10): half of the heavy replica's 490 salted picks
+  // are expected to move. The count is exact and pinned: routing is a
+  // pure function of (ring, salt, backlog).
+  EXPECT_EQ(to_light, 510u);
+  EXPECT_EQ(moved, 243u);
+  // Zero backlog on the light replica: every heavy pick moves.
+  backlog[light] = 0;
+  for (std::uint64_t salt = 0; salt < 1000; ++salt) {
+    EXPECT_EQ(router.route_by_backlog(model, salt, backlog), light) << "salt " << salt;
+  }
+  // Three replicas: a pick stays or moves to the lightest replica, never
+  // to the emptier non-replica shard.
+  router.set_replication(model, 3);
+  std::set<std::size_t> replicas3;
+  for (std::uint64_t salt = 0; salt < 512; ++salt) replicas3.insert(router.route(model, salt));
+  ASSERT_EQ(replicas3.size(), 3u);
+  std::fill(backlog.begin(), backlog.end(), 0);
+  for (const std::size_t shard : replicas3) backlog[shard] = 50;
+  backlog[light] = 5;
+  std::size_t moved3 = 0;
+  for (std::uint64_t salt = 0; salt < 1000; ++salt) {
+    const std::size_t salted = router.route(model, salt);
+    const std::size_t pick = router.route_by_backlog(model, salt, backlog);
+    EXPECT_TRUE(pick == salted || pick == light) << "salt " << salt;
+    moved3 += pick != salted ? 1 : 0;
+  }
+  // (50 - 5) / (50 + 5) of the two heavy replicas' picks: ~545 expected.
+  EXPECT_EQ(moved3, 539u);
+}
+
 // ---------------------------------------------------------------------------
 // Completion-stream comparison helpers
 // ---------------------------------------------------------------------------
@@ -282,6 +362,37 @@ TEST(ShardedExperimentTest, FourShardAggregateSumsEveryCell) {
   expect_identical(records, sharded.completions());
 }
 
+TEST(ShardedExperimentTest, PrepareRoutingReplicatesHotModelsAndCalibratesWeights) {
+  const trace::Workload workload = testkit::make_workload(20, 11);
+  cluster::ClusterConfig config;
+  config.nodes = 4;
+  config.gpus_per_node = 2;
+  const ShardedOptions options;
+  ShardedCluster sharded(partition_config(config, 4), workload.registry, options);
+  prepare_routing(sharded, workload, options);
+
+  // Replica counts: ceil(share x 4 shards x spread 2) for every model
+  // above a 1/8 share.
+  std::map<std::int64_t, std::uint32_t> replicated;
+  for (std::int64_t m = 0; m < 64; ++m) {
+    const std::uint32_t copies = sharded.router().replication(ModelId(m));
+    if (copies > 1) replicated[m] = copies;
+  }
+  EXPECT_EQ(replicated, (std::map<std::int64_t, std::uint32_t>{{0, 3}, {1, 2}}));
+  // Per-shard routed counts after the calibration rounds.
+  std::vector<std::size_t> routed(4, 0);
+  for (const core::Request& request : workload.requests) {
+    ++routed[sharded.route(request.model, static_cast<std::uint64_t>(request.id.value()))];
+  }
+  EXPECT_EQ(routed, (std::vector<std::size_t>{82, 98, 169, 301}));
+
+  // One shard: nothing to replicate or calibrate.
+  ShardedCluster single(partition_config(config, 1), workload.registry, options);
+  prepare_routing(single, workload, options);
+  EXPECT_EQ(single.router().replication(workload.top_model), 1u);
+  EXPECT_EQ(single.router().weights(), std::vector<double>{1.0});
+}
+
 // ---------------------------------------------------------------------------
 // Multi-shard determinism: repeat runs and sequential-vs-threaded runs
 // ---------------------------------------------------------------------------
@@ -315,6 +426,105 @@ TEST(ShardedClusterTest, MultiShardReplayIsDeterministicAndThreadInvariant) {
   EXPECT_EQ(first_stats.stolen_from, threaded_stats.stolen_from);
   EXPECT_EQ(first_stats.stolen_to, threaded_stats.stolen_to);
   EXPECT_EQ(first_stats.epochs, threaded_stats.epochs);
+}
+
+// Requests whose shard differs from route(model, id) without a steal:
+// the replicas the backlog-aware choice moved.
+std::int64_t backlog_moves(ShardedCluster& sharded) {
+  std::int64_t moved = 0;
+  for (std::size_t s = 0; s < sharded.shard_count(); ++s) {
+    for (const auto& record : sharded.engine(s).completions()) {
+      if (record.steal_hops == 0 &&
+          sharded.route(record.model, static_cast<std::uint64_t>(record.id.value())) != s) {
+        ++moved;
+      }
+    }
+  }
+  return moved;
+}
+
+TEST(ShardedClusterTest, ReplicatedReplayIsDeterministicAndThreadInvariant) {
+  const trace::Workload workload = testkit::make_workload(20, 11);
+  cluster::ClusterConfig config;
+  config.nodes = 4;
+  config.gpus_per_node = 2;
+  ShardedOptions options;
+  options.steal.min_queue = 2;
+  options.steal.threshold = 1.0;
+  options.steal.max_batch = 8;
+
+  struct Run {
+    std::vector<core::CompletionRecord> completions;
+    ShardedReplayStats stats;
+    std::int64_t moved = 0;
+  };
+  auto run = [&](int threads) {
+    ShardedOptions o = options;
+    o.threads = threads;
+    ShardedCluster sharded(partition_config(config, 4), workload.registry, o);
+    prepare_routing(sharded, workload, o);
+    EXPECT_GT(sharded.router().replication(workload.top_model), 1u);
+    Run out;
+    out.stats = sharded.replay(workload.requests);
+    out.completions = sharded.completions();
+    out.moved = backlog_moves(sharded);
+    return out;
+  };
+  const Run first = run(1);
+  const Run second = run(1);
+  const Run threaded = run(2);
+
+  // The replica choice read real backlogs: some hot requests left their
+  // salted replica.
+  EXPECT_GT(first.moved, 0);
+  EXPECT_EQ(first.moved, threaded.moved);
+  expect_identical(first.completions, second.completions);
+  expect_identical(first.completions, threaded.completions);
+  EXPECT_EQ(first.stats.steals, threaded.stats.steals);
+  EXPECT_EQ(first.stats.steal_batches, threaded.stats.steal_batches);
+  EXPECT_EQ(first.stats.stolen_from, threaded.stats.stolen_from);
+  EXPECT_EQ(first.stats.stolen_to, threaded.stats.stolen_to);
+  EXPECT_EQ(first.stats.epochs, threaded.stats.epochs);
+}
+
+TEST(ShardedClusterTest, BackloggedReplicaReceivesTheSmallerShareOfItsModel) {
+  const models::ModelRegistry registry = testkit::head_registry(4);
+  cluster::ClusterConfig config;
+  config.nodes = 2;
+  config.gpus_per_node = 2;
+  ShardedOptions options;
+  options.steal.enabled = false;  // only routing may move the hot model
+  ShardedCluster sharded(partition_config(config, 2), registry, options);
+  const ModelId hot(0);
+  sharded.router().set_replication(hot, 2);
+  // A burst of an unreplicated model backs up its shard first; the hot
+  // model's requests then arrive over the next two seconds.
+  const ModelId cold(1);
+  const std::size_t busy = sharded.route(cold);
+  const std::size_t idle = 1 - busy;
+  std::vector<core::Request> requests;
+  for (std::int64_t i = 0; i < 40; ++i) {
+    requests.push_back(testkit::make_request(i, cold.value(), msec(10) * i));
+  }
+  std::size_t salted_to_idle = 0;
+  for (std::int64_t i = 40; i < 80; ++i) {
+    requests.push_back(testkit::make_request(i, hot.value(), sec(1) + msec(50) * (i - 40)));
+    salted_to_idle += sharded.route(hot, static_cast<std::uint64_t>(i)) == idle ? 1 : 0;
+  }
+
+  sharded.replay(requests);
+  std::size_t hot_on[2] = {0, 0};
+  for (std::size_t s = 0; s < 2; ++s) {
+    for (const auto& record : sharded.engine(s).completions()) {
+      if (record.model == hot) ++hot_on[s];
+    }
+  }
+  EXPECT_EQ(hot_on[0] + hot_on[1], 40u);
+  // The salted picks alone split the model about evenly (21 of 40 to
+  // the idle replica); the backlog moves it to 31 (exact, pinned).
+  EXPECT_EQ(salted_to_idle, 21u);
+  EXPECT_GT(hot_on[idle], hot_on[busy]);
+  EXPECT_EQ(hot_on[idle], 31u);
 }
 
 // ---------------------------------------------------------------------------
