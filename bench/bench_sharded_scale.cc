@@ -41,6 +41,11 @@
 // the sim results are bit-identical across reps; only the wall-clock
 // measurement varies, and min is its low-noise estimator.
 //
+// --seed N reseeds the arrival offsets within each minute (default 7,
+// the workload default); the per-model mix is unchanged. One replay is
+// deterministic but chaotic in the balancer's parameters, so judge a
+// balancer change on several seeds, not one row of one seed.
+//
 // --json PATH writes the machine-readable rows, headed by the build
 // type, `nproc` and the exact command line (default: none; the committed
 // record is BENCH_sharded_scale.json); CI smoke-runs this bench on a
@@ -71,6 +76,7 @@ struct Options {
   std::int64_t rpm = 33000;
   std::int64_t minutes = 32;
   std::int64_t epoch_ms = 500;
+  std::uint64_t seed = trace::WorkloadConfig{}.seed;
   int threads = 1;
   int reps = 3;
   double spread = 2.0;
@@ -162,6 +168,7 @@ int run(const Options& options) {
   wconfig.working_set_size = options.working_set;
   wconfig.window_minutes = options.minutes;
   wconfig.requests_per_minute = options.rpm;
+  wconfig.seed = options.seed;
   auto workload = trace::build_standard_workload(wconfig);
   GFAAS_CHECK(workload.ok()) << workload.status().to_string();
   std::printf("fleet=%d gpus, workload=%zu requests, working_set=%zu, "
@@ -247,10 +254,12 @@ int run(const Options& options) {
                  "  \"requests\": %zu,\n"
                  "  \"working_set\": %zu,\n"
                  "  \"epoch_ms\": %lld,\n"
+                 "  \"seed\": %llu,\n"
                  "  \"rows\": [\n",
                  options.provenance.c_str(), options.gpus,
                  workload->requests.size(), options.working_set,
-                 static_cast<long long>(options.epoch_ms));
+                 static_cast<long long>(options.epoch_ms),
+                 static_cast<unsigned long long>(options.seed));
     for (std::size_t i = 0; i < rows.size(); ++i) {
       const Row& row = rows[i];
       std::fprintf(out,
@@ -322,6 +331,8 @@ int main(int argc, char** argv) {
       options.minutes = std::atoll(v);
     } else if (const char* v = value("--epoch-ms")) {
       options.epoch_ms = std::atoll(v);
+    } else if (const char* v = value("--seed")) {
+      options.seed = std::strtoull(v, nullptr, 10);
     } else if (const char* v = value("--threads")) {
       options.threads = std::atoi(v);
     } else if (const char* v = value("--reps")) {

@@ -370,34 +370,32 @@ bool SchedulerEngine::cancel_request(RequestId id) {
   return true;
 }
 
-std::vector<core::Request> SchedulerEngine::steal_from_global(
-    std::size_t max_count,
-    const std::function<bool(const core::Request&)>& eligible) {
+void SchedulerEngine::steal_from_global(std::size_t max_count,
+                                        FunctionRef<bool(const core::Request&)> eligible,
+                                        std::vector<core::Request>& out) {
   serial_.AssertHeld();
-  std::vector<core::Request> stolen;
-  if (max_count == 0 || global_queue_.empty()) return stolen;
-  // Walk backward from the tail to pick the victims (newest arrivals
-  // first, skipping any the filter rejects), then extract in arrival
-  // order so the returned batch replays into the thief's queue in the
-  // order the requests arrived.
-  std::vector<RequestId> victims;
-  victims.reserve(std::min(max_count, global_queue_.size()));
-  auto it = global_queue_.end();
-  while (victims.size() < max_count && it != global_queue_.begin()) {
-    --it;
-    if (eligible != nullptr && !eligible(*it)) continue;
-    victims.push_back(it->id);
-  }
-  stolen.reserve(victims.size());
-  for (auto v = victims.rbegin(); v != victims.rend(); ++v) {
+  out.clear();
+  // Walk backward from the tail taking the victims (newest arrivals
+  // first, skipping any the filter rejects), then reverse the batch so it
+  // replays into the thief's queue in the order the requests arrived.
+  // Taking a request invalidates only iterators to it, so the walk keeps
+  // the position one past the candidate.
+  auto past = global_queue_.end();
+  while (out.size() < max_count && past != global_queue_.begin()) {
+    auto candidate = past;
+    --candidate;
+    if (!eligible(*candidate)) {
+      past = candidate;
+      continue;
+    }
     // The hook rides inside the request: from this engine's point of
     // view the request was never here, so exactly-once delivery is now
     // the thief's obligation (killing THIS shard later cannot touch it).
-    auto req = global_queue_.take(*v);
+    auto req = global_queue_.take(candidate->id);
     GFAAS_CHECK(req.ok()) << req.status().to_string();
-    stolen.push_back(std::move(req).value());
+    out.push_back(std::move(req).value());
   }
-  return stolen;
+  std::reverse(out.begin(), out.end());
 }
 
 bool SchedulerEngine::request_waiting(RequestId id) const {

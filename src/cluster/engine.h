@@ -22,13 +22,13 @@
 // committed finish times plus local-queue work (§IV-A).
 #pragma once
 
-#include <functional>
 #include <memory>
 #include <utility>
 #include <vector>
 
 #include "cache/cache_manager.h"
 #include "cluster/cluster_state_index.h"
+#include "common/function_ref.h"
 #include "common/thread_annotations.h"
 #include "cluster/gpu_manager.h"
 #include "core/queues.h"
@@ -159,19 +159,20 @@ class SchedulerEngine final : public core::SchedulingContext {
   // Removes up to `max_count` requests from the BACK of the global queue
   // — the newest arrivals, which have waited least, hold no O3 skip
   // credit, and whose departure can invalidate no placement already made
-  // — and returns them in arrival order, each still carrying its
-  // completion hook, ready to be submit()ed into another engine. The
-  // caller (shard::ShardedCluster's steal balancer) stamps the steal
-  // marker; this engine only forgets the requests. Requests parked in
-  // local queues or executing are never stolen: they hold model pins and
-  // committed GPU state here.
-  // `eligible` (when set) filters victims: ineligible requests are
-  // skipped during the backward walk and stay queued here — the steal
-  // balancer passes "warm on some other shard" so stolen work lands on
-  // its cached copies while cold tail-model work keeps its home shard.
-  std::vector<core::Request> steal_from_global(
-      std::size_t max_count,
-      const std::function<bool(const core::Request&)>& eligible = nullptr);
+  // — and leaves them in `out` (its old contents dropped) in arrival
+  // order, each still carrying its completion hook, ready to be
+  // submit()ed into another engine. The caller (shard::ShardedCluster's
+  // steal balancer) stamps the steal marker; this engine only forgets the
+  // requests. Requests parked in local queues or executing are never
+  // stolen: they hold model pins and committed GPU state here.
+  // `eligible` filters victims: ineligible requests are skipped during
+  // the backward walk and stay queued here — the steal balancer passes
+  // "warm on some other shard" so stolen work lands on its cached copies
+  // while cold tail-model work keeps its home shard. Allocates nothing
+  // once `out` has room for `max_count` requests.
+  void steal_from_global(std::size_t max_count,
+                         FunctionRef<bool(const core::Request&)> eligible,
+                         std::vector<core::Request>& out);
 
   // Optionally tracked model for the duplicate meter (Fig. 6).
   void track_duplicates_of(ModelId model) { tracked_model_ = model; }
@@ -202,6 +203,15 @@ class SchedulerEngine final : public core::SchedulingContext {
   std::size_t pending() const {
     serial_.AssertHeld();
     return table_.size();
+  }
+  // Calls `visit(const core::Request&)` for every request the engine
+  // holds, in slot order (audits; not a hot path).
+  template <typename Visit>
+  void for_each_request(Visit&& visit) const {
+    serial_.AssertHeld();
+    for (core::RequestTable::Index i = 0; i < table_.slot_count(); ++i) {
+      if (table_[i].place != core::Place::kFree) visit(table_[i].request);
+    }
   }
   std::size_t in_flight() const {
     serial_.AssertHeld();

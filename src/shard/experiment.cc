@@ -104,6 +104,7 @@ ShardedExperimentResult run_sharded_experiment(
 
   ShardedExperimentResult out;
   out.stats = sharded.replay(workload.requests);
+  sharded.audit(workload.requests.size());
   std::vector<cluster::SimCluster*> cells;
   for (std::size_t s = 0; s < sharded.shard_count(); ++s) {
     cells.push_back(&sharded.shard(s));

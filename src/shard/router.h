@@ -80,11 +80,13 @@ class ShardRouter {
   // first in replica order on ties) with probability
   // (backlog[p] - backlog[b]) / (backlog[p] + backlog[b]), the coin a
   // second stateless hash of the salt. Proportional, not join-the-
-  // shortest-queue: evening two overloaded replicas exactly keeps both
-  // under the steal balancer's median-relative trigger, which stops the
-  // stealing that relieved them. Unreplicated models, and picks whose
-  // backlog ties the lightest, route exactly as route(). Allocates
-  // nothing.
+  // shortest-queue: evening two overloaded replicas exactly kept both
+  // under the steal balancer's trigger when it was relative to the fleet
+  // median, which stopped the stealing that relieved them (the trigger
+  // now follows the lightest shard and the mean; JSQ was not measured
+  // against it).
+  // Unreplicated models, and picks whose backlog ties the lightest,
+  // route exactly as route(). Allocates nothing.
   std::size_t route_by_backlog(ModelId model, std::uint64_t salt,
                                const std::vector<std::size_t>& backlog) const;
 

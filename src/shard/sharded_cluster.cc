@@ -2,12 +2,19 @@
 
 #include <algorithm>
 #include <chrono>
+#include <unordered_map>
 
 #include "common/log.h"
 #include "telemetry/telemetry.h"
 
 namespace gfaas::shard {
 namespace {
+
+// The steal trigger's mean term: a shard donates only above this multiple
+// of the live shards' mean global-queue depth (StealConfig explains why).
+// 1.0 to 1.3 were measured on bench_sharded_scale over 8 seeds; 1.2 put
+// no row more than 5% behind the median trigger.
+constexpr double kMeanFactor = 1.2;
 
 std::uint64_t elapsed_ns(std::chrono::steady_clock::time_point since) {
   return static_cast<std::uint64_t>(
@@ -31,6 +38,17 @@ ShardedCluster::ShardedCluster(std::vector<cluster::ClusterConfig> configs,
   telemetry_.resize(shards_.size());
   backlog_.assign(shards_.size(), 0);
   epoch_wall_ns_.assign(shards_.size(), 0);
+  depth_.assign(shards_.size(), 0);
+  schedulable_.assign(shards_.size(), 0);
+  trigger_.assign(shards_.size(), 0);
+  std::size_t model_ids = 0;
+  for (const models::ModelProfile& profile : registry.all()) {
+    model_ids = std::max(model_ids, static_cast<std::size_t>(profile.id.value()) + 1);
+  }
+  warm_memo_.assign(model_ids, -1);
+  stolen_.reserve(std::max<std::size_t>(1, options_.steal.max_batch));
+  orchestrator_serial_.AssertHeld();
+  reset_stats();
   const auto threads = static_cast<std::size_t>(std::max(1, options_.threads));
   const std::size_t pool = std::min(threads, shards_.size());
   if (pool > 1) {
@@ -88,10 +106,7 @@ std::function<void()> ShardedCluster::membership_hook(std::size_t index) {
 ShardedReplayStats ShardedCluster::replay(
     const std::vector<core::Request>& requests) {
   orchestrator_serial_.AssertHeld();
-  stats_ = ShardedReplayStats{};
-  stats_.shard_work_ns.assign(shards_.size(), 0);
-  stats_.stolen_from.assign(shards_.size(), 0);
-  stats_.stolen_to.assign(shards_.size(), 0);
+  reset_stats();
 
   std::size_t next = 0;
   SimTime epoch_start = 0;
@@ -131,6 +146,13 @@ ShardedReplayStats ShardedCluster::replay(
     epoch_start = horizon;
   }
   return stats_;
+}
+
+void ShardedCluster::reset_stats() {
+  stats_ = ShardedReplayStats{};
+  stats_.shard_work_ns.assign(shards_.size(), 0);
+  stats_.stolen_from.assign(shards_.size(), 0);
+  stats_.stolen_to.assign(shards_.size(), 0);
 }
 
 void ShardedCluster::inject_arrivals(const std::vector<core::Request>& requests,
@@ -214,53 +236,62 @@ void ShardedCluster::worker_loop(std::size_t worker) {
 }
 
 std::size_t ShardedCluster::steal_rebalance(SimTime at) {
+  orchestrator_serial_.AssertHeld();
   if (shards_.size() < 2 || !options_.steal.enabled) return 0;
   const std::size_t n = shards_.size();
-  std::vector<std::size_t> depth(n), schedulable(n);
   for (std::size_t i = 0; i < n; ++i) {
     cluster::SchedulerEngine& engine = shards_[i]->engine();
-    depth[i] = engine.global_queue().size();
-    schedulable[i] = engine.schedulable_gpu_count();
+    depth_[i] = engine.global_queue().size();
+    schedulable_[i] = engine.schedulable_gpu_count();
   }
-  std::vector<std::size_t> sorted = depth;
-  std::sort(sorted.begin(), sorted.end());
-  const std::size_t median = sorted[n / 2];
-  // Per-shard trigger: the fleet-relative term (threshold x median) and
-  // the flat floor are shared; the capacity floor scales with each
-  // shard's schedulable GPUs so big shards don't donate dispatch jitter.
-  std::vector<std::size_t> trigger(n);
+  // The fleet-relative terms read the live shards only: a dead shard is
+  // evacuated to depth 0 and is never a target, so counting it would pin
+  // the lightest depth at 0 for the rest of the replay.
+  std::size_t live = 0, lightest = 0, total = 0;
   for (std::size_t i = 0; i < n; ++i) {
-    trigger[i] = std::max(
-        std::max(options_.steal.min_queue,
-                 static_cast<std::size_t>(options_.steal.threshold *
-                                          static_cast<double>(median))),
-        static_cast<std::size_t>(options_.steal.min_queue_per_gpu *
-                                 static_cast<double>(schedulable[i])));
+    if (schedulable_[i] == 0) continue;
+    lightest = live == 0 ? depth_[i] : std::min(lightest, depth_[i]);
+    total += depth_[i];
+    ++live;
   }
+  const double mean =
+      live == 0 ? 0.0 : static_cast<double>(total) / static_cast<double>(live);
+  // Per-shard trigger: min_queue and the two fleet-relative terms are
+  // shared; the capacity floor scales with each shard's schedulable GPUs
+  // so big shards don't donate dispatch jitter. base_trigger leaves the
+  // mean term out; it sets the deep-overload bar below, which measures
+  // how far a queue is past the lightest shard, not past the fleet.
+  const std::size_t shared = std::max(
+      options_.steal.min_queue,
+      static_cast<std::size_t>(options_.steal.threshold * static_cast<double>(lightest)));
+  const auto base_trigger = [&](std::size_t i) {
+    return std::max(shared, static_cast<std::size_t>(options_.steal.min_queue_per_gpu *
+                                                     static_cast<double>(schedulable_[i])));
+  };
+  const auto mean_term = static_cast<std::size_t>(kMeanFactor * mean);
+  for (std::size_t i = 0; i < n; ++i) trigger_[i] = std::max(mean_term, base_trigger(i));
   const std::size_t chunk = std::max<std::size_t>(1, options_.steal.max_batch);
-  // Per-model answers of the selective filter below, by model id (-1 = not
-  // asked yet). The qualified targets are fixed for one steal_from_global()
-  // call, so each model is resolved once per call, not once per request.
-  std::vector<std::int8_t> warm_memo;
 
   std::size_t moved_total = 0;
   for (std::size_t donor = 0; donor < n; ++donor) {
-    const bool dead = schedulable[donor] == 0;
+    const bool dead = schedulable_[donor] == 0;
     std::size_t excess = 0;
     if (dead) {
       // Evacuation: nothing can ever run here again; move everything,
       // in max_batch chunks spread over the shallowest live shards.
-      excess = depth[donor];
-    } else if (depth[donor] > trigger[donor]) {
-      excess = std::min(chunk, depth[donor] - trigger[donor]);
+      excess = depth_[donor];
+    } else if (depth_[donor] > trigger_[donor]) {
+      excess = std::min(chunk, depth_[donor] - trigger_[donor]);
     }
     // Selective first: steal only requests whose model is already warm
     // on some qualified target, so the moved work lands on its cached
     // copies and the cold tail keeps its home shard. Fall back to blind
     // stealing only once the donor is more than a whole chunk past its
-    // trigger (deep overload: eating a load beats the queue wait) — and
-    // immediately for evacuations, where everything must go.
+    // trigger without the mean term (deep overload: eating a load beats
+    // the queue wait) — and immediately for evacuations, where everything
+    // must go.
     bool selective = !dead;
+    const std::size_t deep = base_trigger(donor) + chunk;
     while (excess > 0) {
       // A live target qualifies only while it stays BELOW the steal
       // trigger: filling a shard past the trigger just mints the next
@@ -268,19 +299,22 @@ std::size_t ShardedCluster::steal_rebalance(SimTime at) {
       // steal_hops in the tens). Dead-shard evacuation relaxes the
       // trigger bound — the work must land somewhere live.
       auto qualifies = [&](std::size_t t) {
-        return t != donor && schedulable[t] != 0 &&
-               (dead || depth[t] < trigger[t]);
+        return t != donor && schedulable_[t] != 0 &&
+               (dead || depth_[t] < trigger_[t]);
       };
       bool any_target = false;
       for (std::size_t t = 0; t < n && !any_target; ++t) {
         any_target = qualifies(t);
       }
       if (!any_target) break;
-      warm_memo.assign(warm_memo.size(), -1);
-      auto warm_elsewhere = [&](const core::Request& req) {
-        const auto model = static_cast<std::size_t>(req.model.value());
-        if (model >= warm_memo.size()) warm_memo.resize(model + 1, -1);
-        std::int8_t& warm = warm_memo[model];
+      // Per-model answers of the selective filter, by model id (-1 = not
+      // asked yet). The qualified targets are fixed for one
+      // steal_from_global() call, so each model is resolved once per
+      // call, not once per request.
+      std::fill(warm_memo_.begin(), warm_memo_.end(), -1);
+      auto eligible = [&](const core::Request& req) {
+        if (!selective) return true;
+        std::int8_t& warm = warm_memo_[static_cast<std::size_t>(req.model.value())];
         if (warm < 0) {
           warm = 0;
           for (std::size_t t = 0; t < n && warm == 0; ++t) {
@@ -289,14 +323,11 @@ std::size_t ShardedCluster::steal_rebalance(SimTime at) {
         }
         return warm == 1;
       };
-      std::vector<core::Request> batch =
-          shards_[donor]->engine().steal_from_global(
-              std::min(excess, chunk),
-              selective
-                  ? std::function<bool(const core::Request&)>(warm_elsewhere)
-                  : nullptr);
+      std::vector<core::Request>& batch = stolen_;
+      shards_[donor]->engine().steal_from_global(std::min(excess, chunk), eligible,
+                                                 batch);
       if (batch.empty()) {
-        if (selective && depth[donor] > trigger[donor] + chunk) {
+        if (selective && depth_[donor] > deep) {
           selective = false;
           continue;
         }
@@ -316,9 +347,9 @@ std::size_t ShardedCluster::steal_rebalance(SimTime at) {
         std::size_t shallowest = n, warm = n;
         for (std::size_t t = 0; t < n; ++t) {
           if (!qualifies(t)) continue;
-          if (shallowest == n || depth[t] < depth[shallowest]) shallowest = t;
+          if (shallowest == n || depth_[t] < depth_[shallowest]) shallowest = t;
           if (shards_[t]->cache().cached_anywhere(req.model) &&
-              (warm == n || depth[t] < depth[warm])) {
+              (warm == n || depth_[t] < depth_[warm])) {
             warm = t;
           }
         }
@@ -329,8 +360,8 @@ std::size_t ShardedCluster::steal_rebalance(SimTime at) {
           continue;
         }
         const std::size_t target =
-            (warm != n && depth[warm] < depth[shallowest] + chunk) ? warm
-                                                                   : shallowest;
+            (warm != n && depth_[warm] < depth_[shallowest] + chunk) ? warm
+                                                                     : shallowest;
         ++moved;
         ++stats_.steals;
         ++stats_.stolen_from[donor];
@@ -349,8 +380,8 @@ std::size_t ShardedCluster::steal_rebalance(SimTime at) {
               static_cast<std::int64_t>(target));
         }
         shards_[target]->engine().submit(std::move(req));
-        ++depth[target];
-        --depth[donor];
+        ++depth_[target];
+        --depth_[donor];
       }
       if (moved == 0) break;
       excess -= std::min(excess, batch.size());
@@ -358,6 +389,27 @@ std::size_t ShardedCluster::steal_rebalance(SimTime at) {
     }
   }
   return moved_total;
+}
+
+void ShardedCluster::audit(std::size_t submitted) const {
+  orchestrator_serial_.AssertHeld();
+  // Request id -> the shard holding it live.
+  std::unordered_map<std::int64_t, std::size_t> live;
+  std::size_t resolved = 0, pending = 0;
+  for (std::size_t s = 0; s < shards_.size(); ++s) {
+    const cluster::SchedulerEngine& engine = shards_[s]->engine();
+    engine.audit();
+    engine.for_each_request([&live, s](const core::Request& request) {
+      const auto [it, fresh] = live.emplace(request.id.value(), s);
+      GFAAS_CHECK(fresh) << "request " << request.id.value() << " live on shards "
+                         << it->second << " and " << s;
+    });
+    resolved += engine.completions().size() + engine.failures().size();
+    pending += engine.pending();
+  }
+  GFAAS_CHECK(submitted == resolved + pending)
+      << submitted << " requests submitted, but the shards hold " << pending
+      << " and resolved " << resolved;
 }
 
 bool ShardedCluster::drained(std::size_t requests_injected,

@@ -22,8 +22,10 @@
 // pool; the results are bit-identical either way because shards never
 // read each other mid-epoch — to the epoch's end, and (3) at the
 // barrier runs the steal balancer: a shard whose global-queue depth
-// exceeds max(min_queue, threshold x fleet-median depth) donates up to
-// max_batch of its NEWEST queued requests to the shallowest shard, and
+// exceeds max(min_queue, threshold x the lightest live shard's depth,
+// 1.2 x the live mean depth, min_queue_per_gpu x its schedulable GPUs)
+// donates up to max_batch of
+// its NEWEST queued requests to the shallowest shard, and
 // a dead shard (no schedulable GPUs — e.g. chaos killed all its
 // domains) is evacuated entirely. Stolen requests keep their ids,
 // deadlines and completion hooks and carry a steal marker
@@ -60,16 +62,28 @@ namespace gfaas::shard {
 
 struct StealConfig {
   bool enabled = true;
-  // A shard donates when its global-queue depth exceeds
-  // max(min_queue, threshold x fleet-median depth). The median (not the
-  // mean) keeps one pathological shard from dragging the trigger up for
-  // everyone.
+  // A shard donates when its global-queue depth exceeds its trigger,
+  // max(min_queue, threshold x the lightest live shard's depth, 1.2 x
+  // the live shards' mean depth, min_queue_per_gpu x its schedulable
+  // GPUs). The fleet-relative terms follow the lightest shard
+  // and the mean, not the median: once half or more of the shards are
+  // overloaded the median is itself an overloaded depth, and a
+  // median-relative trigger then stops all donation while a light shard
+  // idles. The mean term keeps a moderately loaded shard from donating
+  // during a fleet-wide burst just because one shard happens to be empty.
+  // It leaves a far smaller blind spot than the median: k equally
+  // overloaded shards of n still donate while k < n / 1.2 (3 of 4; 13
+  // of 16).
   double threshold = 1.5;
   std::size_t min_queue = 8;
-  // Per-shard trigger floor scales with capacity: a queue worth half the
-  // shard's schedulable GPUs is dispatch jitter, not overload — stealing
-  // it pays cold-miss cost for no queueing win.
-  double min_queue_per_gpu = 0.5;
+  // Per-shard trigger floor scales with capacity: a queue shorter than
+  // three quarters of the shard's schedulable GPUs is dispatch jitter,
+  // not overload — stealing it pays cold-miss cost for no queueing win.
+  // 0.75 is measured: at 1.0 a single hot 64-GPU shard is relieved late
+  // (bench_sharded_scale rows up to 8% slower); at 0.5 base-load jitter
+  // buys cold steals (nearly twice the steals per request on
+  // fleet-sharded).
+  double min_queue_per_gpu = 0.75;
   // Per-donor, per-barrier steal cap (dead-shard evacuation ignores it
   // in total but still moves chunks of this size, spread over the
   // shallowest targets).
@@ -165,6 +179,23 @@ class ShardedCluster {
   // Dies if work strands (every shard dead with requests queued).
   ShardedReplayStats replay(const std::vector<core::Request>& requests);
 
+  // One barrier of the steal balancer, as replay() runs it after every
+  // epoch: a shard whose global queue is past its trigger donates its
+  // newest requests, a dead shard is evacuated. Returns how many requests
+  // moved. Allocates nothing once the target engines' request tables
+  // have room for the moved requests.
+  std::size_t steal_rebalance(SimTime at);
+
+  // Recomputes the tier's request accounting and CHECKs it: every shard
+  // engine passes its own audit(), each live request id sits on exactly
+  // one shard, and each of the `submitted` requests handed to the tier
+  // (by replay(), ShardedIngress or straight to the shard engines) is
+  // completed, failed or still held by some shard. Valid between epochs:
+  // after replay(), or at a barrier driven by hand through
+  // steal_rebalance(). run_sharded_experiment runs it once per replay;
+  // replay() itself does not.
+  void audit(std::size_t submitted) const;
+
   const ShardedReplayStats& stats() const {
     orchestrator_serial_.AssertHeld();
     return stats_;
@@ -190,8 +221,8 @@ class ShardedCluster {
   // pool) and folds the per-shard wall times into the stats.
   void run_shards_until(SimTime deadline) REQUIRES(orchestrator_serial_);
   void run_one_shard(std::size_t index, SimTime deadline);
-  // The barrier balancer; returns how many requests moved.
-  std::size_t steal_rebalance(SimTime at) REQUIRES(orchestrator_serial_);
+  // Sizes the per-shard stats vectors and zeroes every counter.
+  void reset_stats() REQUIRES(orchestrator_serial_);
   // All arrivals injected, all simulators drained, all engines empty.
   bool drained(std::size_t requests_injected, std::size_t total) const;
   void worker_loop(std::size_t worker);
@@ -211,6 +242,17 @@ class ShardedCluster {
   // at each barrier and bumped per injected arrival; read by the
   // router's replica choice. Sized once, reused every epoch.
   std::vector<std::size_t> backlog_ GUARDED_BY(orchestrator_serial_);
+
+  // Steal-balancer scratch, sized at construction and reused at every
+  // barrier, so a barrier allocates nothing of its own: per-shard
+  // global-queue depth, schedulable GPUs and trigger; the selective
+  // filter's per-model memo, indexed by model id; and the batch taken
+  // from a donor (room for max_batch requests).
+  std::vector<std::size_t> depth_ GUARDED_BY(orchestrator_serial_);
+  std::vector<std::size_t> schedulable_ GUARDED_BY(orchestrator_serial_);
+  std::vector<std::size_t> trigger_ GUARDED_BY(orchestrator_serial_);
+  std::vector<std::int8_t> warm_memo_ GUARDED_BY(orchestrator_serial_);
+  std::vector<core::Request> stolen_ GUARDED_BY(orchestrator_serial_);
 
   // Per-epoch scratch: slot i is written by the worker running shard i
   // during the epoch and read by the orchestrator after the barrier —

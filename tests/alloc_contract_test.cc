@@ -10,11 +10,13 @@
 // pending queue), flight slots, result delivery and the CallbackExecutor
 // thread — adds no allocation to that engine path on the same cluster,
 // so a cache hit served through the Gateway allocates only inside the
-// mirror. Four narrower contracts ride along: the simulator's sorted run
+// mirror. Five narrower contracts ride along: the simulator's sorted run
 // stays bounded when it never drains, tenant admission denies without
 // allocating, the Gateway's shed-vs-queue estimate walks a busy fleet
-// without allocating, and the shard router routes a replicated model,
-// salted or weighed against shard backlogs, without allocating.
+// without allocating, the shard router routes a replicated model,
+// salted or weighed against shard backlogs, without allocating, and a
+// warm steal barrier moves queued requests between two shards' engines
+// without allocating.
 //
 // This binary replaces the global operator new with a counter that only
 // counts inside the measured window.
@@ -42,7 +44,9 @@
 #include "gpu/virtual_gpu.h"
 #include "models/latency_model.h"
 #include "models/zoo.h"
+#include "shard/experiment.h"
 #include "shard/router.h"
+#include "shard/sharded_cluster.h"
 #include "sim/simulator.h"
 #include "testing/builders.h"
 
@@ -90,12 +94,12 @@ void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
 namespace gfaas::cluster {
 namespace {
 
-// One model with a 1 ms inference.
-models::ModelRegistry one_fast_model() {
+// One model, id 0, with the given inference time (1 ms by default).
+models::ModelRegistry one_model(SimTime infer_time_b32 = msec(1)) {
   models::ModelRegistry registry;
   models::ModelProfile profile = *models::find_model("squeezenet1.1");
   profile.id = ModelId(0);
-  profile.infer_time_b32 = msec(1);
+  profile.infer_time_b32 = infer_time_b32;
   GFAAS_CHECK(registry.register_model(profile).ok());
   return registry;
 }
@@ -110,7 +114,7 @@ models::ModelRegistry one_fast_model() {
 void expect_warm_hits_allocate_nothing(std::int64_t nodes, std::int64_t gpus_per_node,
                                        GpuId holder_a, GpuId holder_b) {
   constexpr std::size_t kWindow = 1000;
-  models::ModelRegistry registry = one_fast_model();
+  models::ModelRegistry registry = one_model();
 
   sim::Simulator sim;
   cache::CacheManager cache(cache::PolicyKind::kLru, /*store=*/nullptr);
@@ -219,7 +223,7 @@ TEST(AllocContractTest, GatewayFrontEndAddsNoAllocationOnceWarm) {
   ClusterConfig config;
   config.nodes = 1;
   config.gpus_per_node = 3;
-  SimCluster cluster(config, one_fast_model());
+  SimCluster cluster(config, one_model());
   gateway::GatewayConfig gconfig;
   // Two requests in flight: half of every round waits in the pending
   // queue and is admitted from a completion.
@@ -416,6 +420,48 @@ TEST(ShardRouterTest, BacklogAwareRouteAllocatesNothing) {
   g_counting.store(false);
   EXPECT_GT(moved, 0u);
   EXPECT_EQ(g_allocs.load(), 0u) << "allocations in ShardRouter::route_by_backlog";
+}
+
+TEST(ShardedClusterTest, WarmStealBarrierAllocatesNothing) {
+  // Two shards of two GPUs and one model whose inference never ends here
+  // (the simulators never run): both shards' GPUs are busy with it, so
+  // requests stay in the global queues and no cache access (the datastore
+  // mirror allocates on each) happens inside the window. Shard 1 holds
+  // the model warm, so the selective filter lets the donor's newest
+  // requests go: at depths 40 and 0 both triggers are 24 (1.2 x the mean
+  // depth of 20), so the donor's 16 past it move. Each round tops the
+  // donor up and cancels what the thief received, outside the window.
+  ClusterConfig config;
+  config.nodes = 2;
+  config.gpus_per_node = 2;
+  shard::ShardedCluster sharded(shard::partition_config(config, 2), one_model(sec(100000)));
+  SchedulerEngine& donor = sharded.engine(0);
+  SchedulerEngine& thief = sharded.engine(1);
+  std::int64_t next_id = 0;
+  for (SchedulerEngine* engine : {&donor, &thief}) {
+    for (int i = 0; i < 2; ++i) engine->submit(testkit::make_request(next_id++, 0, 0));
+    ASSERT_EQ(engine->idle_gpu_count(), 0u);
+  }
+  std::vector<RequestId> received;
+  const auto round = [&](bool count) -> std::size_t {
+    while (donor.global_queue().size() < 40) {
+      donor.submit(testkit::make_request(next_id++, 0, 0));
+    }
+    if (count) g_counting.store(true);
+    const std::size_t moved = sharded.steal_rebalance(0);
+    g_counting.store(false);
+    received.clear();
+    for (const core::Request& request : thief.global_queue()) received.push_back(request.id);
+    for (const RequestId id : received) EXPECT_TRUE(thief.cancel_request(id));
+    return moved;
+  };
+  for (int warm = 0; warm < 3; ++warm) ASSERT_EQ(round(false), 16u);
+  g_allocs.store(0);
+  std::size_t moved = 0;
+  for (int i = 0; i < 1000; ++i) moved += round(true);
+  EXPECT_EQ(moved, 16000u);
+  EXPECT_EQ(g_allocs.load(), 0u) << "allocations in the steal barrier";
+  for (std::size_t s = 0; s < sharded.shard_count(); ++s) sharded.engine(s).audit();
 }
 
 }  // namespace

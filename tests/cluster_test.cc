@@ -529,7 +529,9 @@ TEST(SchedulerEngineTest, CompletionHookFiresOnceOnEveryExit) {
     HookProbe running, stolen;
     victim->engine().submit(running.request(0, 0));
     victim->engine().submit(stolen.request(1, 1));
-    std::vector<core::Request> taken = victim->engine().steal_from_global(1);
+    std::vector<core::Request> taken;
+    victim->engine().steal_from_global(
+        1, [](const core::Request&) { return true; }, taken);
     ASSERT_EQ(taken.size(), 1u);
     EXPECT_EQ(taken[0].id, RequestId(1));
     ASSERT_TRUE(taken[0].on_complete != nullptr);

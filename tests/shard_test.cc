@@ -6,7 +6,9 @@
 // multi-shard determinism with and without replicated models (repeat
 // runs and sequential-vs-threaded runs bit-identical, steal decisions
 // included), randomized steal-vs-no-steal disposition
-// conservation across seeds, exactly-once completion when a stolen
+// conservation across seeds, light shards draining two and three
+// overloaded shards, a dead shard left out of the steal trigger, the
+// tier audit at a barrier, exactly-once completion when a stolen
 // request's source shard is killed mid-flight, no stranded cache pins
 // after steals, and the membership-rebalancing hooks (router re-weighting
 // and the Autoscaler wiring).
@@ -564,6 +566,148 @@ TEST(ShardedClusterTest, StealDispositionConservationAcrossSeeds) {
   // The aggressive thresholds must actually exercise the steal path
   // (deterministic: same seeds, same decisions, every run).
   EXPECT_GT(total_steals, 0);
+}
+
+// ---------------------------------------------------------------------------
+// Steal trigger relative to the lightest shard
+// ---------------------------------------------------------------------------
+
+// A hand-routed 4-shard replay with the default StealConfig: four one-node
+// shards of two GPUs, one model homed (by the router) on each. The first
+// `overloaded` shards each get a burst of 150 requests of their model in
+// the first 1.5 s; every other shard gets one request of its own every
+// 500 ms. Returns the replay's steal stats and, per shard, how many
+// stolen requests of another shard's model it completed.
+struct OverloadRun {
+  ShardedReplayStats stats;
+  std::vector<std::int64_t> stolen_completed;
+};
+
+OverloadRun replay_with_overloaded_shards(std::size_t overloaded) {
+  const models::ModelRegistry registry = models::ModelRegistry::full_catalog();
+  cluster::ClusterConfig config;
+  config.nodes = 4;
+  config.gpus_per_node = 2;
+  ShardedCluster sharded(partition_config(config, 4), registry);
+  std::vector<ModelId> home(4);
+  for (const models::ModelProfile& profile : registry.all()) {
+    ModelId& model = home[sharded.route(profile.id)];
+    if (!model.valid()) model = profile.id;
+  }
+  for (std::size_t s = 0; s < 4; ++s) {
+    GFAAS_CHECK(home[s].valid()) << "no model of the registry routes to shard " << s;
+  }
+  std::vector<core::Request> requests;
+  for (std::int64_t i = 0; i < 150; ++i) {
+    for (std::size_t s = 0; s < overloaded; ++s) {
+      requests.push_back(testkit::make_request(static_cast<std::int64_t>(requests.size()),
+                                               home[s].value(), msec(10) * i));
+    }
+  }
+  for (std::int64_t i = 0; i < 20; ++i) {
+    for (std::size_t s = overloaded; s < 4; ++s) {
+      requests.push_back(testkit::make_request(static_cast<std::int64_t>(requests.size()),
+                                               home[s].value(), msec(500) * i + msec(5)));
+    }
+  }
+  std::stable_sort(requests.begin(), requests.end(),
+                   [](const core::Request& a, const core::Request& b) {
+                     return a.arrival < b.arrival;
+                   });
+  OverloadRun out;
+  out.stats = sharded.replay(requests);
+  sharded.audit(requests.size());
+  expect_exactly_once(sharded, requests.size());
+  out.stolen_completed.assign(4, 0);
+  for (std::size_t s = 0; s < 4; ++s) {
+    for (const auto& record : sharded.engine(s).completions()) {
+      if (record.steal_hops > 0 && record.model != home[s]) ++out.stolen_completed[s];
+    }
+  }
+  return out;
+}
+
+TEST(ShardedClusterTest, LightShardsDrainTwoOverloadedShards) {
+  // With half the shards overloaded the fleet median is itself an
+  // overloaded depth, so a median-relative trigger never fires; the
+  // lightest shard's depth keeps it low and both light shards take work.
+  const OverloadRun run = replay_with_overloaded_shards(2);
+  EXPECT_GT(run.stats.stolen_to[2], 0);
+  EXPECT_GT(run.stats.stolen_to[3], 0);
+  EXPECT_GT(run.stolen_completed[2], 0);
+  EXPECT_GT(run.stolen_completed[3], 0);
+}
+
+TEST(ShardedClusterTest, LightShardDrainsThreeOverloadedShards) {
+  const OverloadRun run = replay_with_overloaded_shards(3);
+  EXPECT_GT(run.stats.stolen_to[3], 0);
+  EXPECT_GT(run.stolen_completed[3], 0);
+}
+
+// Fills four one-node shards of two GPUs barrier by barrier: requests go
+// straight into the shard engines and the simulators never run, so each
+// live shard's two GPUs keep its first two requests and `queued[s]` more
+// wait in its global queue. Every request is of one model, warm on every
+// live shard, so the selective filter lets any of them move. Returns how
+// many requests were submitted.
+std::size_t fill_global_queues(ShardedCluster& sharded, ModelId model,
+                               const std::vector<std::size_t>& queued) {
+  std::int64_t next_id = 0;
+  for (std::size_t s = 0; s < queued.size(); ++s) {
+    cluster::SchedulerEngine& engine = sharded.engine(s);
+    while (engine.idle_gpu_count() > 0 || engine.global_queue().size() < queued[s]) {
+      engine.submit(testkit::make_request(next_id++, model.value(), 0));
+    }
+  }
+  return static_cast<std::size_t>(next_id);
+}
+
+std::unique_ptr<ShardedCluster> four_two_gpu_shards(const models::ModelRegistry& registry) {
+  cluster::ClusterConfig config;
+  config.nodes = 4;
+  config.gpus_per_node = 2;
+  return std::make_unique<ShardedCluster>(partition_config(config, 4), registry);
+}
+
+TEST(ShardedClusterTest, DeadShardIsLeftOutOfTheTrigger) {
+  // Shard 0 is dead and empty; the live shards queue 20, 30 and 40. Over
+  // the live shards the trigger is max(min_queue 8, 1.5 x lightest 20,
+  // 1.2 x mean 30) = 36, so only the deepest shard donates, its 4 past
+  // the trigger, to the lightest. Counting the dead shard's depth of 0
+  // would pull the trigger down to 1.2 x 22.5 = 27 and make shard 2 a
+  // donor too.
+  const models::ModelRegistry registry = models::ModelRegistry::full_catalog();
+  const auto sharded = four_two_gpu_shards(registry);
+  cluster::SimCluster& dead = sharded->shard(0);
+  for (std::size_t d = 0; d < dead.domain_count(); ++d) dead.kill_domain(d);
+  ASSERT_EQ(sharded->engine(0).schedulable_gpu_count(), 0u);
+  const std::size_t submitted =
+      fill_global_queues(*sharded, registry.all().front().id, {0, 20, 30, 40});
+
+  EXPECT_EQ(sharded->steal_rebalance(0), 4u);
+  EXPECT_EQ(sharded->stats().stolen_from, (std::vector<std::int64_t>{0, 0, 0, 4}));
+  EXPECT_EQ(sharded->stats().stolen_to, (std::vector<std::int64_t>{0, 4, 0, 0}));
+  EXPECT_EQ(sharded->engine(1).global_queue().size(), 24u);
+  EXPECT_EQ(sharded->engine(3).global_queue().size(), 36u);
+  // At the barrier, with requests queued and just stolen, every id is
+  // live on exactly one shard and none was lost.
+  sharded->audit(submitted);
+}
+
+TEST(ShardedClusterDeathTest, AuditCatchesDuplicatedAndLostRequests) {
+  const models::ModelRegistry registry = models::ModelRegistry::full_catalog();
+  const auto sharded = four_two_gpu_shards(registry);
+  const ModelId model = registry.all().front().id;
+  const std::size_t submitted = fill_global_queues(*sharded, model, {0, 0, 0, 12});
+  ASSERT_GT(sharded->steal_rebalance(0), 0u);
+  sharded->audit(submitted);
+  // A request the tier never saw (or one a steal dropped) breaks the
+  // count.
+  EXPECT_DEATH(sharded->audit(submitted + 1), "submitted, but the shards hold");
+  // A steal that copies instead of moving leaves an id on two shards.
+  const RequestId copied = sharded->engine(3).global_queue().begin()->id;
+  sharded->engine(2).submit(testkit::make_request(copied.value(), model.value(), 0));
+  EXPECT_DEATH(sharded->audit(submitted + 1), "live on shards 2 and 3");
 }
 
 // ---------------------------------------------------------------------------
